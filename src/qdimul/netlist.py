@@ -23,7 +23,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
+
+_T = TypeVar("_T")
 
 
 class Protocol(Enum):
@@ -181,6 +183,10 @@ class DiagnosticCode(Enum):
     MULTIPLE_DRIVERS = "MULTIPLE_DRIVERS"
     ARITY_MISMATCH = "ARITY_MISMATCH"
     COMBINATIONAL_LOOP = "COMBINATIONAL_LOOP"
+    DUPLICATE_GATE_ID = "DUPLICATE_GATE_ID"
+    GATE_ID_OUT_OF_RANGE = "GATE_ID_OUT_OF_RANGE"
+    NEGATIVE_NET_ID = "NEGATIVE_NET_ID"
+    ALIASED_RAILS = "ALIASED_RAILS"
 
 
 @dataclass(frozen=True)
@@ -219,7 +225,9 @@ class Netlist:
 
     Instances are built through :class:`NetlistBuilder`, :func:`deserialize`
     or :func:`dualize`; all indexes (drivers, fanout) are derived once here
-    and never change afterwards.
+    and never change afterwards.  Nothing may be changed after construction:
+    the validation verdict and the simulator's plan are computed once per
+    netlist object and kept on it (see :meth:`_derived`).
     """
 
     def __init__(
@@ -245,6 +253,7 @@ class Netlist:
         self.phase_net = phase_net
         self.extra_inputs = tuple(extra_inputs)
         self.meta = dict(meta or {})
+        self._memo: dict[str, object] = {}
         self._index()
 
     # -- derived indexes ---------------------------------------------------
@@ -319,8 +328,22 @@ class Netlist:
                 levels[self.ack_in] = 1 - spacer
         return levels
 
+    def _derived(self, key: str, build: Callable[["Netlist"], _T]) -> _T:
+        """``build(self)``, computed on the first call for ``key`` and kept.
+
+        For qdimul's own per-netlist tables; the result is shared by every
+        caller, so it must be treated as read-only.  A build that raises
+        keeps nothing and raises again on the next call.
+        """
+        try:
+            return self._memo[key]  # type: ignore[return-value]
+        except KeyError:
+            value = self._memo[key] = build(self)
+            return value
+
     def validate(self) -> list[Diagnostic]:
-        return validate(self)
+        """:func:`validate`, computed once; every call returns a fresh list."""
+        return list(self._derived("validate", validate))
 
     def require_valid(self) -> None:
         diags = self.validate()
@@ -359,11 +382,14 @@ class Netlist:
 def validate(netlist: Netlist) -> list[Diagnostic]:
     """Structural checks; an empty result means the simulator accepts it.
 
-    Checks single drivership, gate arity, port connectivity and the absence
-    of combinational cycles.  A cycle is legal only if it passes through a
-    C-element, which is the one place feedback is allowed to hold state.
+    Checks that gate ids are exactly ``0..len(gates)-1`` and net ids are
+    non-negative (the simulator indexes its tables by them), single
+    drivership, gate arity, port connectivity with two distinct rails per
+    port, and the absence of combinational cycles.  A cycle is legal only if
+    it passes through a C-element, which is the one place feedback is
+    allowed to hold state.
     """
-    diags: list[Diagnostic] = []
+    diags = _check_ids(netlist)
 
     claimed: dict[int, int] = {}
     for n in netlist.primary_inputs:
@@ -403,6 +429,14 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
                 )
 
     for p in netlist.ports:
+        if p.rail1 == p.rail0:
+            diags.append(
+                Diagnostic(
+                    DiagnosticCode.ALIASED_RAILS,
+                    f"port {p.name!r} uses net {p.rail1} for both rails",
+                    (p.rail1,),
+                )
+            )
         for rail_name, n in (("rail1", p.rail1), ("rail0", p.rail0)):
             if n not in claimed:
                 diags.append(
@@ -414,6 +448,42 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
                 )
 
     diags.extend(_find_combinational_loop(netlist))
+    return diags
+
+
+def _check_ids(netlist: Netlist) -> list[Diagnostic]:
+    diags: list[Diagnostic] = []
+    n_gates = len(netlist.gates)
+    seen: dict[int, int] = {}
+    for g in netlist.gates:
+        seen[g.id] = seen.get(g.id, 0) + 1
+    for gid, count in sorted(seen.items()):
+        if not 0 <= gid < n_gates:
+            diags.append(
+                Diagnostic(
+                    DiagnosticCode.GATE_ID_OUT_OF_RANGE,
+                    f"gate id {gid} is outside 0..{n_gates - 1}",
+                    (gid,),
+                )
+            )
+        if count > 1:
+            diags.append(
+                Diagnostic(
+                    DiagnosticCode.DUPLICATE_GATE_ID,
+                    f"gate id {gid} is used by {count} gates",
+                    (gid,),
+                )
+            )
+
+    nets = [n for g in netlist.gates for n in (*g.inputs, g.output)]
+    nets += [n for p in netlist.ports for n in (p.rail1, p.rail0)]
+    nets += [n for n, _ in netlist.const_nets]
+    nets += [n for n in (netlist.ack_out, netlist.ack_in, netlist.phase_net) if n is not None]
+    nets += netlist.extra_inputs
+    for n in sorted({n for n in nets if n < 0}):
+        diags.append(
+            Diagnostic(DiagnosticCode.NEGATIVE_NET_ID, f"net id {n} is negative", (n,))
+        )
     return diags
 
 

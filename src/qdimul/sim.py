@@ -14,6 +14,15 @@ both ``ack_out`` and ``ack_in``, the simulator mirrors every ``ack_out``
 change onto ``ack_in`` complemented at the same timestamp.  That models the
 zero-delay acknowledge inverter the surrounding stage would provide, and it
 keeps a closed handshake loop runnable without a cooperating testbench.
+
+Netlists are immutable after construction, so everything the engine derives
+from one is compiled once per netlist object: the first :func:`reset` of a
+netlist validates it, builds its gate and fanout tables, checks that its
+reset state is quiescent, and keeps that plan (plus one delay vector per
+:class:`DelayModel` used) on the netlist.  Later resets only copy the reset
+levels and allocate an empty event queue.  A netlist that fails validation
+or the quiescence check is not compiled and fails the same way on every
+reset.
 """
 
 from __future__ import annotations
@@ -143,6 +152,48 @@ _FAMILY = {
 }
 
 
+class _Plan:
+    """What the engine needs from one netlist, shared by its SimStates.
+
+    Tables are indexed by gate id (``validate`` guarantees ids are exactly
+    ``0..len(gates)-1``) and by net id; nothing here is mutated after
+    construction.
+    """
+
+    def __init__(self, netlist: Netlist):
+        netlist.require_valid()
+        self._gates = sorted(netlist.gates, key=lambda g: g.id)
+        self.family = [_FAMILY[g.kind] for g in self._gates]
+        self.inputs = [g.inputs for g in self._gates]
+        self.output = [g.output for g in self._gates]
+        fanout: list[list[int]] = [[] for _ in range(netlist.net_count)]
+        for g in self._gates:
+            for n in set(g.inputs):
+                fanout[n].append(g.id)
+        self.fanout = [tuple(f) for f in fanout]  # ascending: gates go in id order
+
+        lv = netlist.reset_levels()
+        for g in self._gates:
+            settled = _eval_family(self.family[g.id], g.inputs, lv, lv[g.output])
+            if settled != lv[g.output]:
+                raise ValueError(
+                    f"reset is not quiescent: gate {g.id} ({g.kind.value}) would "
+                    f"drive {settled}, reset says {lv[g.output]}"
+                )
+        self.reset_levels = tuple(lv)
+        self.ack_out = netlist.ack_out if netlist.ack_in is not None else None
+        self.ack_in = netlist.ack_in
+        self._delays: dict[DelayModel, list[int]] = {}
+
+    def delays(self, model: DelayModel) -> list[int]:
+        """Per-gate delays under ``model``, computed once per model."""
+        vector = self._delays.get(model)
+        if vector is None:
+            vector = [model.delay_of(g.id, g.kind) for g in self._gates]
+            self._delays[model] = vector
+        return vector
+
+
 class SimState:
     """Simulation instance: net levels, pending events, clock and trace.
 
@@ -152,48 +203,21 @@ class SimState:
     """
 
     def __init__(self, netlist: Netlist, delay_model: DelayModel):
-        netlist.require_valid()
+        plan: _Plan = netlist._derived("sim.plan", _Plan)
         self.netlist = netlist
         self.delay_model = delay_model
         self.clock = 0
         self.trace: Trace = []
         self._seq = 0
         self._heap: list[tuple[int, int, int, int, int]] = []
+        self._plan = plan
+        self._gate_delay = plan.delays(delay_model)
 
-        n_nets = netlist.net_count
-        self.levels = netlist.reset_levels()
+        self.levels = list(plan.reset_levels)
+        n_nets = len(self.levels)
         self._pending_count = [0] * n_nets
         self._pending_level = [0] * n_nets
         self._pending_time = [0] * n_nets
-
-        gates = netlist.gates
-        n_gates = len(gates)
-        self._gate_family = [0] * n_gates
-        self._gate_inputs: list[tuple[int, ...]] = [()] * n_gates
-        self._gate_output = [0] * n_gates
-        self._gate_delay = [1] * n_gates
-        fanout: list[list[int]] = [[] for _ in range(n_nets)]
-        for g in gates:
-            self._gate_family[g.id] = _FAMILY[g.kind]
-            self._gate_inputs[g.id] = g.inputs
-            self._gate_output[g.id] = g.output
-            self._gate_delay[g.id] = delay_model.delay_of(g.id, g.kind)
-            for n in set(g.inputs):
-                fanout[n].append(g.id)
-        self._net_fanout = [tuple(sorted(f)) for f in fanout]
-
-        lv = self.levels
-        for g in gates:
-            fam = self._gate_family[g.id]
-            settled = _eval_family(fam, g.inputs, lv, lv[g.output])
-            if settled != lv[g.output]:
-                raise ValueError(
-                    f"reset is not quiescent: gate {g.id} ({g.kind.value}) would "
-                    f"drive {settled}, reset says {lv[g.output]}"
-                )
-
-        self._ack_out = netlist.ack_out if netlist.ack_in is not None else None
-        self._ack_in = netlist.ack_in
 
     # -- stimulus ----------------------------------------------------------
 
@@ -250,70 +274,89 @@ class SimState:
         levels = self.levels
         pend_cnt = self._pending_count
         pend_lvl = self._pending_level
-        fanout = self._net_fanout
-        fams = self._gate_family
-        gins = self._gate_inputs
-        gouts = self._gate_output
+        plan = self._plan
+        fanout = plan.fanout
+        fams = plan.family
+        gins = plan.inputs
+        gouts = plan.output
         gdelay = self._gate_delay
         trace = self.trace
-        ack_out, ack_in = self._ack_out, self._ack_in
+        ack_out, ack_in = plan.ack_out, plan.ack_in
+        push, pop = heappush, heappop
+        seq = self._seq
         start = self.clock
         deadline = start + max_time
 
+        # Each net has one driver and the heap orders by (time, net, seq), so
+        # the order in which touched gates are evaluated only permutes seq
+        # between distinct nets and cannot change the trace.
         touched: set[int] = set()
-        while heap:
-            t = heap[0][0]
-            if t > deadline:
-                raise NonQuiescentError(
-                    f"no quiescence within {max_time} units (next event at t={t})"
-                )
-            touched.clear()
-            stop_hit = False
-            while heap and heap[0][0] == t:
-                _, net, _, level, _cause = heappop(heap)
-                pend_cnt[net] -= 1
-                if levels[net] == level:
-                    continue
-                levels[net] = level
-                trace.append((t, net, level, _cause))
-                touched.update(fanout[net])
-                if net == ack_out:
-                    # environment acknowledge inverter, zero delay
-                    proj = pend_lvl[ack_in] if pend_cnt[ack_in] else levels[ack_in]
-                    if proj != 1 - level:
-                        self._push(t, ack_in, 1 - level, ENV)
-                if net == stop_net and level == stop_level:
-                    stop_hit = True
-            self.clock = t
-            for gid in sorted(touched):
-                ins = gins[gid]
-                fam = fams[gid]
-                out = gouts[gid]
-                if fam == _F_C:
-                    v = levels[ins[0]]
-                    for n in ins:
-                        if levels[n] != v:
-                            v = levels[out]
-                            break
-                elif fam == _F_AND:
-                    v = 1
-                    for n in ins:
-                        if not levels[n]:
-                            v = 0
-                            break
-                elif fam == _F_OR:
-                    v = 0
-                    for n in ins:
-                        if levels[n]:
-                            v = 1
-                            break
-                else:
-                    v = 1 - levels[ins[0]]
-                proj = pend_lvl[out] if pend_cnt[out] else levels[out]
-                if v != proj:
-                    self._push(t + gdelay[gid], out, v, gid)
-            if stop_hit:
-                return self.clock - start
+        try:
+            while heap:
+                t = heap[0][0]
+                if t > deadline:
+                    raise NonQuiescentError(
+                        f"no quiescence within {max_time} units (next event at t={t})"
+                    )
+                touched.clear()
+                stop_hit = False
+                while heap and heap[0][0] == t:
+                    _, net, _, level, cause = pop(heap)
+                    pend_cnt[net] -= 1
+                    if levels[net] == level:
+                        continue
+                    levels[net] = level
+                    trace.append((t, net, level, cause))
+                    touched.update(fanout[net])
+                    if net == ack_out:
+                        # environment acknowledge inverter, zero delay
+                        v = 1 - level
+                        proj = pend_lvl[ack_in] if pend_cnt[ack_in] else levels[ack_in]
+                        if proj != v:
+                            seq += 1
+                            push(heap, (t, ack_in, seq, v, ENV))
+                            pend_cnt[ack_in] += 1
+                            pend_lvl[ack_in] = v
+                            self._pending_time[ack_in] = t
+                    if net == stop_net and level == stop_level:
+                        stop_hit = True
+                self.clock = t
+                for gid in touched:
+                    ins = gins[gid]
+                    fam = fams[gid]
+                    out = gouts[gid]
+                    if fam == _F_C:
+                        v = levels[ins[0]]
+                        for n in ins:
+                            if levels[n] != v:
+                                v = levels[out]
+                                break
+                    elif fam == _F_AND:
+                        v = 1
+                        for n in ins:
+                            if not levels[n]:
+                                v = 0
+                                break
+                    elif fam == _F_OR:
+                        v = 0
+                        for n in ins:
+                            if levels[n]:
+                                v = 1
+                                break
+                    else:
+                        v = 1 - levels[ins[0]]
+                    proj = pend_lvl[out] if pend_cnt[out] else levels[out]
+                    if v != proj:
+                        # _push inlined; gate outputs are never primary
+                        # inputs, so their _pending_time is never read
+                        seq += 1
+                        push(heap, (t + gdelay[gid], out, seq, v, gid))
+                        pend_cnt[out] += 1
+                        pend_lvl[out] = v
+                if stop_hit:
+                    break
+        finally:
+            self._seq = seq
         return self.clock - start
 
     # -- observation -------------------------------------------------------

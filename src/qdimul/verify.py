@@ -426,7 +426,7 @@ def check_monotonicity(netlist: Netlist, reports: Sequence[CycleReport]) -> Chec
     multiple arrivals by design.
     """
     name = "monotonicity"
-    or_watch, and_watch = _merge_watchers(netlist)
+    or_watch, and_watch = netlist._derived("verify.merge_watchers", _merge_watchers)
     scenarios = 0
     for idx, r in enumerate(reports):
         if r.trace is None:
@@ -548,6 +548,8 @@ def check_duality(
     Structural half: flipping twice must reproduce the original netlist
     exactly.  Behavioural half: the flipped stage must produce the same
     products with the same forward and reverse latencies under unit delays.
+    A twin that stalls, shows an ILLEGAL codeword or oscillates fails the
+    check with that twin's trace tail.
     """
     name = "duality"
     dual = dualize(netlist)
@@ -561,9 +563,16 @@ def check_duality(
     h2 = Harness(dual)
     scenarios = 0
     for a, b in pairs:
-        r1 = h1.run_cycle(a, b)
-        r2 = h2.run_cycle(a, b)
         stim = {"a": a, "b": b}
+        h = h1
+        try:
+            r1 = h1.run_cycle(a, b)
+            h = h2
+            r2 = h2.run_cycle(a, b)
+        except (StuckPhaseError, IllegalOutputError, NonQuiescentError) as exc:
+            return _fail(name, netlist, {**stim, "protocol": h.netlist.protocol.value},
+                         None, f"{type(exc).__name__}: {exc}", "clean handshake cycle",
+                         scenarios, h.state.trace)
         if r1.product != r2.product:
             return _fail(name, netlist, stim, None,
                          f"products differ ({r1.product} vs {r2.product})",

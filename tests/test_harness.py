@@ -93,15 +93,16 @@ def test_stuck_phase_when_completion_never_asserts(mult2):
 
 
 def test_illegal_output_detected(mult2):
-    # a port wired to the same net on both rails decodes ILLEGAL at data time
-    p0 = mult2.output_ports[0]
-    broken_ports = (DualRailPort(p0.name, p0.rail1, p0.rail1, "out"),) + mult2.output_ports[1:]
+    # P0 reads P1's true rail as its false rail; with both bits at 1 the
+    # pair shows both rails active at data time, which decodes ILLEGAL
+    p0, p1 = mult2.output_ports[:2]
+    broken_ports = (DualRailPort(p0.name, p0.rail1, p1.rail1, "out"),) + mult2.output_ports[1:]
     broken = Netlist(mult2.protocol, mult2.gates, mult2.input_ports, broken_ports,
                      ack_out=mult2.ack_out, ack_in=mult2.ack_in,
                      const_nets=mult2.const_nets, phase_net=mult2.phase_net,
                      extra_inputs=mult2.extra_inputs, meta=mult2.meta)
     with pytest.raises(IllegalOutputError):
-        Harness(broken).run_cycle(1, 1)
+        Harness(broken).run_cycle(1, 3)
 
 
 def test_rto_harness_runs_identically(mult2):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from qdimul.netlist import (
     ARITY,
     DUAL_KIND,
+    DualRailPort,
     DualRailValue,
     Gate,
     GateKind,
@@ -199,6 +200,56 @@ def test_c_element_feedback_loop_is_legal():
     ]
     nl = Netlist(Protocol.RTZ, gates, extra_inputs=[0, 1])
     assert validate(nl) == []
+
+
+def test_validate_flags_duplicate_gate_id():
+    # the OR reuses the AND's id; simulated, the AND read 0 with both inputs at 1
+    gates = [
+        Gate(0, GateKind.AND2, (0, 1), 2, 0),
+        Gate(0, GateKind.OR2, (0, 1), 3, 0),
+    ]
+    nl = Netlist(Protocol.RTZ, gates, extra_inputs=[0, 1])
+    codes = {d.code.value for d in validate(nl)}
+    assert "DUPLICATE_GATE_ID" in codes
+    with pytest.raises(InvalidNetlistError):
+        nl.require_valid()
+
+
+def test_validate_flags_sparse_gate_ids():
+    gates = [
+        Gate(0, GateKind.OR2, (0, 1), 2, 0),
+        Gate(5, GateKind.OR2, (0, 1), 3, 0),
+    ]
+    nl = Netlist(Protocol.RTZ, gates, extra_inputs=[0, 1])
+    diags = validate(nl)
+    assert [d.code.value for d in diags] == ["GATE_ID_OUT_OF_RANGE"]
+    assert diags[0].subjects == (5,)
+
+
+def test_validate_flags_negative_net_id():
+    g = Gate(0, GateKind.OR2, (-1, 0), 1, 0)
+    nl = Netlist(Protocol.RTZ, [g], extra_inputs=[-1, 0])
+    codes = {d.code.value for d in validate(nl)}
+    assert "NEGATIVE_NET_ID" in codes
+
+
+def test_validate_flags_port_with_one_net_for_both_rails():
+    nl = small_and_netlist()
+    z = nl.output_ports[0]
+    aliased = Netlist(nl.protocol, nl.gates, nl.input_ports,
+                      [DualRailPort(z.name, z.rail1, z.rail1, "out")])
+    codes = {d.code.value for d in validate(aliased)}
+    assert codes == {"ALIASED_RAILS"}
+
+
+def test_validate_method_returns_a_fresh_list_each_call():
+    g = Gate(0, GateKind.AND2, (0, 1, 2), 3, 0)
+    nl = Netlist(Protocol.RTZ, [g], extra_inputs=[0, 1, 2])
+    first, second = nl.validate(), nl.validate()
+    assert first == second == validate(nl)
+    assert first is not second
+    first.clear()
+    assert nl.validate() == second
 
 
 def test_require_valid_raises_with_diagnostics():

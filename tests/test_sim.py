@@ -1,11 +1,15 @@
 """Event engine: delay models, ordering, determinism, replay, trace export."""
 
+import hashlib
 import io
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qdimul.netlist import GateKind, NetlistBuilder, Protocol
+from qdimul.cells import FullAdderKind
+from qdimul.harness import Harness
+from qdimul.multiplier import MultiplierSpec, generate
+from qdimul.netlist import Gate, GateKind, InvalidNetlistError, Netlist, NetlistBuilder, Protocol
 from qdimul.sim import (
     DelayModel,
     NonQuiescentError,
@@ -15,6 +19,7 @@ from qdimul.sim import (
     write_trace_csv,
     write_trace_vcd,
 )
+from qdimul.verify import default_pairs
 
 
 def chain_netlist(length=3, kind=GateKind.OR2):
@@ -210,12 +215,76 @@ def test_reset_requires_quiescent_reset_state():
     g = b.gate(GateKind.OR2, (x, x))
     nl = b.build()
     # forge a contradictory reset level on the gate
-    from qdimul.netlist import Gate, Netlist
-
     bad_gate = Gate(0, GateKind.OR2, nl.gates[0].inputs, nl.gates[0].output, 1)
     bad = Netlist(Protocol.RTZ, [bad_gate], extra_inputs=[x])
-    with pytest.raises(ValueError, match="quiescent"):
-        reset(bad)
+    for _ in range(2):  # a failed compile is not cached
+        with pytest.raises(ValueError, match="quiescent"):
+            reset(bad)
+
+
+def test_invalid_netlist_fails_every_reset():
+    bad = Netlist(Protocol.RTZ, [Gate(0, GateKind.AND2, (0, 1, 2), 3, 0)],
+                  extra_inputs=[0, 1, 2])
+    for _ in range(2):
+        with pytest.raises(InvalidNetlistError):
+            reset(bad)
+
+
+# -- one compiled plan per netlist -------------------------------------------
+
+
+def test_states_on_one_netlist_are_independent():
+    nl, x, y, z = c2_netlist()
+    first, second = reset(nl), reset(nl)
+    first.set_primary(x, 1)
+    assert not first.quiescent and second.quiescent
+    first.set_primary(y, 1)
+    first.run_until_quiescent()
+    assert first.levels[z] == 1 and second.levels[z] == 0
+    assert first.trace and second.trace == []
+    second.set_primary(x, 1)
+    second.run_until_quiescent()
+    assert second.levels[z] == 0
+    assert [e[1] for e in second.trace] == [x]
+    assert reset(nl).levels == nl.reset_levels()
+
+
+@pytest.mark.parametrize("dm", [
+    DelayModel.unit(),
+    DelayModel.fixed_table({GateKind.OR2: 3, GateKind.C2: 7}),
+    DelayModel.random_per_gate(1, 20, seed=9),
+], ids=["unit", "fixed_table", "random"])
+def test_delay_vector_is_memoised_per_model(dm):
+    b = NetlistBuilder(Protocol.RTZ)
+    x, y = b.input_net("x"), b.input_net("y")
+    c = b.gate(GateKind.C2, (x, y))
+    b.gate(GateKind.OR2, (c, x))
+    nl = b.build()
+    vector = reset(nl, dm)._gate_delay
+    assert vector == [dm.delay_of(g.id, g.kind) for g in nl.gates]
+    # an equal (not identical) model reuses the vector
+    twin = DelayModel(dm.mode, dm.table, dm.lo, dm.hi, dm.seed)
+    assert reset(nl, twin)._gate_delay is vector
+
+
+# Pinned on the engine before the compiled plan: a sha256 over the repr of
+# traced run_sequence reports and of run_burst (reports, trace, illegal).
+GOLDEN_TRACE_SHA256 = "cb96ebe655fd31e1d5748b1bd1d147fe536c377acd0112b7deb5db298bad8f08"
+
+
+def test_golden_trace_hash():
+    h = hashlib.sha256()
+    for n in (2, 4):
+        pairs = default_pairs(n)[::3]
+        for kind in FullAdderKind:
+            for protocol in Protocol:
+                nl = generate(MultiplierSpec(n, kind, protocol))
+                for dm in (DelayModel.unit(), DelayModel.random_per_gate(1, 20, seed=5)):
+                    reports = Harness(nl, dm).run_sequence(pairs, want_traces=True)
+                    h.update(repr(reports).encode())
+                    burst = Harness(nl, dm).run_burst(pairs[:8], gap=1)
+                    h.update(repr((burst.reports, burst.trace, burst.illegal)).encode())
+    assert h.hexdigest() == GOLDEN_TRACE_SHA256
 
 
 # -- export -----------------------------------------------------------------

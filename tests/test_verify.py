@@ -7,7 +7,7 @@ import pytest
 from qdimul.cells import FullAdderKind, make_and2_strong, make_full_adder
 from qdimul.harness import Harness
 from qdimul.multiplier import MultiplierSpec, generate
-from qdimul.netlist import Protocol
+from qdimul.netlist import Netlist, Protocol
 from qdimul.verify import (
     check_delay_insensitivity,
     check_duality,
@@ -121,6 +121,23 @@ def test_delay_insensitivity_sweep(mult2):
 
 def test_duality(mult2):
     assert check_duality(mult2)
+
+
+def test_duality_fails_on_a_stalled_stage(mult2):
+    # ack_out moved onto a constant spacer net: completion never asserts
+    idle = mult2.net_count
+    stalled = Netlist(mult2.protocol, mult2.gates, mult2.input_ports, mult2.output_ports,
+                      ack_out=idle, ack_in=mult2.ack_in,
+                      const_nets=(*mult2.const_nets, (idle, mult2.protocol.spacer_level)),
+                      phase_net=mult2.phase_net, extra_inputs=mult2.extra_inputs,
+                      meta=mult2.meta)
+    out = check_duality(stalled, pairs=[(1, 1)])
+    assert not out
+    ce = out.counterexample
+    assert ce.check == "duality"
+    assert ce.observed.startswith("StuckPhaseError")
+    assert ce.stimulus == {"a": 1, "b": 1, "protocol": "rtz"}
+    assert ce.trace_tail
 
 
 def test_race_immunity_clean_on_healthy_design(mult2):
