@@ -15,6 +15,7 @@ from qdimul import (
     Harness,
     MultiplierSpec,
     critical_path,
+    design_label,
     generate,
     scan_port_changes,
     structure_stats,
@@ -26,7 +27,7 @@ def main():
     spec = MultiplierSpec(n=4)
     nl = generate(spec)
     st = structure_stats(nl)
-    print(f"design {spec.design_name}")
+    print(f"design {design_label(nl)}")
     print(f"  AND cells         {st.and_cells}")
     print(f"  full adders       {st.full_adders}")
     print(f"  constant carries  {st.constant_carries}")

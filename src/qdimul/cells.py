@@ -60,14 +60,6 @@ class CellHandle:
     ports: dict[str, DualRailPort]
     nets: dict[str, int]
 
-    @property
-    def input_ports(self) -> tuple[DualRailPort, ...]:
-        return self.netlist.input_ports
-
-    @property
-    def output_ports(self) -> tuple[DualRailPort, ...]:
-        return self.netlist.output_ports
-
 
 # ---------------------------------------------------------------------------
 # emit helpers (RTZ wiring, composable into a larger builder)
@@ -332,10 +324,7 @@ def make_completion_detector(n_ports: int, protocol: Protocol = Protocol.RTZ) ->
         p = b.dual_rail_input(f"x{i}")
         pairs.append((p.rail1, p.rail0))
     root = emit_completion(b, pairs)
-    net = b.build(ack_out=root)
-    if protocol is Protocol.RTO:
-        net = dualize(net)
-    return CellHandle(netlist=net, ports={p.name: p for p in net.ports}, nets={"ack_out": root})
+    return _finish(b, protocol, {"ack_out": root}, ack_out=root)
 
 
 def make_register_bank(n_ports: int, protocol: Protocol = Protocol.RTZ) -> CellHandle:
@@ -352,10 +341,7 @@ def make_register_bank(n_ports: int, protocol: Protocol = Protocol.RTZ) -> CellH
         y1 = emit_register(b, p.rail1, ack)
         y0 = emit_register(b, p.rail0, ack)
         b.mark_output(f"y{i}", y1, y0)
-    net = b.build(ack_in=ack)
-    if protocol is Protocol.RTO:
-        net = dualize(net)
-    return CellHandle(netlist=net, ports={p.name: p for p in net.ports}, nets={"ack_in": ack})
+    return _finish(b, protocol, {"ack_in": ack}, ack_in=ack)
 
 
 def make_constant_source(bit: int, protocol: Protocol = Protocol.RTZ) -> CellHandle:
@@ -374,7 +360,4 @@ def make_constant_source(bit: int, protocol: Protocol = Protocol.RTZ) -> CellHan
     phase = b.input_net("phase")
     z1, z0 = emit_constant(b, bit, phase)
     b.mark_output("z", z1, z0)
-    net = b.build(phase_net=phase)
-    if protocol is Protocol.RTO:
-        net = dualize(net)
-    return CellHandle(netlist=net, ports={p.name: p for p in net.ports}, nets={"phase": phase})
+    return _finish(b, protocol, {"phase": phase}, phase_net=phase)

@@ -3,7 +3,8 @@
 Subcommands: ``gen`` writes a netlist JSON, ``sim`` runs handshake cycles,
 ``verify`` runs the checker battery, ``bench`` measures and ranks designs,
 ``report`` re-renders stored bench artifacts.  Exit codes: 0 on success,
-1 when a check fails or an input is unusable, 2 for bad command lines.
+1 when a checked property fails, 2 for a bad command line, an IO error or
+an unusable input.
 
 Artifacts are deterministic: they embed the tool version and the run
 configuration but no timestamps or machine state, so rerunning the same
@@ -13,13 +14,14 @@ command reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from typing import IO, Sequence
+from typing import Sequence
 
 from . import __version__
 from .cells import FullAdderKind
-from .harness import Harness, write_cycle_reports_csv
+from .harness import Harness, cycle_report_rows, write_cycle_reports_csv
 from .metrics import StageMetrics, compare, measure, normalize_pctp, render_rows
 from .multiplier import MultiplierSpec, generate
 from .netlist import GateKind, ParseError, Protocol, deserialize, serialize
@@ -68,19 +70,12 @@ def _run_config(command: str, args: argparse.Namespace, keys: Sequence[str]) -> 
     }
 
 
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
 def _emit(text: str, path: str | None) -> None:
-    stream, owned = _open_out(path)
-    try:
-        stream.write(text)
-    finally:
-        if owned:
-            stream.close()
+    if path is None or path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _load_netlist(path: str):
@@ -123,15 +118,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_sim(args: argparse.Namespace) -> int:
     netlist = _load_netlist(args.netlist)
-    n = int(netlist.meta["n"])
+    harness = Harness(netlist, parse_delay_model(args.delay_model, args.seed))
     if args.pairs:
-        pairs = _parse_pairs(args.pairs, n)
+        pairs = _parse_pairs(args.pairs, harness.n)
     elif args.a is not None and args.b is not None:
-        pairs = _parse_pairs(f"{args.a}x{args.b}", n)
+        pairs = _parse_pairs(f"{args.a}x{args.b}", harness.n)
     else:
         raise UsageError("sim needs either --a and --b or --pairs")
-    dm = parse_delay_model(args.delay_model, args.seed)
-    harness = Harness(netlist, dm)
     want_trace = args.trace is not None
     reports = harness.run_sequence(pairs, want_traces=want_trace)
     if want_trace:
@@ -145,11 +138,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
         payload = {
             "run": _run_config("sim", args, ["netlist", "pairs", "a", "b",
                                              "delay_model", "seed"]),
-            "reports": [
-                {"a": r.a, "b": r.b, "product": r.product, "forward": r.forward,
-                 "reverse": r.reverse, "cycle": r.cycle, "transitions": r.transitions}
-                for r in reports
-            ],
+            "reports": cycle_report_rows(reports),
         }
         _emit(json.dumps(payload, indent=1, sort_keys=True) + "\n", args.out)
     else:
@@ -161,26 +150,14 @@ def cmd_sim(args: argparse.Namespace) -> int:
     return 0
 
 
-CHECKS = {
-    "functional": lambda nl, a: verify_mod.check_functional(
-        nl, samples=a.samples, seed=a.seed),
-    "stage_indication": lambda nl, a: verify_mod.check_stage_indication(nl, seed=a.seed),
-    "duality": lambda nl, a: verify_mod.check_duality(
-        nl, samples=min(a.samples, 16), seed=a.seed),
-    "race_immunity": lambda nl, a: verify_mod.check_race_immunity(
-        nl, samples=min(a.samples, 8), seed=a.seed),
-    "delay_insensitivity": lambda nl, a: verify_mod.check_delay_insensitivity(
-        nl, seeds=a.seeds, samples=min(a.samples, 8), seed=a.seed),
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     netlist = _load_netlist(args.netlist)
-    names = args.checks.split(",") if args.checks else list(CHECKS)
+    battery = verify_mod.BATTERY
+    names = args.checks.split(",") if args.checks else list(battery)
     for name in names:
-        if name not in CHECKS:
-            raise UsageError(f"unknown check {name!r} (have {', '.join(CHECKS)})")
-    outcomes = [CHECKS[name](netlist, args) for name in names]
+        if name not in battery:
+            raise UsageError(f"unknown check {name!r} (have {', '.join(battery)})")
+    outcomes = [battery[name](netlist, args.seeds, args.samples, args.seed) for name in names]
     lines = []
     for oc in outcomes:
         status = "PASS" if oc.passed else "FAIL"
@@ -231,7 +208,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "run": _run_config("bench", args,
                                ["n", "protocol", "adders", "samples",
                                 "delay_model", "seed"]),
-            "rows": [r.to_dict() for r in ranked],
+            "rows": [dataclasses.asdict(r) for r in ranked],
         }
         _emit(json.dumps(payload, indent=1, sort_keys=True) + "\n", args.out)
     else:
@@ -239,15 +216,33 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+_TEXT_FIELDS = {"design", "protocol", "fa_kind"}
+
+
+def _metrics_row(raw, where: str) -> StageMetrics:
+    """A stored bench row as :class:`StageMetrics`, its normalisation dropped."""
+    if not isinstance(raw, dict):
+        raise UsageError(f"{where}: expected an object")
+    raw = {k: v for k, v in raw.items() if k != "pctp_normalized"}
+    for k, v in raw.items():
+        if isinstance(v, bool) or not isinstance(v, str if k in _TEXT_FIELDS else (int, float)):
+            raise UsageError(f"{where}: bad value {v!r} for {k!r}")
+    try:
+        return StageMetrics(**raw)
+    except TypeError as exc:
+        raise UsageError(f"{where}: {exc}") from None
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     rows: list[StageMetrics] = []
     for path in args.inputs:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        for raw in payload.get("rows", []):
-            raw = dict(raw)
-            raw.pop("pctp_normalized", None)
-            rows.append(StageMetrics(**raw, pctp_normalized=None))
+        raws = payload.get("rows", []) if isinstance(payload, dict) else None
+        if not isinstance(raws, list):
+            raise UsageError(f"{path}: not a bench artifact (expected an object with a rows list)")
+        for i, raw in enumerate(raws):
+            rows.append(_metrics_row(raw, f"{path}: rows[{i}]"))
     if not rows:
         raise UsageError("no rows found in the given bench artifacts")
     rows = normalize_pctp(rows)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from statistics import fmean
 from typing import IO, Iterable, Sequence
 
-from .netlist import DualRailValue, Netlist, decode, encode
+from .netlist import DualRailPort, DualRailValue, Netlist, decode, encode
 from .sim import DEFAULT_GUARD, DelayModel, SimState, Trace, reset
 
 
@@ -44,6 +44,12 @@ class EmptyReportsError(ValueError):
     code = "EMPTY"
 
 
+class NotAStageError(ValueError):
+    """The netlist lacks the operand and product metadata of a generated stage."""
+
+    code = "NOT_A_STAGE"
+
+
 @dataclass(frozen=True)
 class CycleReport:
     """Result of one full data/spacer handshake cycle."""
@@ -59,10 +65,6 @@ class CycleReport:
     spacer_start: int
     end: int
     trace: Trace | None = None
-
-    def window(self) -> tuple[int, int, int]:
-        """Phase boundaries (data start, spacer start, end) for trace checks."""
-        return (self.data_start, self.spacer_start, self.end)
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,33 @@ class BurstResult:
     trace: Trace
     windows: list[tuple[int, int, int]]
     illegal: list[tuple[int, str]] = field(default_factory=list)
+
+
+def stage_ports(
+    netlist: Netlist,
+) -> tuple[list[DualRailPort], list[DualRailPort], list[DualRailPort]]:
+    """Operand ``a``, operand ``b`` and product ports of a stage, LSB first."""
+    meta = netlist.meta
+    if "operands" not in meta or "products" not in meta:
+        raise NotAStageError("not a multiplier stage: the netlist has no operand metadata")
+    by_name = {p.name: p for p in netlist.ports}
+    try:
+        return ([by_name[nm] for nm in meta["operands"]["a"]],
+                [by_name[nm] for nm in meta["operands"]["b"]],
+                [by_name[nm] for nm in meta["products"]])
+    except (KeyError, TypeError) as exc:
+        raise NotAStageError(f"malformed stage port metadata: {exc!r}") from None
+
+
+def drive(state: SimState, port: DualRailPort, bit: int | None, t: int | None = None) -> None:
+    """Put the codeword of ``bit``, or the spacer for None, on ``port``'s rails."""
+    protocol = state.netlist.protocol
+    if bit is None:
+        r1 = r0 = protocol.spacer_level
+    else:
+        r1, r0 = encode(bit, protocol)
+    state.set_primary(port.rail1, r1, t)
+    state.set_primary(port.rail0, r0, t)
 
 
 def scan_port_changes(
@@ -135,18 +164,12 @@ class Harness:
         delay_model: DelayModel | None = None,
         guard: int = DEFAULT_GUARD,
     ):
-        meta = netlist.meta
-        if "operands" not in meta or "products" not in meta:
-            raise ValueError("harness requires a generated stage netlist with operand metadata")
+        self.a_ports, self.b_ports, self.out_ports = stage_ports(netlist)
         if netlist.ack_out is None or netlist.ack_in is None or netlist.phase_net is None:
             raise ValueError("harness requires ack_out, ack_in and a phase net")
         self.netlist = netlist
         self.guard = guard
         self.state: SimState = reset(netlist, delay_model)
-        by_name = {p.name: p for p in netlist.ports}
-        self.a_ports = [by_name[nm] for nm in meta["operands"]["a"]]
-        self.b_ports = [by_name[nm] for nm in meta["operands"]["b"]]
-        self.out_ports = [by_name[nm] for nm in meta["products"]]
         self.n = len(self.a_ports)
         self._ack = netlist.ack_out
         self._phase = netlist.phase_net
@@ -158,19 +181,15 @@ class Harness:
 
     def _apply_operands(self, a: int, b: int, t: int) -> None:
         st = self.state
-        proto = self.netlist.protocol
         for ports, value in ((self.a_ports, a), (self.b_ports, b)):
             for i, p in enumerate(ports):
-                r1, r0 = encode((value >> i) & 1, proto)
-                st.set_primary(p.rail1, r1, t)
-                st.set_primary(p.rail0, r0, t)
+                drive(st, p, (value >> i) & 1, t)
         st.set_primary(self._phase, self._active, t)
 
     def _apply_spacer(self, t: int) -> None:
         st = self.state
         for p in (*self.a_ports, *self.b_ports):
-            st.set_primary(p.rail1, self._spacer, t)
-            st.set_primary(p.rail0, self._spacer, t)
+            drive(st, p, None, t)
         st.set_primary(self._phase, self._spacer, t)
 
     def _ack_edge(self, trace: Trace, start: int, level: int, what: str) -> int:
@@ -191,12 +210,11 @@ class Harness:
             value |= bit << i
         return value
 
-    def _scan_illegal(self, trace: Trace) -> None:
+    def _illegal_points(self, trace: Trace) -> list[tuple[int, str]]:
+        """(time, port) of every ILLEGAL decode in ``trace``, port by port."""
         changes = scan_port_changes(self.netlist, self._reset_levels, trace)
-        for name, points in changes.items():
-            for t, val in points:
-                if val is DualRailValue.ILLEGAL:
-                    raise IllegalOutputError(f"port {name} decodes ILLEGAL at t={t}")
+        return [(t, name) for name, points in changes.items()
+                for t, val in points if val is DualRailValue.ILLEGAL]
 
     # -- cycles ----------------------------------------------------------------
 
@@ -233,7 +251,10 @@ class Harness:
             raise StuckPhaseError("cycle ended away from the reset state")
 
         trace = st.take_trace()
-        self._scan_illegal(trace)
+        illegal = self._illegal_points(trace)
+        if illegal:
+            t, name = illegal[0]
+            raise IllegalOutputError(f"port {name} decodes ILLEGAL at t={t}")
         forward = ta - t0
         reverse = tb - t1
         return CycleReport(
@@ -297,14 +318,9 @@ class Harness:
             windows.append((t0, t1, tb))
         st.run_until_quiescent(self.guard)
         trace = st.trace[origin:]
-        illegal: list[tuple[int, str]] = []
-        changes = scan_port_changes(self.netlist, self._reset_levels, trace)
-        for name, points in changes.items():
-            for t, val in points:
-                if val is DualRailValue.ILLEGAL:
-                    illegal.append((t, name))
+        illegal = sorted(self._illegal_points(trace))
         st.take_trace()
-        return BurstResult(reports=reports, trace=trace, windows=windows, illegal=sorted(illegal))
+        return BurstResult(reports=reports, trace=trace, windows=windows, illegal=illegal)
 
 
 def measure_latencies(reports: Sequence[CycleReport]) -> LatencySummary:
@@ -323,20 +339,21 @@ def measure_latencies(reports: Sequence[CycleReport]) -> LatencySummary:
     )
 
 
+#: The fields of a :class:`CycleReport` that its CSV and JSON exports carry.
+REPORT_COLUMNS = ("a", "b", "product", "forward", "reverse", "cycle", "transitions")
+
+
+def cycle_report_rows(reports: Iterable[CycleReport]) -> list[dict]:
+    """One dict of :data:`REPORT_COLUMNS` per report."""
+    return [{c: getattr(r, c) for c in REPORT_COLUMNS} for r in reports]
+
+
 def write_cycle_reports_csv(reports: Iterable[CycleReport], stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["a", "b", "product", "forward", "reverse", "cycle", "transitions"])
-    for r in reports:
-        writer.writerow([r.a, r.b, r.product, r.forward, r.reverse, r.cycle, r.transitions])
+    writer.writerow(REPORT_COLUMNS)
+    for row in cycle_report_rows(reports):
+        writer.writerow(row.values())
 
 
 def cycle_reports_json(reports: Iterable[CycleReport]) -> str:
-    rows = [
-        {
-            "a": r.a, "b": r.b, "product": r.product,
-            "forward": r.forward, "reverse": r.reverse,
-            "cycle": r.cycle, "transitions": r.transitions,
-        }
-        for r in reports
-    ]
-    return json.dumps(rows, indent=1, sort_keys=True) + "\n"
+    return json.dumps(cycle_report_rows(reports), indent=1, sort_keys=True) + "\n"

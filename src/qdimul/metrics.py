@@ -12,7 +12,7 @@ worst design in the group reads 1.0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from statistics import fmean
 from typing import Mapping, Sequence
 
@@ -66,9 +66,6 @@ class AreaTable:
                 return units
         raise MissingAreaEntryError(f"no area entry for gate kind {kind.value}")
 
-    def to_dict(self) -> dict:
-        return {k.value: units for k, units in self.units}
-
 
 def area(netlist: Netlist, table: AreaTable | None = None) -> int:
     """Total unit area of a netlist under the given cost table."""
@@ -105,25 +102,6 @@ class StageMetrics:
     power_proxy: float
     pctp: float
     pctp_normalized: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "design": self.design,
-            "protocol": self.protocol,
-            "n": self.n,
-            "fa_kind": self.fa_kind,
-            "area": self.area,
-            "gate_count": self.gate_count,
-            "cycles": self.cycles,
-            "forward_mean": self.forward_mean,
-            "reverse_mean": self.reverse_mean,
-            "cycle_mean": self.cycle_mean,
-            "cycle_min": self.cycle_min,
-            "cycle_max": self.cycle_max,
-            "power_proxy": self.power_proxy,
-            "pctp": self.pctp,
-            "pctp_normalized": self.pctp_normalized,
-        }
 
 
 def design_label(netlist: Netlist) -> str:
@@ -225,4 +203,4 @@ def render_rows(rows: Sequence[StageMetrics]) -> str:
 
 
 def rows_to_json(rows: Sequence[StageMetrics]) -> str:
-    return json.dumps([r.to_dict() for r in rows], indent=1, sort_keys=True) + "\n"
+    return json.dumps([asdict(r) for r in rows], indent=1, sort_keys=True) + "\n"

@@ -18,13 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cells import (
+    _FA_EMITTERS,
     FullAdderKind,
     emit_and2,
     emit_completion,
     emit_constant,
-    emit_fa_dims,
-    emit_fa_majority,
-    emit_fa_weak,
     emit_register,
 )
 from .netlist import GateKind, Netlist, NetlistBuilder, Protocol, dualize
@@ -50,10 +48,6 @@ class MultiplierSpec:
         if self.n < 2:
             raise ValueError(f"multiplier width must be >= 2, got {self.n}")
 
-    @property
-    def design_name(self) -> str:
-        return f"{self.fa_kind.value}-{self.protocol.value}-{self.n}x{self.n}"
-
 
 @dataclass(frozen=True)
 class StructureStats:
@@ -63,13 +57,6 @@ class StructureStats:
     c_element_count: int
     gate_count: int
     product_width: int
-
-
-_FA = {
-    FullAdderKind.DIMS_STRONG: emit_fa_dims,
-    FullAdderKind.WEAK_DISJOINT: emit_fa_weak,
-    FullAdderKind.MAJORITY_CONTROL: emit_fa_majority,
-}
 
 
 def generate(spec: MultiplierSpec) -> Netlist:
@@ -82,7 +69,7 @@ def generate(spec: MultiplierSpec) -> Netlist:
     """
     n = spec.n
     b = NetlistBuilder(Protocol.RTZ)
-    fa_emit = _FA[spec.fa_kind]
+    fa_emit = _FA_EMITTERS[spec.fa_kind]
 
     a_ports = [b.dual_rail_input(f"a{j}") for j in range(n)]
     b_ports = [b.dual_rail_input(f"b{i}") for i in range(n)]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 _T = TypeVar("_T")
 
@@ -122,25 +122,48 @@ DUAL_KIND: dict[GateKind, GateKind] = {
     GateKind.C3: GateKind.C3,
 }
 
-_AND_KINDS = frozenset({GateKind.AND2, GateKind.AND3, GateKind.AND4})
-_OR_KINDS = frozenset({GateKind.OR2, GateKind.OR3, GateKind.OR4})
+#: Gate families as evaluated: AND, OR, NOT and C-element of any arity.
+F_AND, F_OR, F_NOT, F_C = 0, 1, 2, 3
+
+FAMILY: dict[GateKind, int] = {
+    GateKind.AND2: F_AND,
+    GateKind.AND3: F_AND,
+    GateKind.AND4: F_AND,
+    GateKind.OR2: F_OR,
+    GateKind.OR3: F_OR,
+    GateKind.OR4: F_OR,
+    GateKind.NOT: F_NOT,
+    GateKind.C2: F_C,
+    GateKind.C3: F_C,
+}
+
+
+def eval_family(
+    family: int, nets: Sequence[int], levels: Sequence[int] | Mapping[int, int], state: int
+) -> int:
+    """Output level of a gate of ``family`` whose inputs read ``nets`` in ``levels``.
+
+    ``state`` is the gate's current output level; it only matters for
+    C-elements, whose output holds whenever the inputs disagree.  The
+    simulator's event loop inlines the same rules.
+    """
+    if family == F_C:
+        first = levels[nets[0]]
+        for n in nets:
+            if levels[n] != first:
+                return state
+        return first
+    if family == F_AND:
+        return int(all(levels[n] for n in nets))
+    if family == F_OR:
+        return int(any(levels[n] for n in nets))
+    return 1 - levels[nets[0]]
 
 
 def eval_kind(kind: GateKind, inputs: Iterable[int], state: int) -> int:
-    """Output level of a gate given input levels and its current output level.
-
-    ``state`` only matters for C-elements, whose output holds whenever the
-    inputs disagree.
-    """
-    ins = tuple(inputs)
-    if kind in _AND_KINDS:
-        return int(all(ins))
-    if kind in _OR_KINDS:
-        return int(any(ins))
-    if kind is GateKind.NOT:
-        return 1 - ins[0]
-    first = ins[0]
-    return first if all(v == first for v in ins) else state
+    """:func:`eval_family` for a gate of ``kind`` given its input levels."""
+    levels = tuple(inputs)
+    return eval_family(FAMILY[kind], range(len(levels)), levels, state)
 
 
 @dataclass(frozen=True)
@@ -171,11 +194,6 @@ class Net:
     driver_gate: int | None
     const_level: int | None
     fanout: tuple[tuple[int, int], ...]  # (gate id, input slot)
-
-    @property
-    def isochronic(self) -> bool:
-        """True when the net forks, i.e. its branches must be delay-matched."""
-        return len(self.fanout) >= 2
 
 
 class DiagnosticCode(Enum):
@@ -385,9 +403,9 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
     Checks that gate ids are exactly ``0..len(gates)-1`` and net ids are
     non-negative (the simulator indexes its tables by them), single
     drivership, gate arity, port connectivity with two distinct rails per
-    port, and the absence of combinational cycles.  A cycle is legal only if
-    it passes through a C-element, which is the one place feedback is
-    allowed to hold state.
+    port, a driven ``ack_out``, and the absence of combinational cycles.  A
+    cycle is legal only if it passes through a C-element, which is the one
+    place feedback is allowed to hold state.
     """
     diags = _check_ids(netlist)
 
@@ -446,6 +464,15 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
                         (n,),
                     )
                 )
+
+    if netlist.ack_out is not None and netlist.ack_out not in claimed:
+        diags.append(
+            Diagnostic(
+                DiagnosticCode.UNCONNECTED_INPUT,
+                f"ack_out dangles on undriven net {netlist.ack_out}",
+                (netlist.ack_out,),
+            )
+        )
 
     diags.extend(_find_combinational_loop(netlist))
     return diags
@@ -636,14 +663,14 @@ class NetlistBuilder:
         if kind in STATEFUL:
             if reset is None:
                 reset = self.protocol.spacer_level
-            settled = eval_kind(kind, in_resets, reset)
+            settled = eval_family(FAMILY[kind], ins, self._reset, reset)
             if settled != reset:
                 raise ValueError(
                     f"gate {len(self._gates)} ({kind.value}) cannot rest at {reset} "
                     f"with input resets {in_resets}"
                 )
         else:
-            computed = eval_kind(kind, in_resets, 0)
+            computed = eval_family(FAMILY[kind], ins, self._reset, 0)
             if reset is not None and reset != computed:
                 raise ValueError(
                     f"{kind.value} reset {reset} contradicts input resets {in_resets}"
@@ -666,9 +693,6 @@ class NetlistBuilder:
         self.net_names.setdefault(rail1, f"{name}.t")
         self.net_names.setdefault(rail0, f"{name}.f")
         return port
-
-    def reset_of(self, net: int) -> int:
-        return self._reset[net]
 
     def build(
         self,
@@ -847,19 +871,18 @@ def deserialize(text: str) -> Netlist:
         ack_in = _expect(ack_in, int, "ack_in")
 
     meta = dict(_expect(doc["meta"], dict, "meta"))
-    const_nets = tuple(
-        (
-            _expect(pair[0], int, f"meta.{_META_CONST}[{i}][0]"),
-            _expect_bit(pair[1], f"meta.{_META_CONST}[{i}][1]"),
-        )
-        for i, pair in enumerate(meta.pop(_META_CONST, []))
-    )
+    const_nets = []
+    for i, pair in enumerate(_expect(meta.pop(_META_CONST, []), list, f"meta.{_META_CONST}")):
+        path = f"meta.{_META_CONST}[{i}]"
+        if len(_expect(pair, list, path)) != 2:
+            raise ParseError(f"expected a [net, level] pair, got {len(pair)} items", path)
+        const_nets.append((_expect(pair[0], int, f"{path}[0]"), _expect_bit(pair[1], f"{path}[1]")))
     phase_net = meta.pop(_META_PHASE, None)
     if phase_net is not None:
         phase_net = _expect(phase_net, int, f"meta.{_META_PHASE}")
     extra_inputs = tuple(
         _expect(n, int, f"meta.{_META_EXTRA}[{i}]")
-        for i, n in enumerate(meta.pop(_META_EXTRA, []))
+        for i, n in enumerate(_expect(meta.pop(_META_EXTRA, []), list, f"meta.{_META_EXTRA}"))
     )
 
     return Netlist(

@@ -32,14 +32,19 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import IO, Iterable, Mapping, NamedTuple
+from typing import IO, Iterable, Mapping
 
 from .netlist import (
+    F_AND,
+    F_C,
+    F_OR,
+    FAMILY,
     DualRailPort,
     DualRailValue,
     GateKind,
     Netlist,
     decode,
+    eval_family,
 )
 
 #: Cause tag for environment-driven events (everything else is a gate id).
@@ -48,14 +53,7 @@ ENV = -1
 DEFAULT_GUARD = 1_000_000
 
 
-class Event(NamedTuple):
-    time: int
-    net: int
-    level: int
-    cause: int
-
-
-Trace = list  # list of (time, net, level, cause) tuples, Event-compatible
+Trace = list  # list of (time, net, level, cause) tuples
 
 
 class NotPrimaryError(ValueError):
@@ -118,14 +116,6 @@ class DelayModel:
             raise ValueError(f"delay table has no entry for gate kind {kind.value!r}")
         return random.Random(f"{self.seed}:{gate_id}").randint(self.lo, self.hi)
 
-    @property
-    def max_delay(self) -> int:
-        if self.mode is DelayMode.UNIT:
-            return 1
-        if self.mode is DelayMode.FIXED_TABLE:
-            return max(d for _, d in self.table)
-        return self.hi
-
     def describe(self) -> dict:
         """JSON-safe summary embedded into result artifacts."""
         doc: dict = {"mode": self.mode.value}
@@ -134,22 +124,6 @@ class DelayModel:
         elif self.mode is DelayMode.RANDOM_PER_GATE:
             doc.update(lo=self.lo, hi=self.hi, seed=self.seed)
         return doc
-
-
-# gate family codes for the hot loop
-_F_AND, _F_OR, _F_NOT, _F_C = 0, 1, 2, 3
-
-_FAMILY = {
-    GateKind.AND2: _F_AND,
-    GateKind.AND3: _F_AND,
-    GateKind.AND4: _F_AND,
-    GateKind.OR2: _F_OR,
-    GateKind.OR3: _F_OR,
-    GateKind.OR4: _F_OR,
-    GateKind.NOT: _F_NOT,
-    GateKind.C2: _F_C,
-    GateKind.C3: _F_C,
-}
 
 
 class _Plan:
@@ -163,7 +137,7 @@ class _Plan:
     def __init__(self, netlist: Netlist):
         netlist.require_valid()
         self._gates = sorted(netlist.gates, key=lambda g: g.id)
-        self.family = [_FAMILY[g.kind] for g in self._gates]
+        self.family = [FAMILY[g.kind] for g in self._gates]
         self.inputs = [g.inputs for g in self._gates]
         self.output = [g.output for g in self._gates]
         fanout: list[list[int]] = [[] for _ in range(netlist.net_count)]
@@ -173,8 +147,8 @@ class _Plan:
         self.fanout = [tuple(f) for f in fanout]  # ascending: gates go in id order
 
         lv = netlist.reset_levels()
-        for g in self._gates:
-            settled = _eval_family(self.family[g.id], g.inputs, lv, lv[g.output])
+        for g, family in zip(self._gates, self.family):
+            settled = eval_family(family, g.inputs, lv, lv[g.output])
             if settled != lv[g.output]:
                 raise ValueError(
                     f"reset is not quiescent: gate {g.id} ({g.kind.value}) would "
@@ -325,19 +299,19 @@ class SimState:
                     ins = gins[gid]
                     fam = fams[gid]
                     out = gouts[gid]
-                    if fam == _F_C:
+                    if fam == F_C:
                         v = levels[ins[0]]
                         for n in ins:
                             if levels[n] != v:
                                 v = levels[out]
                                 break
-                    elif fam == _F_AND:
+                    elif fam == F_AND:
                         v = 1
                         for n in ins:
                             if not levels[n]:
                                 v = 0
                                 break
-                    elif fam == _F_OR:
+                    elif fam == F_OR:
                         v = 0
                         for n in ins:
                             if levels[n]:
@@ -382,20 +356,6 @@ class SimState:
 def reset(netlist: Netlist, delay_model: DelayModel | None = None) -> SimState:
     """Fresh simulation state: nets at reset levels, empty queue and trace."""
     return SimState(netlist, delay_model or DelayModel.unit())
-
-
-def _eval_family(fam: int, ins: tuple[int, ...], levels: list[int], state: int) -> int:
-    if fam == _F_C:
-        v = levels[ins[0]]
-        for n in ins:
-            if levels[n] != v:
-                return state
-        return v
-    if fam == _F_AND:
-        return int(all(levels[n] for n in ins))
-    if fam == _F_OR:
-        return int(any(levels[n] for n in ins))
-    return 1 - levels[ins[0]]
 
 
 def replay(netlist: Netlist, trace: Iterable[tuple]) -> list[int]:

@@ -19,14 +19,16 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .harness import (
     Harness,
     CycleReport,
     IllegalOutputError,
     StuckPhaseError,
+    drive,
     scan_port_changes,
+    stage_ports,
 )
 from .metrics import design_label
 from .netlist import (
@@ -36,9 +38,8 @@ from .netlist import (
     GateKind,
     Netlist,
     dualize,
-    encode,
 )
-from .sim import DEFAULT_GUARD, DelayModel, NonQuiescentError, SimState, reset
+from .sim import DEFAULT_GUARD, DelayModel, NonQuiescentError, reset
 
 TRACE_TAIL = 24
 
@@ -72,10 +73,6 @@ class CheckOutcome:
         return self.passed
 
 
-def _design_name(netlist: Netlist) -> str:
-    return design_label(netlist)
-
-
 def _tail(trace: Sequence[tuple]) -> tuple:
     return tuple(trace[-TRACE_TAIL:])
 
@@ -92,7 +89,7 @@ def _fail(
 ) -> CheckOutcome:
     dm = delay_model or DelayModel.unit()
     ce = Counterexample(
-        design=_design_name(netlist),
+        design=design_label(netlist),
         check=check,
         stimulus=stimulus,
         delay_model=dm.describe(),
@@ -127,10 +124,9 @@ def check_functional(
 ) -> CheckOutcome:
     """Products must equal the integer product of the operands."""
     name = "functional"
-    n = int(netlist.meta["n"])
-    if pairs is None:
-        pairs = default_pairs(n, samples, seed)
     harness = Harness(netlist, delay_model)
+    if pairs is None:
+        pairs = default_pairs(harness.n, samples, seed)
     done = 0
     for a, b in pairs:
         try:
@@ -176,15 +172,53 @@ def _cell_io(netlist: Netlist) -> tuple[tuple[DualRailPort, ...], tuple[DualRail
     return ins, outs
 
 
-def _drive(st: SimState, port: DualRailPort, bit: int | None) -> None:
-    proto = st.netlist.protocol
-    if bit is None:
-        st.set_primary(port.rail1, proto.spacer_level)
-        st.set_primary(port.rail0, proto.spacer_level)
-    else:
-        r1, r0 = encode(bit, proto)
-        st.set_primary(port.rail1, r1)
-        st.set_primary(port.rail0, r0)
+def _arrival_orders(
+    netlist: Netlist,
+    name: str,
+    guard: int,
+    step: Callable[..., tuple[str, str] | None],
+    passed: str,
+) -> CheckOutcome:
+    """Drive a cell through every input codeword under every arrival order.
+
+    Inputs are applied one at a time, settling in between, then withdrawn in
+    the same order.  After each step ``step(st, outs, mark, early,
+    withdrawing)`` judges the settled state: ``mark`` is where the step's
+    events start in the trace, and ``early`` reads "after only i of k
+    inputs" (or "withdrawals") while inputs remain, else "".  It returns an
+    ``(observed, expected)`` failure or None.  Every scenario must also
+    complete the outputs once all inputs are present and end in the exact
+    reset state.
+    """
+    ins, outs = _cell_io(netlist)
+    k = len(ins)
+    reset_levels = netlist.reset_levels()
+    scenarios = 0
+    for bits in itertools.product((0, 1), repeat=k):
+        for order in itertools.permutations(range(k)):
+            stim = {
+                "bits": {p.name: bits[i] for i, p in enumerate(ins)},
+                "arrival": [ins[i].name for i in order],
+            }
+            st = reset(netlist)
+            for withdrawing, unit in ((False, "inputs"), (True, "withdrawals")):
+                for pos, idx in enumerate(order, 1):
+                    mark = len(st.trace)
+                    drive(st, ins[idx], None if withdrawing else bits[idx])
+                    st.run_until_quiescent(guard)
+                    early = f"after only {pos} of {k} {unit}" if pos < k else ""
+                    failure = step(st, outs, mark, early, withdrawing)
+                    if failure:
+                        return _fail(name, netlist, stim, None, *failure, scenarios, st.trace)
+                if not withdrawing and any(st.read_port(p).bit is None for p in outs):
+                    return _fail(name, netlist, stim, None,
+                                 "outputs incomplete with all inputs present",
+                                 "all outputs at codewords", scenarios, st.trace)
+            if st.levels != reset_levels:
+                return _fail(name, netlist, stim, None, "cell did not return to reset",
+                             "exact reset state after a full cycle", scenarios, st.trace)
+            scenarios += 1
+    return CheckOutcome(name, True, passed.format(scenarios), scenarios)
 
 
 def check_strong_indication(netlist: Netlist, guard: int = DEFAULT_GUARD) -> CheckOutcome:
@@ -195,56 +229,22 @@ def check_strong_indication(netlist: Netlist, guard: int = DEFAULT_GUARD) -> Che
     transition until the final input lands.  The same holds for withdrawal:
     outputs stay at data until the final input returns to spacer.
     """
-    name = "strong_indication"
-    ins, outs = _cell_io(netlist)
-    k = len(ins)
-    out_nets = {p.rail1 for p in outs} | {p.rail0 for p in outs}
-    reset_levels = netlist.reset_levels()
-    scenarios = 0
-    for bits in itertools.product((0, 1), repeat=k):
-        for order in itertools.permutations(range(k)):
-            stim = {
-                "bits": {p.name: bits[i] for i, p in enumerate(ins)},
-                "arrival": [ins[i].name for i in order],
-            }
-            st = reset(netlist)
-            for pos, idx in enumerate(order):
-                mark = len(st.trace)
-                _drive(st, ins[idx], bits[idx])
-                st.run_until_quiescent(guard)
-                moved = [e for e in st.trace[mark:] if e[1] in out_nets]
-                if pos < k - 1 and moved:
-                    return _fail(name, netlist, stim, None,
-                                 f"output net {moved[0][1]} moved at t={moved[0][0]} "
-                                 f"after only {pos + 1} of {k} inputs",
-                                 "no output activity before the last input",
-                                 scenarios, st.trace)
-            if any(st.read_port(p).bit is None for p in outs):
-                return _fail(name, netlist, stim, None,
-                             "outputs incomplete with all inputs present",
-                             "all outputs at codewords", scenarios, st.trace)
-            for pos, idx in enumerate(order):
-                mark = len(st.trace)
-                _drive(st, ins[idx], None)
-                st.run_until_quiescent(guard)
-                moved = [e for e in st.trace[mark:] if e[1] in out_nets]
-                if pos < k - 1 and moved:
-                    return _fail(name, netlist, stim, None,
-                                 f"output net {moved[0][1]} moved at t={moved[0][0]} "
-                                 f"after only {pos + 1} of {k} withdrawals",
-                                 "no output activity before the last withdrawal",
-                                 scenarios, st.trace)
-            if any(st.read_port(p) is not DualRailValue.SPACER for p in outs):
-                return _fail(name, netlist, stim, None, "outputs stuck off spacer",
-                             "all outputs at spacer", scenarios, st.trace)
-            if st.levels != reset_levels:
-                return _fail(name, netlist, stim, None, "cell did not return to reset",
-                             "exact reset state after a full cycle", scenarios, st.trace)
-            scenarios += 1
-    return CheckOutcome(
-        name, True,
-        f"outputs wait for the last input under all {scenarios} "
-        "codeword/arrival-order scenarios", scenarios)
+    out_nets = {r for p in netlist.output_ports for r in (p.rail1, p.rail0)}
+
+    def step(st, outs, mark, early, withdrawing):
+        if early:
+            moved = next((e for e in st.trace[mark:] if e[1] in out_nets), None)
+            if moved is not None:
+                return (f"output net {moved[1]} moved at t={moved[0]} {early}",
+                        "no output activity before the last "
+                        + ("withdrawal" if withdrawing else "input"))
+        elif withdrawing and any(st.read_port(p) is not DualRailValue.SPACER for p in outs):
+            return "outputs stuck off spacer", "all outputs at spacer"
+        return None
+
+    return _arrival_orders(netlist, "strong_indication", guard, step,
+                           "outputs wait for the last input under all {} "
+                           "codeword/arrival-order scenarios")
 
 
 def check_weak_indication(netlist: Netlist, guard: int = DEFAULT_GUARD) -> CheckOutcome:
@@ -264,46 +264,20 @@ def check_weak_indication(netlist: Netlist, guard: int = DEFAULT_GUARD) -> Check
         if ce is not None:
             ce = dataclasses.replace(ce, check=name)
         return dataclasses.replace(outcome, check=name, counterexample=ce)
-    ins, outs = _cell_io(netlist)
-    k = len(ins)
-    reset_levels = netlist.reset_levels()
-    scenarios = 0
-    for bits in itertools.product((0, 1), repeat=k):
-        for order in itertools.permutations(range(k)):
-            stim = {
-                "bits": {p.name: bits[i] for i, p in enumerate(ins)},
-                "arrival": [ins[i].name for i in order],
-            }
-            st = reset(netlist)
-            for pos, idx in enumerate(order):
-                _drive(st, ins[idx], bits[idx])
-                st.run_until_quiescent(guard)
-                complete = all(st.read_port(p).bit is not None for p in outs)
-                if pos < k - 1 and complete:
-                    return _fail(name, netlist, stim, None,
-                                 f"all outputs complete after only {pos + 1} of {k} inputs",
-                                 "at least one output incomplete", scenarios, st.trace)
-            if any(st.read_port(p).bit is None for p in outs):
-                return _fail(name, netlist, stim, None,
-                             "outputs incomplete with all inputs present",
-                             "all outputs at codewords", scenarios, st.trace)
-            for pos, idx in enumerate(order):
-                _drive(st, ins[idx], None)
-                st.run_until_quiescent(guard)
-                idle = all(st.read_port(p) is DualRailValue.SPACER for p in outs)
-                if pos < k - 1 and idle:
-                    return _fail(name, netlist, stim, None,
-                                 f"all outputs at spacer after only {pos + 1} of {k} "
-                                 "withdrawals",
-                                 "at least one output still at data", scenarios, st.trace)
-            if st.levels != reset_levels:
-                return _fail(name, netlist, stim, None, "cell did not return to reset",
-                             "exact reset state after a full cycle", scenarios, st.trace)
-            scenarios += 1
-    return CheckOutcome(
-        name, True,
-        f"output completion implies input completion across {scenarios} "
-        "codeword/arrival-order scenarios", scenarios)
+
+    def step(st, outs, mark, early, withdrawing):
+        if not early:
+            return None
+        if withdrawing:
+            if all(st.read_port(p) is DualRailValue.SPACER for p in outs):
+                return f"all outputs at spacer {early}", "at least one output still at data"
+        elif all(st.read_port(p).bit is not None for p in outs):
+            return f"all outputs complete {early}", "at least one output incomplete"
+        return None
+
+    return _arrival_orders(netlist, name, guard, step,
+                           "output completion implies input completion across {} "
+                           "codeword/arrival-order scenarios")
 
 
 # -- indication (stage level) --------------------------------------------------
@@ -324,12 +298,9 @@ def check_stage_indication(
     correct product, and a full spacer must restore the reset state.
     """
     name = "stage_indication"
-    meta = netlist.meta
-    n = int(meta["n"])
-    by_name = {p.name: p for p in netlist.ports}
-    a_ports = [by_name[nm] for nm in meta["operands"]["a"]]
-    b_ports = [by_name[nm] for nm in meta["operands"]["b"]]
-    out_ports = [by_name[nm] for nm in meta["products"]]
+    a_ports, b_ports, out_ports = stage_ports(netlist)
+    ports = (*a_ports, *b_ports)
+    n = len(a_ports)
     dm = delay_model or DelayModel.unit()
     proto = netlist.protocol
     active, spacer = proto.active_level, proto.spacer_level
@@ -340,18 +311,15 @@ def check_stage_indication(
     values = [(limit - 1, limit - 1)]
     values += [(rng.randrange(limit), rng.randrange(limit)) for _ in range(extra_values)]
     scenarios = 0
-    for withheld in (*a_ports, *b_ports):
+    for k, withheld in enumerate(ports):
         for a, b in values:
             stim = {"a": a, "b": b, "withheld": withheld.name}
+            word = a | b << n  # bit i goes to ports[i]
             st = reset(netlist, dm)
             st.set_primary(netlist.phase_net, active)
-            for ports, value in ((a_ports, a), (b_ports, b)):
-                for i, p in enumerate(ports):
-                    if p is withheld:
-                        continue
-                    r1, r0 = encode((value >> i) & 1, proto)
-                    st.set_primary(p.rail1, r1)
-                    st.set_primary(p.rail0, r0)
+            for i, p in enumerate(ports):
+                if i != k:
+                    drive(st, p, word >> i & 1)
             st.run_until_quiescent(guard)
             if st.levels[ack] != spacer:
                 return _fail(name, netlist, stim, dm,
@@ -363,12 +331,7 @@ def check_stage_indication(
                              f"every product bit completed with {withheld.name} withheld",
                              "at least one product bit still at spacer",
                              scenarios, st.trace)
-            w_ports = a_ports if withheld in a_ports else b_ports
-            w_value = a if withheld in a_ports else b
-            bit = (w_value >> w_ports.index(withheld)) & 1
-            r1, r0 = encode(bit, proto)
-            st.set_primary(withheld.rail1, r1)
-            st.set_primary(withheld.rail0, r0)
+            drive(st, withheld, word >> k & 1)
             st.run_until_quiescent(guard)
             if st.levels[ack] != active:
                 return _fail(name, netlist, stim, dm, "completion missing with all inputs",
@@ -384,9 +347,8 @@ def check_stage_indication(
                 return _fail(name, netlist, stim, dm, f"product {product}",
                              f"product {a * b}", scenarios, st.trace)
             st.set_primary(netlist.phase_net, spacer)
-            for p in (*a_ports, *b_ports):
-                st.set_primary(p.rail1, spacer)
-                st.set_primary(p.rail0, spacer)
+            for p in ports:
+                drive(st, p, None)
             st.run_until_quiescent(guard)
             if st.levels != reset_levels:
                 return _fail(name, netlist, stim, dm, "stage did not return to reset",
@@ -493,9 +455,8 @@ def check_delay_insensitivity(
     monotonic per phase.  Cycle times may and do differ; that is the point.
     """
     name = "delay_insensitivity"
-    n = int(netlist.meta["n"])
     if pairs is None:
-        pairs = default_pairs(n, samples, seed)[:samples]
+        pairs = default_pairs(len(stage_ports(netlist)[0]), samples, seed)[:samples]
     if isinstance(seeds, int):
         seeds = range(seeds)
     models = [DelayModel.unit()]
@@ -556,9 +517,8 @@ def check_duality(
     if dualize(dual) != netlist:
         return _fail(name, netlist, {}, None, "double flip changed the netlist",
                      "polarity flip is an involution", 0)
-    n = int(netlist.meta["n"])
     if pairs is None:
-        pairs = default_pairs(n, samples, seed)[:samples]
+        pairs = default_pairs(len(stage_ports(netlist)[0]), samples, seed)[:samples]
     h1 = Harness(netlist)
     h2 = Harness(dual)
     scenarios = 0
@@ -608,10 +568,9 @@ def check_race_immunity(
     boundaries and fail here.
     """
     name = "race_immunity"
-    n = int(netlist.meta["n"])
-    if pairs is None:
-        pairs = default_pairs(n, samples, seed)[:samples]
     harness = Harness(netlist, delay_model)
+    if pairs is None:
+        pairs = default_pairs(harness.n, samples, seed)[:samples]
     try:
         result = harness.run_burst(pairs, gap=gap)
     except (StuckPhaseError, IllegalOutputError, NonQuiescentError) as exc:
@@ -633,20 +592,30 @@ def check_race_immunity(
                         len(result.reports))
 
 
+#: The standard stage verification battery, cheapest checks first: check
+#: name -> checker called as ``check(netlist, seeds, samples, seed)``.
+BATTERY = {
+    "functional": lambda nl, seeds, samples, seed: check_functional(
+        nl, samples=samples, seed=seed),
+    "stage_indication": lambda nl, seeds, samples, seed: check_stage_indication(
+        nl, seed=seed),
+    "duality": lambda nl, seeds, samples, seed: check_duality(
+        nl, samples=min(samples, 16), seed=seed),
+    "race_immunity": lambda nl, seeds, samples, seed: check_race_immunity(
+        nl, samples=min(samples, 8), seed=seed),
+    "delay_insensitivity": lambda nl, seeds, samples, seed: check_delay_insensitivity(
+        nl, seeds=seeds, samples=min(samples, 8), seed=seed),
+}
+
+
 def run_all_checks(
     netlist: Netlist,
     seeds: int = 4,
     samples: int = 16,
     seed: int = 0,
 ) -> list[CheckOutcome]:
-    """The standard stage verification battery, cheapest checks first."""
-    return [
-        check_functional(netlist, samples=samples, seed=seed),
-        check_stage_indication(netlist),
-        check_duality(netlist, samples=min(samples, 16), seed=seed),
-        check_race_immunity(netlist, samples=min(samples, 8), seed=seed),
-        check_delay_insensitivity(netlist, seeds=seeds, samples=min(samples, 8), seed=seed),
-    ]
+    """The standard stage verification battery, :data:`BATTERY`, in order."""
+    return [check(netlist, seeds, samples, seed) for check in BATTERY.values()]
 
 
 # -- negative controls ---------------------------------------------------------

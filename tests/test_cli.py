@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from qdimul import __version__
+from qdimul.cells import make_and2_strong
 from qdimul.cli import main, parse_delay_model
-from qdimul.netlist import GateKind, deserialize
+from qdimul.netlist import GateKind, deserialize, serialize
 from qdimul.sim import DelayModel
 
 
@@ -159,6 +160,16 @@ def test_verify_json_artifact(tmp_path, capsys):
     assert "PASS functional" in err
 
 
+@pytest.mark.parametrize("argv", [["sim", "--a", "1", "--b", "1"], ["verify"]])
+def test_cell_netlist_is_a_usage_error(tmp_path, capsys, argv):
+    cell = tmp_path / "and.json"
+    cell.write_text(serialize(make_and2_strong().netlist))
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--netlist", str(cell), *argv[1:]])
+    assert exc.value.code == 2
+    assert "not a multiplier stage" in capsys.readouterr().err
+
+
 def test_verify_unknown_check(tmp_path):
     path = gen_netlist(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -195,6 +206,27 @@ def test_report_rejects_empty_payload(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["report", str(empty)])
     assert exc.value.code == 2
+
+
+def test_report_rejects_malformed_artifacts(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    assert main(["bench", "--n", "2", "--samples", "4", "--json", "--out", str(good)]) == 0
+    row = json.loads(good.read_text())["rows"][0]
+    payloads = {
+        "list": [row],
+        "missing": {"rows": [{k: v for k, v in row.items() if k != "area"}]},
+        "unknown": {"rows": [{**row, "colour": "red"}]},
+        "wrong_type": {"rows": [{**row, "cycle_mean": "fast"}]},
+        "row_not_object": {"rows": [3]},
+        "rows_not_list": {"rows": 3},
+    }
+    for name, payload in payloads.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(path)])
+        assert exc.value.code == 2, name
+        assert str(path) in capsys.readouterr().err, name
 
 
 def test_installed_entry_point_version():

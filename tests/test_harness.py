@@ -9,6 +9,7 @@ from qdimul.harness import (
     EmptyReportsError,
     Harness,
     IllegalOutputError,
+    NotAStageError,
     StuckPhaseError,
     cycle_reports_json,
     measure_latencies,
@@ -16,8 +17,15 @@ from qdimul.harness import (
     write_cycle_reports_csv,
 )
 from qdimul.multiplier import MultiplierSpec, generate
-from qdimul.netlist import DualRailPort, DualRailValue, Netlist, Protocol
-from qdimul.sim import DelayModel
+from qdimul.netlist import (
+    DiagnosticCode,
+    DualRailPort,
+    DualRailValue,
+    InvalidNetlistError,
+    Netlist,
+    Protocol,
+)
+from qdimul.sim import DelayModel, reset
 
 
 @pytest.fixture(scope="module")
@@ -73,12 +81,14 @@ def test_operands_must_fit(mult2):
 
 
 def test_harness_requires_stage_metadata(mult2):
-    bare = Netlist(mult2.protocol, mult2.gates, mult2.input_ports, mult2.output_ports,
-                   ack_out=mult2.ack_out, ack_in=mult2.ack_in,
-                   const_nets=mult2.const_nets, phase_net=mult2.phase_net,
-                   extra_inputs=mult2.extra_inputs, meta={})
-    with pytest.raises(ValueError):
-        Harness(bare)
+    for meta in ({}, {"operands": 5, "products": []},
+                 {"operands": {"a": ["zz"], "b": []}, "products": []}):
+        bare = Netlist(mult2.protocol, mult2.gates, mult2.input_ports, mult2.output_ports,
+                       ack_out=mult2.ack_out, ack_in=mult2.ack_in,
+                       const_nets=mult2.const_nets, phase_net=mult2.phase_net,
+                       extra_inputs=mult2.extra_inputs, meta=meta)
+        with pytest.raises(NotAStageError):
+            Harness(bare)
 
 
 def test_stuck_phase_when_completion_never_asserts(mult2):
@@ -90,6 +100,19 @@ def test_stuck_phase_when_completion_never_asserts(mult2):
                     extra_inputs=mult2.extra_inputs, meta=mult2.meta)
     with pytest.raises(StuckPhaseError):
         Harness(stuck).run_cycle(1, 1)
+
+
+def test_undriven_ack_out_is_rejected(mult2):
+    undriven = mult2.net_count + 5
+    bad = Netlist(mult2.protocol, mult2.gates, mult2.input_ports, mult2.output_ports,
+                  ack_out=undriven, ack_in=mult2.ack_in,
+                  const_nets=mult2.const_nets, phase_net=mult2.phase_net,
+                  extra_inputs=mult2.extra_inputs, meta=mult2.meta)
+    assert [d.code for d in bad.validate()] == [DiagnosticCode.UNCONNECTED_INPUT]
+    with pytest.raises(InvalidNetlistError, match="ack_out"):
+        reset(bad)
+    with pytest.raises(InvalidNetlistError, match="ack_out"):
+        Harness(bad)
 
 
 def test_illegal_output_detected(mult2):

@@ -1,7 +1,7 @@
 """Cost metrics: area tables, switching proxy, combined figure, comparisons."""
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given
@@ -112,7 +112,7 @@ def test_measure_integration():
     assert m.cycle_mean == pytest.approx(m.forward_mean + m.reverse_mean)
     assert m.pctp == pytest.approx(m.power_proxy * m.cycle_mean)
     assert m.pctp_normalized is None
-    assert set(m.to_dict()) >= {"design", "area", "pctp", "pctp_normalized"}
+    assert set(asdict(m)) >= {"design", "area", "pctp", "pctp_normalized"}
 
 
 def test_design_label_variants():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qdimul.cells import FullAdderKind
 from qdimul.harness import Harness
+from qdimul.metrics import design_label
 from qdimul.multiplier import (
     MultiplierSpec,
     NotAGeneratedMultiplierError,
@@ -36,7 +37,7 @@ def test_spec_rejects_tiny_operands():
 
 def test_design_name_mentions_all_choices():
     spec = MultiplierSpec(n=4, fa_kind=FullAdderKind.WEAK_DISJOINT, protocol=Protocol.RTO)
-    assert spec.design_name == "weak-rto-4x4"
+    assert design_label(generate(spec)) == "weak-rto-4x4"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])

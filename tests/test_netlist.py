@@ -363,6 +363,14 @@ def test_deserialize_rejects_bad_protocol():
         deserialize(json.dumps(doc))
 
 
+def test_deserialize_rejects_malformed_const_nets():
+    doc = json.loads(serialize(small_and_netlist()))
+    for bad in ([5], [[1]]):
+        doc["meta"]["const_nets"] = bad
+        with pytest.raises(ParseError, match=r"meta\.const_nets\[0\]"):
+            deserialize(json.dumps(doc))
+
+
 def test_deserialize_rejects_malformed_json():
     with pytest.raises(ParseError):
         deserialize("{not json")

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +10,16 @@ from hypothesis import given, strategies as st
 from qdimul.cells import FullAdderKind
 from qdimul.harness import Harness
 from qdimul.multiplier import MultiplierSpec, generate
-from qdimul.netlist import Gate, GateKind, InvalidNetlistError, Netlist, NetlistBuilder, Protocol
+from qdimul.netlist import (
+    ARITY,
+    Gate,
+    GateKind,
+    InvalidNetlistError,
+    Netlist,
+    NetlistBuilder,
+    Protocol,
+    eval_kind,
+)
 from qdimul.sim import (
     DelayModel,
     NonQuiescentError,
@@ -285,6 +295,31 @@ def test_golden_trace_hash():
                     burst = Harness(nl, dm).run_burst(pairs[:8], gap=1)
                     h.update(repr((burst.reports, burst.trace, burst.illegal)).encode())
     assert h.hexdigest() == GOLDEN_TRACE_SHA256
+
+
+@pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
+def test_engine_agrees_with_shared_evaluator(kind):
+    # one gate; every prior input vector sets its output, then every vector
+    # is applied at once and the engine must settle where eval_kind says
+    b = NetlistBuilder(Protocol.RTZ)
+    ins = [b.input_net(f"x{i}") for i in range(ARITY[kind])]
+    out = b.gate(kind, ins)
+    nl = b.build()
+    vectors = list(itertools.product((0, 1), repeat=len(ins)))
+    priors = set()
+    for before in vectors:
+        for vec in vectors:
+            st_ = reset(nl)
+            for net, level in zip(ins, before):
+                st_.set_primary(net, level)
+            st_.run_until_quiescent()
+            prior = st_.levels[out]
+            priors.add(prior)
+            for net, level in zip(ins, vec):
+                st_.set_primary(net, level)
+            st_.run_until_quiescent()
+            assert st_.levels[out] == eval_kind(kind, vec, prior), (before, vec)
+    assert priors == {0, 1}
 
 
 # -- export -----------------------------------------------------------------

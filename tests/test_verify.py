@@ -1,13 +1,22 @@
 """Property checkers: positives on healthy designs, negatives on controls."""
 
+import hashlib
 import json
 
 import pytest
 
-from qdimul.cells import FullAdderKind, make_and2_strong, make_full_adder
+from qdimul.cells import (
+    FullAdderKind,
+    make_and2_strong,
+    make_completion_detector,
+    make_constant_source,
+    make_full_adder,
+    make_register_bank,
+)
+from qdimul.cli import main
 from qdimul.harness import Harness
 from qdimul.multiplier import MultiplierSpec, generate
-from qdimul.netlist import Netlist, Protocol
+from qdimul.netlist import Netlist, Protocol, serialize
 from qdimul.verify import (
     check_delay_insensitivity,
     check_duality,
@@ -222,3 +231,58 @@ def test_inject_fork_skew_validates_arguments(mult2):
 def test_mutants_keep_their_tags(mult2):
     assert "mutation" in swap_port_rails(mult2).meta
     assert "mutation" in narrow_completion(mult2).meta
+
+
+# sha256 over the repr of every outcome below, pinned before the checkers'
+# drivers were merged; any change to a verdict, detail, scenario count,
+# counterexample or trace tail changes it.
+GOLDEN_OUTCOME_SHA256 = "e13ebe12a0cde7c8f5a182340a26d9099e83e4b36bd73dc22eecb28db86b6d43"
+
+
+def _cells(protocol):
+    yield make_and2_strong(protocol)
+    for kind in FullAdderKind:
+        yield make_full_adder(kind, protocol)
+    yield make_register_bank(2, protocol)
+    yield make_completion_detector(2, protocol)
+    yield make_constant_source(1, protocol)
+
+
+def _outcome(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        return exc
+
+
+def test_golden_outcome_hash(tmp_path, capsys):
+    h = hashlib.sha256()
+    for protocol in Protocol:
+        for cell in _cells(protocol):
+            for check in (check_strong_indication, check_weak_indication):
+                h.update(repr(_outcome(check, cell.netlist)).encode())
+    for n in (2, 4):
+        for kind in FullAdderKind:
+            for protocol in Protocol:
+                nl = generate(MultiplierSpec(n, kind, protocol))
+                h.update(repr(run_all_checks(nl)).encode())
+                h.update(repr(check_weak_indication(nl)).encode())
+    mult2 = generate(MultiplierSpec(n=2))
+    p0 = next(p for p in mult2.output_ports if p.name == "P0")
+    consumer = mult2.net(p0.rail1).driver_gate
+    fork_net = mult2.gate_by_id[consumer].inputs[0]
+    majority = generate(MultiplierSpec(n=4, fa_kind=FullAdderKind.MAJORITY_CONTROL))
+    controls = [
+        check_functional(swap_port_rails(mult2)),
+        check_stage_indication(narrow_completion(mult2), seed=3),
+        check_race_immunity(inject_fork_skew(mult2, fork_net, consumer, stages=16),
+                            pairs=BURST_PAIRS),
+        check_monotonicity(majority, [Harness(majority).run_cycle(3, 7, want_trace=True)]),
+    ]
+    h.update(repr(controls).encode())
+    path = tmp_path / "stage.json"
+    path.write_text(serialize(mult2))
+    assert main(["verify", "--netlist", str(path), "--json", "--seed", "5"]) == 0
+    out = capsys.readouterr()
+    h.update((out.out + out.err).replace(str(path), "<netlist>").encode())
+    assert h.hexdigest() == GOLDEN_OUTCOME_SHA256
