@@ -3,8 +3,9 @@
 Subcommands: ``gen`` writes a netlist JSON, ``sim`` runs handshake cycles,
 ``verify`` runs the checker battery, ``bench`` measures and ranks designs,
 ``report`` re-renders stored bench artifacts.  Exit codes: 0 on success,
-1 when a checked property fails, 2 for a bad command line, an IO error or
-an unusable input.
+1 when a checked property fails (a failing check, or a simulation that
+stalls, decodes ILLEGAL or never settles), 2 for a bad command line, an IO
+error or an unusable input.
 
 Artifacts are deterministic: they embed the tool version and the run
 configuration but no timestamps or machine state, so rerunning the same
@@ -21,11 +22,12 @@ from typing import Sequence
 
 from . import __version__
 from .cells import FullAdderKind
-from .harness import Harness, cycle_report_rows, write_cycle_reports_csv
+from .harness import (Harness, IllegalOutputError, StuckPhaseError, cycle_report_rows,
+                      write_cycle_reports_csv)
 from .metrics import StageMetrics, compare, measure, normalize_pctp, render_rows
 from .multiplier import MultiplierSpec, generate
 from .netlist import GateKind, ParseError, Protocol, deserialize, serialize
-from .sim import DelayModel, write_trace_csv, write_trace_vcd
+from .sim import DelayModel, NonQuiescentError, write_trace_csv, write_trace_vcd
 from . import verify as verify_mod
 
 
@@ -326,6 +328,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (UsageError, ParseError, FileNotFoundError, ValueError) as exc:
         parser.exit(2, f"qdimul: error: {exc}\n")
+    except (StuckPhaseError, IllegalOutputError, NonQuiescentError) as exc:
+        sys.stderr.write(f"qdimul: {exc.code}: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

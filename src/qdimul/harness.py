@@ -21,6 +21,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import compress, islice
+from operator import itemgetter
 from statistics import fmean
 from typing import IO, Iterable, Sequence
 
@@ -119,6 +121,23 @@ def drive(state: SimState, port: DualRailPort, bit: int | None, t: int | None = 
     state.set_primary(port.rail0, r0, t)
 
 
+def _port_watch(netlist: Netlist) -> tuple[tuple[DualRailValue, ...], dict]:
+    """``(table, watchers)`` of a netlist, built once and kept on it.
+
+    ``table[2 * rail1 + rail0]`` decodes a rail pair under the netlist's
+    protocol; ``watchers`` maps each rail net to ``(port index, rail1,
+    rail0)`` of every port it belongs to.
+    """
+    def build(nl: Netlist) -> tuple[tuple[DualRailValue, ...], dict]:
+        watchers: dict[int, list[tuple[int, int, int]]] = {}
+        for i, p in enumerate(nl.ports):
+            for rail in (p.rail1, p.rail0):
+                watchers.setdefault(rail, []).append((i, p.rail1, p.rail0))
+        return tuple(decode(r1, r0, nl.protocol) for r1 in (0, 1) for r0 in (0, 1)), watchers
+
+    return netlist._derived("harness.port_watch", build)
+
+
 def scan_port_changes(
     netlist: Netlist,
     base_levels: Sequence[int],
@@ -130,28 +149,21 @@ def scan_port_changes(
     decoded value changed.  The caller supplies the net levels the trace
     starts from (usually the reset levels).
     """
-    protocol = netlist.protocol
-    rails: dict[int, int] = {}
-    watchers: dict[int, list[int]] = {}
+    table, watchers = _port_watch(netlist)
+    rails = {net: base_levels[net] for net in watchers}
     ports = netlist.ports
-    for i, p in enumerate(ports):
-        rails[p.rail1] = base_levels[p.rail1]
-        rails[p.rail0] = base_levels[p.rail0]
-        watchers.setdefault(p.rail1, []).append(i)
-        watchers.setdefault(p.rail0, []).append(i)
-    current = [decode(rails[p.rail1], rails[p.rail0], protocol) for p in ports]
+    current = [table[2 * rails[p.rail1] + rails[p.rail0]] for p in ports]
     changes: dict[str, list[tuple[int, DualRailValue]]] = {p.name: [] for p in ports}
-    for t, net, level, _cause in trace:
-        hit = watchers.get(net)
-        if hit is None:
-            continue
+    if not isinstance(trace, list):
+        trace = list(trace)
+    on_rail = map(watchers.__contains__, map(itemgetter(1), trace))
+    for t, net, level, _cause in compress(trace, on_rail):
         rails[net] = level
-        for i in hit:
-            p = ports[i]
-            val = decode(rails[p.rail1], rails[p.rail0], protocol)
+        for i, r1, r0 in watchers[net]:
+            val = table[2 * rails[r1] + rails[r0]]
             if val is not current[i]:
                 current[i] = val
-                changes[p.name].append((t, val))
+                changes[ports[i].name].append((t, val))
     return changes
 
 
@@ -176,6 +188,7 @@ class Harness:
         self._active = netlist.protocol.active_level
         self._spacer = netlist.protocol.spacer_level
         self._reset_levels = netlist.reset_levels()
+        self._decode = _port_watch(netlist)[0]
 
     # -- phase primitives ----------------------------------------------------
 
@@ -193,15 +206,22 @@ class Harness:
         st.set_primary(self._phase, self._spacer, t)
 
     def _ack_edge(self, trace: Trace, start: int, level: int, what: str) -> int:
-        for t, net, lv, _cause in trace[start:]:
-            if net == self._ack and lv == level:
-                return t
-        raise StuckPhaseError(f"completion never {what} (ack_out stayed put)")
+        nets = list(map(itemgetter(1), islice(trace, start, None)))
+        i = -1
+        try:
+            while True:
+                i = nets.index(self._ack, i + 1)
+                t, _net, lv, _cause = trace[start + i]
+                if lv == level:
+                    return t
+        except ValueError:
+            raise StuckPhaseError(f"completion never {what} (ack_out stayed put)") from None
 
     def _decode_product(self) -> int:
+        levels, table = self.state.levels, self._decode
         value = 0
         for i, p in enumerate(self.out_ports):
-            v = self.state.read_port(p)
+            v = table[2 * levels[p.rail1] + levels[p.rail0]]
             bit = v.bit
             if bit is None:
                 if v is DualRailValue.ILLEGAL:
@@ -244,8 +264,9 @@ class Harness:
         self._apply_spacer(t1)
         st.run_until_quiescent(self.guard)
         tb = self._ack_edge(st.trace, data_events, self._spacer, "released")
+        levels, table = st.levels, self._decode
         for p in self.out_ports:
-            if st.read_port(p) is not DualRailValue.SPACER:
+            if table[2 * levels[p.rail1] + levels[p.rail0]] is not DualRailValue.SPACER:
                 raise StuckPhaseError(f"port {p.name} failed to return to spacer")
         if st.levels != self._reset_levels:
             raise StuckPhaseError("cycle ended away from the reset state")

@@ -145,7 +145,7 @@ def eval_family(
 
     ``state`` is the gate's current output level; it only matters for
     C-elements, whose output holds whenever the inputs disagree.  The
-    simulator's event loop inlines the same rules.
+    simulator derives its per-input-count gate rows from it.
     """
     if family == F_C:
         first = levels[nets[0]]

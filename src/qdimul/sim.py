@@ -4,10 +4,21 @@ Time is dimensionless: delays are positive integers and nothing in the model
 ties a unit to nanoseconds.  Wires are instantaneous; every delay belongs to
 a gate instance.  The engine processes pending events in (time, net id)
 order, applies each level change, then re-evaluates the fanout gates of all
-nets that changed at that timestamp.  Scheduling is suppressed when a gate's
-computed output equals the level already heading for (or sitting on) its
-output net, so every applied event is a real transition and the trace doubles
-as a transition count.
+nets that changed at that timestamp.
+
+Gates are evaluated by count: each gate keeps the number of its input pins
+at level 1 (a net tied to two pins counts twice), and its output is the
+entry for that count in a row of 0, 1 or HOLD (keep the current level).
+AND, OR, NOT and C-elements are symmetric in their inputs, so the count
+decides the output; each row is derived once per (family, arity) from
+:func:`netlist.eval_family`, the one gate evaluator.  Every net also keeps
+its projected level: the level of the last event scheduled on it, or its
+current level when none is pending.  A net's events are scheduled in time
+order (one driver with a fixed delay; :meth:`SimState.set_primary` refuses
+an earlier environment event), so that is the level the net settles at.
+Scheduling is suppressed when a gate's output equals its output net's
+projected level, so every applied event is a real transition and the trace
+doubles as a transition count.
 
 The one piece of environment behaviour baked in: when the netlist declares
 both ``ack_out`` and ``ack_in``, the simulator mirrors every ``ack_out``
@@ -20,9 +31,9 @@ from one is compiled once per netlist object: the first :func:`reset` of a
 netlist validates it, builds its gate and fanout tables, checks that its
 reset state is quiescent, and keeps that plan (plus one delay vector per
 :class:`DelayModel` used) on the netlist.  Later resets only copy the reset
-levels and allocate an empty event queue.  A netlist that fails validation
-or the quiescence check is not compiled and fails the same way on every
-reset.
+levels and input counts and allocate an empty event queue.  A netlist that
+fails validation or the quiescence check is not compiled and fails the same
+way on every reset.
 """
 
 from __future__ import annotations
@@ -31,13 +42,11 @@ import csv
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from heapq import heappop, heappush
 from typing import IO, Iterable, Mapping
 
 from .netlist import (
-    F_AND,
-    F_C,
-    F_OR,
     FAMILY,
     DualRailPort,
     DualRailValue,
@@ -51,6 +60,9 @@ from .netlist import (
 ENV = -1
 
 DEFAULT_GUARD = 1_000_000
+
+#: Gate-row entry for "the output keeps its current level" (C-element).
+HOLD = -1
 
 
 Trace = list  # list of (time, net, level, cause) tuples
@@ -126,28 +138,41 @@ class DelayModel:
         return doc
 
 
+@cache
+def _gate_row(family: int, arity: int) -> tuple[int, ...]:
+    """Output of a gate per count of inputs at 1: 0, 1 or :data:`HOLD`."""
+    row = []
+    for ones in range(arity + 1):
+        levels = [1] * ones + [0] * (arity - ones)
+        low, high = (eval_family(family, range(arity), levels, s) for s in (0, 1))
+        row.append(low if low == high else HOLD)
+    return tuple(row)
+
+
 class _Plan:
     """What the engine needs from one netlist, shared by its SimStates.
 
     Tables are indexed by gate id (``validate`` guarantees ids are exactly
     ``0..len(gates)-1``) and by net id; nothing here is mutated after
-    construction.
+    construction.  ``fanout`` lists a gate once per input pin it has on the
+    net, so input counts stay exact for tied inputs.
     """
 
     def __init__(self, netlist: Netlist):
         netlist.require_valid()
         self._gates = sorted(netlist.gates, key=lambda g: g.id)
-        self.family = [FAMILY[g.kind] for g in self._gates]
-        self.inputs = [g.inputs for g in self._gates]
+        families = [FAMILY[g.kind] for g in self._gates]
+        self.row = [_gate_row(f, len(g.inputs)) for f, g in zip(families, self._gates)]
         self.output = [g.output for g in self._gates]
         fanout: list[list[int]] = [[] for _ in range(netlist.net_count)]
         for g in self._gates:
-            for n in set(g.inputs):
+            for n in g.inputs:
                 fanout[n].append(g.id)
-        self.fanout = [tuple(f) for f in fanout]  # ascending: gates go in id order
+        self.fanout = [tuple(f) for f in fanout]
 
         lv = netlist.reset_levels()
-        for g, family in zip(self._gates, self.family):
+        self.reset_ones = [sum(map(lv.__getitem__, g.inputs)) for g in self._gates]
+        for g, family in zip(self._gates, families):
             settled = eval_family(family, g.inputs, lv, lv[g.output])
             if settled != lv[g.output]:
                 raise ValueError(
@@ -188,10 +213,9 @@ class SimState:
         self._gate_delay = plan.delays(delay_model)
 
         self.levels = list(plan.reset_levels)
-        n_nets = len(self.levels)
-        self._pending_count = [0] * n_nets
-        self._pending_level = [0] * n_nets
-        self._pending_time = [0] * n_nets
+        self._projected = list(plan.reset_levels)
+        self._pending_time = [0] * len(self.levels)
+        self._ones = list(plan.reset_ones)
 
     # -- stimulus ----------------------------------------------------------
 
@@ -212,21 +236,14 @@ class SimState:
         t = self.clock if at_time is None else at_time
         if t < self.clock:
             raise ValueError(f"cannot schedule at {t}, clock is already {self.clock}")
-        if self._pending_count[net]:
-            if t < self._pending_time[net]:
-                raise ValueError(f"net {net} already has an event after t={t}")
-            projected = self._pending_level[net]
-        else:
-            projected = self.levels[net]
-        if level == projected:
+        # with nothing pending, the net's last event lies at or before the clock
+        if t < self._pending_time[net]:
+            raise ValueError(f"net {net} already has an event after t={t}")
+        if level == self._projected[net]:
             return
-        self._push(t, net, level, ENV)
-
-    def _push(self, t: int, net: int, level: int, cause: int) -> None:
         self._seq += 1
-        heappush(self._heap, (t, net, self._seq, level, cause))
-        self._pending_count[net] += 1
-        self._pending_level[net] = level
+        heappush(self._heap, (t, net, self._seq, level, ENV))
+        self._projected[net] = level
         self._pending_time[net] = t
 
     # -- engine ------------------------------------------------------------
@@ -246,12 +263,11 @@ class SimState:
         """
         heap = self._heap
         levels = self.levels
-        pend_cnt = self._pending_count
-        pend_lvl = self._pending_level
+        projected = self._projected
+        ones = self._ones
         plan = self._plan
         fanout = plan.fanout
-        fams = plan.family
-        gins = plan.inputs
+        rows = plan.row
         gouts = plan.output
         gdelay = self._gate_delay
         trace = self.trace
@@ -263,8 +279,9 @@ class SimState:
 
         # Each net has one driver and the heap orders by (time, net, seq), so
         # the order in which touched gates are evaluated only permutes seq
-        # between distinct nets and cannot change the trace.
-        touched: set[int] = set()
+        # between distinct nets and cannot change the trace.  A gate touched
+        # twice in one timestep finds its output already projected the
+        # second time and schedules nothing.
         try:
             while heap:
                 t = heap[0][0]
@@ -272,61 +289,44 @@ class SimState:
                     raise NonQuiescentError(
                         f"no quiescence within {max_time} units (next event at t={t})"
                     )
-                touched.clear()
+                touched: list[int] = []
                 stop_hit = False
                 while heap and heap[0][0] == t:
                     _, net, _, level, cause = pop(heap)
-                    pend_cnt[net] -= 1
                     if levels[net] == level:
                         continue
                     levels[net] = level
                     trace.append((t, net, level, cause))
-                    touched.update(fanout[net])
+                    gates = fanout[net]
+                    if level:
+                        for gid in gates:
+                            ones[gid] += 1
+                    else:
+                        for gid in gates:
+                            ones[gid] -= 1
+                    touched += gates
                     if net == ack_out:
                         # environment acknowledge inverter, zero delay
                         v = 1 - level
-                        proj = pend_lvl[ack_in] if pend_cnt[ack_in] else levels[ack_in]
-                        if proj != v:
+                        if projected[ack_in] != v:
                             seq += 1
                             push(heap, (t, ack_in, seq, v, ENV))
-                            pend_cnt[ack_in] += 1
-                            pend_lvl[ack_in] = v
+                            projected[ack_in] = v
                             self._pending_time[ack_in] = t
                     if net == stop_net and level == stop_level:
                         stop_hit = True
                 self.clock = t
                 for gid in touched:
-                    ins = gins[gid]
-                    fam = fams[gid]
+                    v = rows[gid][ones[gid]]
                     out = gouts[gid]
-                    if fam == F_C:
-                        v = levels[ins[0]]
-                        for n in ins:
-                            if levels[n] != v:
-                                v = levels[out]
-                                break
-                    elif fam == F_AND:
-                        v = 1
-                        for n in ins:
-                            if not levels[n]:
-                                v = 0
-                                break
-                    elif fam == F_OR:
-                        v = 0
-                        for n in ins:
-                            if levels[n]:
-                                v = 1
-                                break
-                    else:
-                        v = 1 - levels[ins[0]]
-                    proj = pend_lvl[out] if pend_cnt[out] else levels[out]
-                    if v != proj:
-                        # _push inlined; gate outputs are never primary
-                        # inputs, so their _pending_time is never read
+                    if v == HOLD:
+                        v = levels[out]
+                    if v != projected[out]:
+                        # gate outputs are never primary inputs, so their
+                        # _pending_time is never read
                         seq += 1
                         push(heap, (t + gdelay[gid], out, seq, v, gid))
-                        pend_cnt[out] += 1
-                        pend_lvl[out] = v
+                        projected[out] = v
                 if stop_hit:
                     break
         finally:

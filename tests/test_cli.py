@@ -9,7 +9,7 @@ import pytest
 from qdimul import __version__
 from qdimul.cells import make_and2_strong
 from qdimul.cli import main, parse_delay_model
-from qdimul.netlist import GateKind, deserialize, serialize
+from qdimul.netlist import GateKind, Netlist, deserialize, serialize
 from qdimul.sim import DelayModel
 
 
@@ -111,6 +111,21 @@ def test_sim_missing_netlist_is_an_io_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sim", "--netlist", "/no/such.json", "--a", "1", "--b", "1"])
     assert exc.value.code == 2
+
+
+def test_sim_stalled_stage_is_a_property_failure(tmp_path, capsys):
+    nl = deserialize(gen_netlist(tmp_path).read_text())
+    const_net = nl.const_nets[0][0]
+    stuck = Netlist(nl.protocol, nl.gates, nl.input_ports, nl.output_ports,
+                    ack_out=const_net, ack_in=nl.ack_in, const_nets=nl.const_nets,
+                    phase_net=nl.phase_net, extra_inputs=nl.extra_inputs, meta=nl.meta)
+    path = tmp_path / "stuck.json"
+    path.write_text(serialize(stuck))
+    code, out, err = run_main(["sim", "--netlist", str(path), "--a", "1", "--b", "1"],
+                              capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("qdimul: STUCK_PHASE: ") and err.count("\n") == 1
 
 
 def test_sim_trace_csv_and_vcd(tmp_path, capsys):

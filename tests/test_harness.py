@@ -72,6 +72,17 @@ def test_trace_capture_and_port_scan(mult2):
         assert len(values) == 2
 
 
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+def test_port_scan_takes_any_iterable(protocol):
+    nl = generate(MultiplierSpec(n=2, protocol=protocol))
+    trace = Harness(nl).run_burst([(1, 3), (3, 3), (2, 1)]).trace
+    base = nl.reset_levels()
+    changes = scan_port_changes(nl, base, trace)
+    assert sum(map(len, changes.values())) > 2 * len(nl.ports)
+    assert scan_port_changes(nl, base, (event for event in trace)) == changes
+    assert scan_port_changes(nl, base, iter([])) == {p.name: [] for p in nl.ports}
+
+
 def test_operands_must_fit(mult2):
     h = Harness(mult2)
     with pytest.raises(ValueError):

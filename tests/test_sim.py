@@ -29,7 +29,7 @@ from qdimul.sim import (
     write_trace_csv,
     write_trace_vcd,
 )
-from qdimul.verify import default_pairs
+from qdimul.verify import default_pairs, inject_fork_skew
 
 
 def chain_netlist(length=3, kind=GateKind.OR2):
@@ -137,6 +137,36 @@ def test_set_primary_same_level_is_a_no_op():
     assert st_.quiescent
     assert st_.run_until_quiescent() == 0
     assert st_.trace == []
+
+
+def test_set_primary_refuses_an_event_before_a_pending_one():
+    nl, x, _ = chain_netlist()
+    st_ = reset(nl)
+    st_.set_primary(x, 1, at_time=5)
+    with pytest.raises(ValueError, match="already has an event after"):
+        st_.set_primary(x, 0, at_time=3)
+    st_.run_until_quiescent()
+    assert [e[:3] for e in st_.trace if e[1] == x] == [(5, x, 1)]
+
+
+def test_set_primary_reasserting_the_projected_level_is_a_no_op():
+    nl, x, _ = chain_netlist()
+    st_ = reset(nl)
+    st_.set_primary(x, 1, at_time=2)
+    st_.set_primary(x, 1, at_time=4)  # already heading for 1
+    st_.run_until_quiescent()
+    assert [e[:3] for e in st_.trace if e[1] == x] == [(2, x, 1)]
+
+
+def test_set_primary_pulse_keeps_both_events():
+    nl, x, out = chain_netlist(length=2)
+    st_ = reset(nl)
+    st_.set_primary(x, 1, at_time=3)
+    st_.set_primary(x, 0, at_time=6)
+    st_.run_until_quiescent()
+    assert [e[:3] for e in st_.trace if e[1] == x] == [(3, x, 1), (6, x, 0)]
+    assert [e[:3] for e in st_.trace if e[1] == out] == [(5, out, 1), (8, out, 0)]
+    assert st_.levels == nl.reset_levels()
 
 
 def test_set_primary_rejects_bad_level_and_past_time():
@@ -297,6 +327,51 @@ def test_golden_trace_hash():
     assert h.hexdigest() == GOLDEN_TRACE_SHA256
 
 
+def _fork_skewed(netlist):
+    p0 = next(p for p in netlist.output_ports if p.name == "P0")
+    consumer = netlist.net(p0.rail1).driver_gate
+    fork_net = netlist.gate_by_id[consumer].inputs[0]
+    return inject_fork_skew(netlist, fork_net, consumer, stages=16)
+
+
+def _hash_burst(h, netlist, dm, pairs):
+    harness = Harness(netlist, dm)
+    try:
+        burst = harness.run_burst(pairs, gap=1)
+    except RuntimeError as exc:  # stuck, illegal or non-quiescent
+        h.update(repr((type(exc).__name__, str(exc), harness.state.trace)).encode())
+        return
+    h.update(repr((burst.reports, burst.trace, burst.illegal)).encode())
+
+
+# Pinned on the engine before input-count gate tables and projected levels:
+# n = 8 under every adder, both protocols, unit and random delays, plus
+# bursts through a fork skewed by a chain of tied-input OR2s, stopped at
+# each ack edge.  At n = 2 with delay seed 3 the chain carries pulses
+# shorter than a gate delay, so events are scheduled on nets with one
+# already pending.
+GOLDEN_TRACE_WIDE_SHA256 = "5a6a27fe7c7f19152f4a9713d4ae3e8e072d2eef3ae7602809fa48f7e31ed4e3"
+
+
+def test_golden_trace_hash_wide():
+    h = hashlib.sha256()
+    pairs = default_pairs(8, samples=12, seed=4)
+    models = [DelayModel.unit()] + [DelayModel.random_per_gate(1, 20, seed=s) for s in (3, 13)]
+    for kind in FullAdderKind:
+        for protocol in Protocol:
+            nl = generate(MultiplierSpec(8, kind, protocol))
+            for dm in models[::2]:
+                reports = Harness(nl, dm).run_sequence(pairs, want_traces=True)
+                h.update(repr(reports).encode())
+                _hash_burst(h, nl, dm, pairs[:6])
+    for n in (2, 8):
+        for protocol in Protocol:
+            skewed = _fork_skewed(generate(MultiplierSpec(n, protocol=protocol)))
+            for dm in models:
+                _hash_burst(h, skewed, dm, [(1, 0), (0, 1)] * 2 + pairs[:4] * (n == 8))
+    assert h.hexdigest() == GOLDEN_TRACE_WIDE_SHA256
+
+
 @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
 def test_engine_agrees_with_shared_evaluator(kind):
     # one gate; every prior input vector sets its output, then every vector
@@ -320,6 +395,19 @@ def test_engine_agrees_with_shared_evaluator(kind):
             st_.run_until_quiescent()
             assert st_.levels[out] == eval_kind(kind, vec, prior), (before, vec)
     assert priors == {0, 1}
+    if len(ins) == 1:
+        return
+    # the same net on every pin: each pin counts, so the gate sees all-equal
+    b = NetlistBuilder(Protocol.RTZ)
+    x = b.input_net("x")
+    out = b.gate(kind, [x] * len(ins))
+    nl = b.build()
+    st_ = reset(nl)
+    for level in (1, 0, 1, 1, 0):
+        prior = st_.levels[out]
+        st_.set_primary(x, level)
+        st_.run_until_quiescent()
+        assert st_.levels[out] == eval_kind(kind, [level] * len(ins), prior), level
 
 
 # -- export -----------------------------------------------------------------
