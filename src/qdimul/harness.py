@@ -14,6 +14,15 @@ the release edge.  Cycle time is their sum.  The harness waits for full
 quiescence before switching phases, which is the conservative contract the
 checkers rely on; :meth:`Harness.run_burst` offers an impatient environment
 (next phase right after the acknowledge edge) for race experiments.
+
+Observation costs what the caller needs.  The acknowledge edges come from
+the engine's record of ``ack_out`` transitions (``SimState.ack_edges``),
+not from a search of the trace.  The ILLEGAL check first collects the port
+rails that moved in the trace: a port that starts at SPACER can only decode
+ILLEGAL once both of its rails have moved, so the full port scan
+(:func:`scan_port_changes`) runs only when such a port moved both rails or a
+port that starts elsewhere moved at all.  A healthy handshake cycle moves
+one rail per port and is never scanned.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from operator import itemgetter
 from statistics import fmean
 from typing import IO, Iterable, Sequence
 
-from .netlist import DualRailPort, DualRailValue, Netlist, decode, encode
+from .netlist import DualRailPort, DualRailValue, Netlist, Protocol, decode, encode
 from .sim import DEFAULT_GUARD, DelayModel, SimState, Trace, reset
 
 
@@ -110,13 +119,23 @@ def stage_ports(
         raise NotAStageError(f"malformed stage port metadata: {exc!r}") from None
 
 
+def _codes(protocol: Protocol) -> dict:
+    """``(rail1, rail0)`` levels for bit 0, bit 1 and the spacer (None)."""
+    spacer = protocol.spacer_level
+    return {0: encode(0, protocol), 1: encode(1, protocol), None: (spacer, spacer)}
+
+
+# two names rather than a dict: hashing an Enum member runs Python code
+_RTZ_CODES, _RTO_CODES = _codes(Protocol.RTZ), _codes(Protocol.RTO)
+
+
 def drive(state: SimState, port: DualRailPort, bit: int | None, t: int | None = None) -> None:
     """Put the codeword of ``bit``, or the spacer for None, on ``port``'s rails."""
-    protocol = state.netlist.protocol
-    if bit is None:
-        r1 = r0 = protocol.spacer_level
-    else:
-        r1, r0 = encode(bit, protocol)
+    codes = _RTZ_CODES if state.netlist.protocol is Protocol.RTZ else _RTO_CODES
+    try:
+        r1, r0 = codes[bit]
+    except (KeyError, TypeError):
+        raise ValueError(f"bit must be 0 or 1, got {bit!r}") from None
     state.set_primary(port.rail1, r1, t)
     state.set_primary(port.rail0, r0, t)
 
@@ -187,8 +206,17 @@ class Harness:
         self._phase = netlist.phase_net
         self._active = netlist.protocol.active_level
         self._spacer = netlist.protocol.spacer_level
-        self._reset_levels = netlist.reset_levels()
-        self._decode = _port_watch(netlist)[0]
+        self._reset_levels = lv = netlist.reset_levels()
+        self._decode = table = _port_watch(netlist)[0]
+        # the ILLEGAL screen: every port rail, the (rail1, rail0) pairs of
+        # ports at SPACER in the reset state, and the rails of all others
+        self._rails = frozenset(r for p in netlist.ports for r in (p.rail1, p.rail0))
+        at_spacer = [table[2 * lv[p.rail1] + lv[p.rail0]] is DualRailValue.SPACER
+                     for p in netlist.ports]
+        self._spacer_pairs = [frozenset((p.rail1, p.rail0))
+                              for p, sp in zip(netlist.ports, at_spacer) if sp]
+        self._hot_rails = frozenset(r for p, sp in zip(netlist.ports, at_spacer) if not sp
+                                    for r in (p.rail1, p.rail0))
 
     # -- phase primitives ----------------------------------------------------
 
@@ -205,17 +233,12 @@ class Harness:
             drive(st, p, None, t)
         st.set_primary(self._phase, self._spacer, t)
 
-    def _ack_edge(self, trace: Trace, start: int, level: int, what: str) -> int:
-        nets = list(map(itemgetter(1), islice(trace, start, None)))
-        i = -1
-        try:
-            while True:
-                i = nets.index(self._ack, i + 1)
-                t, _net, lv, _cause = trace[start + i]
-                if lv == level:
-                    return t
-        except ValueError:
-            raise StuckPhaseError(f"completion never {what} (ack_out stayed put)") from None
+    def _ack_edge(self, start: int, level: int, what: str) -> int:
+        """Time of the first ``ack_out`` edge to ``level`` from edge ``start`` on."""
+        for t, lv in islice(self.state.ack_edges, start, None):
+            if lv == level:
+                return t
+        raise StuckPhaseError(f"completion never {what} (ack_out stayed put)")
 
     def _decode_product(self) -> int:
         levels, table = self.state.levels, self._decode
@@ -231,7 +254,15 @@ class Harness:
         return value
 
     def _illegal_points(self, trace: Trace) -> list[tuple[int, str]]:
-        """(time, port) of every ILLEGAL decode in ``trace``, port by port."""
+        """(time, port) of every ILLEGAL decode in ``trace``, port by port.
+
+        Runs the full port scan only when the rails that moved could have
+        formed ILLEGAL (see the module docstring); one moving rail cannot.
+        """
+        moved = self._rails.intersection(map(itemgetter(1), trace))
+        if moved.isdisjoint(self._hot_rails) and not any(
+                map(moved.issuperset, self._spacer_pairs)):
+            return []
         changes = scan_port_changes(self.netlist, self._reset_levels, trace)
         return [(t, name) for name, points in changes.items()
                 for t, val in points if val is DualRailValue.ILLEGAL]
@@ -256,14 +287,14 @@ class Harness:
         t0 = st.clock
         self._apply_operands(a, b, t0)
         st.run_until_quiescent(self.guard)
-        ta = self._ack_edge(st.trace, 0, self._active, "asserted")
+        ta = self._ack_edge(0, self._active, "asserted")
         product = self._decode_product()
 
         t1 = st.clock + 1
-        data_events = len(st.trace)
+        data_edges = len(st.ack_edges)
         self._apply_spacer(t1)
         st.run_until_quiescent(self.guard)
-        tb = self._ack_edge(st.trace, data_events, self._spacer, "released")
+        tb = self._ack_edge(data_edges, self._spacer, "released")
         levels, table = st.levels, self._decode
         for p in self.out_ports:
             if table[2 * levels[p.rail1] + levels[p.rail0]] is not DualRailValue.SPACER:

@@ -797,6 +797,10 @@ def deserialize(text: str) -> Netlist:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
 
     _expect(doc, dict, "$")
     unknown = set(doc) - _TOP_FIELDS

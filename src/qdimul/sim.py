@@ -25,6 +25,9 @@ both ``ack_out`` and ``ack_in``, the simulator mirrors every ``ack_out``
 change onto ``ack_in`` complemented at the same timestamp.  That models the
 zero-delay acknowledge inverter the surrounding stage would provide, and it
 keeps a closed handshake loop runnable without a cooperating testbench.
+The same branch records each such ``ack_out`` transition as ``(time,
+level)`` in :attr:`SimState.ack_edges`, so the harness finds its handshake
+edges without searching the trace; :meth:`SimState.take_trace` clears both.
 
 Netlists are immutable after construction, so everything the engine derives
 from one is compiled once per netlist object: the first :func:`reset` of a
@@ -188,7 +191,10 @@ class _Plan:
         """Per-gate delays under ``model``, computed once per model."""
         vector = self._delays.get(model)
         if vector is None:
-            vector = [model.delay_of(g.id, g.kind) for g in self._gates]
+            if model.mode is DelayMode.UNIT:
+                vector = [1] * len(self._gates)
+            else:
+                vector = [model.delay_of(g.id, g.kind) for g in self._gates]
             self._delays[model] = vector
         return vector
 
@@ -214,8 +220,12 @@ class SimState:
 
         self.levels = list(plan.reset_levels)
         self._projected = list(plan.reset_levels)
-        self._pending_time = [0] * len(self.levels)
+        # time of the last environment event per primary input; absent means
+        # none after t=0 (gate outputs are never primary inputs)
+        self._pending_time: dict[int, int] = {}
         self._ones = list(plan.reset_ones)
+        #: ``(time, level)`` of every ``ack_out`` transition in :attr:`trace`.
+        self.ack_edges: list[tuple[int, int]] = []
 
     # -- stimulus ----------------------------------------------------------
 
@@ -237,7 +247,7 @@ class SimState:
         if t < self.clock:
             raise ValueError(f"cannot schedule at {t}, clock is already {self.clock}")
         # with nothing pending, the net's last event lies at or before the clock
-        if t < self._pending_time[net]:
+        if t < self._pending_time.get(net, 0):
             raise ValueError(f"net {net} already has an event after t={t}")
         if level == self._projected[net]:
             return
@@ -271,6 +281,7 @@ class SimState:
         gouts = plan.output
         gdelay = self._gate_delay
         trace = self.trace
+        ack_edges = self.ack_edges
         ack_out, ack_in = plan.ack_out, plan.ack_in
         push, pop = heappush, heappop
         seq = self._seq
@@ -306,6 +317,7 @@ class SimState:
                             ones[gid] -= 1
                     touched += gates
                     if net == ack_out:
+                        ack_edges.append((t, level))
                         # environment acknowledge inverter, zero delay
                         v = 1 - level
                         if projected[ack_in] != v:
@@ -322,8 +334,6 @@ class SimState:
                     if v == HOLD:
                         v = levels[out]
                     if v != projected[out]:
-                        # gate outputs are never primary inputs, so their
-                        # _pending_time is never read
                         seq += 1
                         push(heap, (t + gdelay[gid], out, seq, v, gid))
                         projected[out] = v
@@ -348,8 +358,9 @@ class SimState:
         raise KeyError(f"no port named {port!r}")
 
     def take_trace(self) -> Trace:
-        """Hand over and clear the accumulated trace (bulk runs stay lean)."""
+        """Hand over and clear the accumulated trace and its ack edges."""
         out, self.trace = self.trace, []
+        self.ack_edges = []
         return out
 
 

@@ -18,7 +18,9 @@ import dataclasses
 import itertools
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .harness import (
@@ -362,19 +364,49 @@ def check_stage_indication(
 # -- monotonicity / hazards ------------------------------------------------
 
 
-def _merge_watchers(netlist: Netlist) -> tuple[dict, dict]:
-    """Map net -> AND/OR consumer gates, the merge gates hazard checks watch."""
-    or_watch: dict[int, list[int]] = {}
-    and_watch: dict[int, list[int]] = {}
+_TIME, _NET, _NET_LEVEL = itemgetter(0), itemgetter(1), itemgetter(1, 2)
+
+
+def _merge_watchers(netlist: Netlist) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Map (net, level) -> merge gates for which that transition is a firing input.
+
+    OR gates fire on a rising input, AND gates on a falling one; a gate is
+    listed once per input pin it has on the net.
+    """
+    watch: dict[tuple[int, int], list[int]] = {}
     for g in netlist.gates:
         fam = g.kind.name
         if fam.startswith("OR"):
-            for n in g.inputs:
-                or_watch.setdefault(n, []).append(g.id)
+            level = 1
         elif fam.startswith("AND"):
-            for n in g.inputs:
-                and_watch.setdefault(n, []).append(g.id)
-    return or_watch, and_watch
+            level = 0
+        else:
+            continue
+        for n in g.inputs:
+            watch.setdefault((n, level), []).append(g.id)
+    return {key: tuple(gids) for key, gids in watch.items()}
+
+
+def _acts_once(trace: Sequence[tuple], spacer_start: int, merge: dict) -> bool:
+    """True when ``trace`` keeps both rules of :func:`check_monotonicity`.
+
+    Set and length passes over each phase window: no net changes twice and no
+    merge gate is fired twice.  False also for a trace whose events are not
+    split in time order at ``spacer_start``, which is left to the event loop.
+    """
+    k = bisect_left(trace, spacer_start, key=_TIME)
+    data, spacer = trace[:k], trace[k:]
+    if (data and max(map(_TIME, data)) >= spacer_start) or (
+            spacer and min(map(_TIME, spacer)) < spacer_start):
+        return False
+    for window in (data, spacer):
+        if len(set(map(_NET, window))) != len(window):
+            return False
+        fired = list(itertools.chain.from_iterable(
+            map(merge.get, map(_NET_LEVEL, window), itertools.repeat(()))))
+        if len(set(fired)) != len(fired):
+            return False
+    return True
 
 
 def check_monotonicity(netlist: Netlist, reports: Sequence[CycleReport]) -> CheckOutcome:
@@ -386,13 +418,20 @@ def check_monotonicity(netlist: Netlist, reports: Sequence[CycleReport]) -> Chec
     transition the output cannot acknowledge, the classic hazard of
     non-disjoint merges.  C-elements are exempt, they absorb and sequence
     multiple arrivals by design.
+
+    Each cycle is first screened with set passes over its trace; only a cycle
+    that fails the screen is walked event by event, to report its first
+    violation.
     """
     name = "monotonicity"
-    or_watch, and_watch = netlist._derived("verify.merge_watchers", _merge_watchers)
+    merge = netlist._derived("verify.merge_watchers", _merge_watchers)
     scenarios = 0
     for idx, r in enumerate(reports):
         if r.trace is None:
             raise ValueError("check_monotonicity needs cycle reports with traces")
+        if _acts_once(r.trace, r.spacer_start, merge):
+            scenarios += 1
+            continue
         net_seen: dict[tuple[int, int], int] = {}
         merge_seen: dict[tuple[int, int], int] = {}
         for t, net, level, _cause in r.trace:
@@ -404,8 +443,7 @@ def check_monotonicity(netlist: Netlist, reports: Sequence[CycleReport]) -> Chec
                 return _fail(name, netlist, stim, None,
                              f"net {net} changed twice in one phase (t={t})",
                              "one transition per net per phase", scenarios, r.trace)
-            watchers = or_watch if level == 1 else and_watch
-            for gid in watchers.get(net, ()):
+            for gid in merge.get((net, level), ()):
                 gkey = (gid, w)
                 merge_seen[gkey] = merge_seen.get(gkey, 0) + 1
                 if merge_seen[gkey] > 1:

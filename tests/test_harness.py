@@ -12,6 +12,7 @@ from qdimul.harness import (
     NotAStageError,
     StuckPhaseError,
     cycle_reports_json,
+    drive,
     measure_latencies,
     scan_port_changes,
     write_cycle_reports_csv,
@@ -24,8 +25,10 @@ from qdimul.netlist import (
     InvalidNetlistError,
     Netlist,
     Protocol,
+    encode,
 )
 from qdimul.sim import DelayModel, reset
+from qdimul.verify import inject_fork_skew
 
 
 @pytest.fixture(scope="module")
@@ -126,17 +129,24 @@ def test_undriven_ack_out_is_rejected(mult2):
         Harness(bad)
 
 
-def test_illegal_output_detected(mult2):
+def _with_output_ports(stage, ports):
+    return Netlist(stage.protocol, stage.gates, stage.input_ports, ports,
+                   ack_out=stage.ack_out, ack_in=stage.ack_in,
+                   const_nets=stage.const_nets, phase_net=stage.phase_net,
+                   extra_inputs=stage.extra_inputs, meta=stage.meta)
+
+
+def _crossed_rails(stage):
     # P0 reads P1's true rail as its false rail; with both bits at 1 the
     # pair shows both rails active at data time, which decodes ILLEGAL
-    p0, p1 = mult2.output_ports[:2]
-    broken_ports = (DualRailPort(p0.name, p0.rail1, p1.rail1, "out"),) + mult2.output_ports[1:]
-    broken = Netlist(mult2.protocol, mult2.gates, mult2.input_ports, broken_ports,
-                     ack_out=mult2.ack_out, ack_in=mult2.ack_in,
-                     const_nets=mult2.const_nets, phase_net=mult2.phase_net,
-                     extra_inputs=mult2.extra_inputs, meta=mult2.meta)
+    p0, p1 = stage.output_ports[:2]
+    return _with_output_ports(
+        stage, (DualRailPort(p0.name, p0.rail1, p1.rail1, "out"),) + stage.output_ports[1:])
+
+
+def test_illegal_output_detected(mult2):
     with pytest.raises(IllegalOutputError):
-        Harness(broken).run_cycle(1, 3)
+        Harness(_crossed_rails(mult2)).run_cycle(1, 3)
 
 
 def test_rto_harness_runs_identically(mult2):
@@ -163,6 +173,115 @@ def test_run_burst_matches_oracle_and_reports_windows(mult2):
     assert result.illegal == []
     assert len(result.windows) == len(pairs)
     assert result.trace
+
+
+def test_drive_puts_codewords_and_rejects_bad_bits(mult2):
+    for protocol in Protocol:
+        stage = generate(MultiplierSpec(n=2, protocol=protocol))
+        port = stage.input_ports[0]
+        for bit in (0, 1, None):
+            st = reset(stage)
+            drive(st, port, bit, 3)
+            st.run_until_quiescent()
+            want = (encode(bit, protocol) if bit is not None
+                    else (protocol.spacer_level,) * 2)
+            assert (st.levels[port.rail1], st.levels[port.rail0]) == want
+    for bad in (2, -1, "1", [1]):
+        with pytest.raises(ValueError, match="bit must be 0 or 1"):
+            drive(reset(mult2), mult2.input_ports[0], bad)
+
+
+# -- observation shortcuts against the paths they replace ---------------------
+
+
+def _full_scan_illegal(netlist, trace):
+    changes = scan_port_changes(netlist, netlist.reset_levels(), trace)
+    return [(t, name) for name, points in changes.items()
+            for t, val in points if val is DualRailValue.ILLEGAL]
+
+
+def _observed(harness, run):
+    """Each (ack edges, trace) the state holds when its trace is taken.
+
+    The state left over at the end (after a raise mid-cycle or mid-burst)
+    is the last entry.
+    """
+    st = harness.state
+    seen = []
+    take = st.take_trace
+
+    def spy():
+        seen.append((list(st.ack_edges), list(st.trace)))
+        return take()
+
+    st.take_trace = spy
+    run(harness)
+    seen.append((list(st.ack_edges), list(st.trace)))
+    return seen
+
+
+def _cycles(harness, operands=range(4)):
+    for a in operands:
+        for b in operands:
+            try:
+                harness.run_cycle(a, b, want_trace=True)
+            except IllegalOutputError:
+                pass  # raised after the trace was taken, at the reset state
+
+
+def _odd_cycles(harness):
+    # with crossed rails an even product leaves P0 at spacer, a stuck cycle
+    _cycles(harness, (1, 3))
+
+
+def _bursts(harness):
+    try:
+        harness.run_burst([(1, 0), (0, 1), (1, 0), (0, 1), (3, 3), (2, 1)])
+    except (IllegalOutputError, StuckPhaseError):
+        pass
+
+
+def _skewed(stage):
+    p0 = next(p for p in stage.output_ports if p.name == "P0")
+    consumer = stage.net(p0.rail1).driver_gate
+    return inject_fork_skew(stage, stage.gate_by_id[consumer].inputs[0], consumer, stages=16)
+
+
+def _active_at_reset(stage):
+    # an extra port starts at a codeword: its true rail is ack_in, active
+    # at reset in both protocols, and its false rail is P0's
+    p0 = next(p for p in stage.output_ports if p.name == "P0")
+    extra = DualRailPort("X", stage.ack_in, p0.rail0, "out")
+    return _with_output_ports(stage, stage.output_ports + (extra,))
+
+
+UNIT, RANDOM = DelayModel.unit(), DelayModel.random_per_gate(1, 20, seed=3)
+SCENARIOS = {
+    "healthy": (lambda s: s, (UNIT, RANDOM), (_cycles, _bursts), False),
+    "crossed_rails": (_crossed_rails, (UNIT, RANDOM), (_odd_cycles,), True),
+    "fork_skew": (_skewed, (UNIT, RANDOM, DelayModel.random_per_gate(1, 20, seed=13)),
+                  (_bursts,), True),
+    "active_at_reset": (_active_at_reset, (UNIT, RANDOM), (_cycles, _bursts), True),
+}
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_ack_edges_and_illegal_screen_match_the_trace(scenario, protocol):
+    build, models, runs, expect_illegal = SCENARIOS[scenario]
+    stage = build(generate(MultiplierSpec(n=2, protocol=protocol)))
+    traces = illegal = 0
+    for dm in models:
+        for run in runs:
+            harness = Harness(stage, dm)
+            for edges, trace in _observed(harness, run):
+                assert edges == [(t, lv) for t, net, lv, _ in trace if net == stage.ack_out]
+                want = _full_scan_illegal(stage, trace)
+                assert harness._illegal_points(trace) == want
+                traces += bool(trace)
+                illegal += bool(want)
+    assert traces
+    assert bool(illegal) == expect_illegal
 
 
 def test_measure_latencies_summary(mult2):

@@ -4,8 +4,9 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from qdimul.multiplier import MultiplierSpec, generate
 from qdimul.netlist import (
     ARITY,
     DUAL_KIND,
@@ -374,6 +375,115 @@ def test_deserialize_rejects_malformed_const_nets():
 def test_deserialize_rejects_malformed_json():
     with pytest.raises(ParseError):
         deserialize("{not json")
+
+
+def test_deserialize_rejects_an_integer_past_the_digit_limit():
+    doc = serialize(small_and_netlist()).replace('"ack_out": null', '"ack_out": ' + "9" * 5000)
+    with pytest.raises(ParseError, match="invalid JSON"):
+        deserialize(doc)
+
+
+def test_deserialize_rejects_deep_nesting():
+    for opener in ("[", '{"a": '):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            deserialize(opener * 100_000)
+
+
+# -- mutated stage documents ---------------------------------------------------
+
+STAGE_TEXT = serialize(generate(MultiplierSpec(n=2)))
+STAGE_DOC = json.loads(STAGE_TEXT)
+
+
+def _paths(node, prefix=()):
+    """Every key path below ``node`` in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+STAGE_PATHS = list(_paths(STAGE_DOC))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A 2x2 stage document with one value replaced, deleted or added."""
+    doc = json.loads(STAGE_TEXT)
+    path = draw(st.sampled_from(STAGE_PATHS))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    action = draw(st.sampled_from(["replace", "delete", "add", "nudge"]))
+    if action == "delete":
+        del parent[key]
+    elif action == "add":
+        if isinstance(parent, list):
+            parent.insert(key, draw(JSON_VALUES))
+        else:
+            parent[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+    elif action == "nudge" and isinstance(parent[key], int) and not isinstance(parent[key], bool):
+        parent[key] += draw(st.sampled_from([-200, -1, 1, 200]))
+    else:
+        parent[key] = draw(JSON_VALUES)
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+@st.composite
+def mutated_texts(draw):
+    """The 2x2 stage text with one span replaced by JSON-ish characters."""
+    start = draw(st.integers(0, len(STAGE_TEXT)))
+    end = draw(st.integers(start, min(len(STAGE_TEXT), start + 8)))
+    alphabet = '{}[]",:-.eE0123456789 \ntruefalsnu'
+    if draw(st.booleans()):
+        patch = draw(st.text(alphabet=alphabet, max_size=8))
+    else:  # one character repeated, up to past the int digit and nesting limits
+        patch = draw(st.sampled_from(alphabet)) * draw(st.integers(1, 6000))
+    return STAGE_TEXT[:start] + patch + STAGE_TEXT[end:]
+
+
+def _load_outcome(text):
+    """A mutated document must give a netlist, a ParseError or an InvalidNetlistError."""
+    try:
+        nl = deserialize(text)
+    except ParseError:
+        return "parse"
+    assert isinstance(nl, Netlist)
+    try:
+        nl.require_valid()
+    except InvalidNetlistError:
+        return "invalid"
+    assert deserialize(serialize(nl)) == nl
+    return "valid"
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def test_the_unmutated_stage_loads():
+    assert _load_outcome(STAGE_TEXT) == "valid"
+
+
+@PROPERTY
+@given(mutated_documents())
+def test_mutated_stage_document_loads_or_raises_a_typed_error(text):
+    _load_outcome(text)
+
+
+@PROPERTY
+@given(mutated_texts())
+def test_mutated_stage_text_loads_or_raises_a_typed_error(text):
+    _load_outcome(text)
 
 
 # -- reset levels ------------------------------------------------------------

@@ -14,10 +14,13 @@ from qdimul.cells import (
     make_register_bank,
 )
 from qdimul.cli import main
-from qdimul.harness import Harness
+from qdimul.harness import CycleReport, Harness
 from qdimul.multiplier import MultiplierSpec, generate
-from qdimul.netlist import Netlist, Protocol, serialize
+from qdimul.netlist import GateKind, Netlist, NetlistBuilder, Protocol, serialize
+from qdimul.sim import ENV, DelayModel
 from qdimul.verify import (
+    CheckOutcome,
+    _fail,
     check_delay_insensitivity,
     check_duality,
     check_functional,
@@ -120,6 +123,108 @@ def test_monotonicity_flags_majority_control_carry():
     assert not out
     assert out.counterexample is not None
     assert "gate" in out.counterexample.observed
+
+
+def _reference_monotonicity(netlist, reports):
+    """The event-by-event loop ``check_monotonicity`` runs on every report
+    before the set-pass screen; the screened check must agree with it."""
+    or_watch, and_watch = {}, {}
+    for g in netlist.gates:
+        if g.kind.name.startswith("OR"):
+            for n in g.inputs:
+                or_watch.setdefault(n, []).append(g.id)
+        elif g.kind.name.startswith("AND"):
+            for n in g.inputs:
+                and_watch.setdefault(n, []).append(g.id)
+    scenarios = 0
+    for idx, r in enumerate(reports):
+        net_seen, merge_seen = {}, {}
+        for t, net, level, _cause in r.trace:
+            w = 0 if t < r.spacer_start else 1
+            net_seen[net, w] = net_seen.get((net, w), 0) + 1
+            stim = {"a": r.a, "b": r.b, "cycle": idx, "phase": w}
+            if net_seen[net, w] > 1:
+                return _fail("monotonicity", netlist, stim, None,
+                             f"net {net} changed twice in one phase (t={t})",
+                             "one transition per net per phase", scenarios, r.trace)
+            for gid in (or_watch if level == 1 else and_watch).get(net, ()):
+                merge_seen[gid, w] = merge_seen.get((gid, w), 0) + 1
+                if merge_seen[gid, w] > 1:
+                    return _fail(
+                        "monotonicity", netlist, stim, None,
+                        f"merge gate {gid} got a second firing input (net {net}, t={t})",
+                        "disjoint merges: one firing input per phase", scenarios, r.trace)
+        scenarios += 1
+    return CheckOutcome("monotonicity", True,
+                        f"all transitions acknowledged across {scenarios} cycles", scenarios)
+
+
+def _assert_same_monotonicity(netlist, reports):
+    want = _reference_monotonicity(netlist, reports)
+    assert repr(check_monotonicity(netlist, reports)) == repr(want)
+    return want
+
+
+@pytest.mark.parametrize("kind", list(FullAdderKind), ids=lambda k: k.name)
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+def test_monotonicity_screen_agrees_with_event_loop(kind, protocol):
+    verdicts = []
+    for n in (2, 4):
+        nl = generate(MultiplierSpec(n, kind, protocol))
+        for dm in (DelayModel.unit(), DelayModel.random_per_gate(1, 20, seed=7)):
+            reports = Harness(nl, dm).run_sequence(default_pairs(n)[::3], want_traces=True)
+            verdicts.append(_assert_same_monotonicity(nl, reports).passed)
+            for r in reports[:12]:
+                verdicts.append(_assert_same_monotonicity(nl, [r]).passed)
+    # the majority-carry control is the one design with merge hazards
+    assert all(verdicts) == (kind is not FullAdderKind.MAJORITY_CONTROL)
+
+
+def _report(trace, spacer_start):
+    return CycleReport(a=0, b=0, product=0, forward=0, reverse=0, cycle=0,
+                       transitions=len(trace), data_start=0, spacer_start=spacer_start,
+                       end=trace[-1][0] if trace else 0, trace=trace)
+
+
+def _two_input_netlist(kind, tied):
+    b = NetlistBuilder(Protocol.RTZ)
+    x, y = b.input_net("x"), b.input_net("y")
+    z = b.gate(kind, (x, x) if tied else (x, y))
+    return b.build(), x, y, z
+
+
+HAND_BUILT = {
+    "rise": ([(1, "x", 1), (2, "z", 1)], 5),
+    "rise_fall": ([(1, "x", 1), (2, "z", 1), (6, "x", 0), (7, "z", 0)], 5),
+    "net_twice": ([(1, "x", 1), (3, "x", 0)], 10),
+    "net_once_per_phase": ([(1, "x", 1), (12, "x", 0)], 10),
+    "out_of_time_order": ([(12, "x", 0), (1, "x", 1)], 10),
+    "out_of_time_order_twice": ([(3, "x", 0), (1, "x", 1)], 10),
+    "empty": ([], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(HAND_BUILT))
+@pytest.mark.parametrize("kind", [GateKind.OR2, GateKind.AND2, GateKind.C2],
+                         ids=lambda k: k.value)
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "split"])
+def test_monotonicity_screen_agrees_on_hand_built_traces(case, kind, tied):
+    nl, x, y, z = _two_input_netlist(kind, tied)
+    nets = {"x": x, "y": y, "z": z}
+    events, spacer_start = HAND_BUILT[case]
+    report = _report([(t, nets[net], level, ENV) for t, net, level in events], spacer_start)
+    healthy = _report([(1, y, 1, ENV), (12, y, 0, ENV)], 10)
+    _assert_same_monotonicity(nl, [report])
+    _assert_same_monotonicity(nl, [healthy, report])
+
+
+@pytest.mark.parametrize("kind, case", [(GateKind.OR2, "rise"), (GateKind.AND2, "rise_fall")])
+def test_tied_merge_gate_counts_one_transition_twice(kind, case):
+    nl, x, _y, z = _two_input_netlist(kind, tied=True)
+    events, spacer_start = HAND_BUILT[case]
+    trace = [(t, x if net == "x" else z, level, ENV) for t, net, level in events]
+    out = check_monotonicity(nl, [_report(trace, spacer_start)])
+    assert not out and "merge gate 0 got a second firing input" in out.detail
 
 
 def test_delay_insensitivity_sweep(mult2):
