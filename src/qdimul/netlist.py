@@ -16,6 +16,12 @@ Gates are either plain Boolean primitives (AND/OR/NOT) or Muller C-elements,
 which drive their output to the common input level when all inputs agree and
 hold it otherwise.  C-element feedback is the only state in the model, so a
 netlist plus per-gate reset levels fully determines behaviour.
+
+A :class:`Netlist` is immutable.  Building one computes only its primary
+inputs and ``net_count``; who drives each net and who listens
+(:meth:`Netlist.net`, ``Netlist.gate_by_id``), the validation verdict and the
+simulator's plan are computed on first use and kept on the object.
+:func:`serialize` and :func:`deserialize` write and read the one JSON form.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 _T = TypeVar("_T")
@@ -84,6 +92,10 @@ def decode(rail1: int, rail0: int, protocol: Protocol) -> DualRailValue:
 
 
 class GateKind(Enum):
+    # Members are singletons compared by identity, so hash them by identity
+    # too: C speed, where Enum's own __hash__ runs Python code per lookup.
+    __hash__ = object.__hash__
+
     AND2 = "and2"
     AND3 = "and3"
     AND4 = "and4"
@@ -204,7 +216,9 @@ class DiagnosticCode(Enum):
     DUPLICATE_GATE_ID = "DUPLICATE_GATE_ID"
     GATE_ID_OUT_OF_RANGE = "GATE_ID_OUT_OF_RANGE"
     NEGATIVE_NET_ID = "NEGATIVE_NET_ID"
+    NET_ID_TOO_LARGE = "NET_ID_TOO_LARGE"
     ALIASED_RAILS = "ALIASED_RAILS"
+    ALIASED_ACK = "ALIASED_ACK"
 
 
 @dataclass(frozen=True)
@@ -242,10 +256,11 @@ class Netlist:
     """Immutable gate-level circuit.
 
     Instances are built through :class:`NetlistBuilder`, :func:`deserialize`
-    or :func:`dualize`; all indexes (drivers, fanout) are derived once here
-    and never change afterwards.  Nothing may be changed after construction:
-    the validation verdict and the simulator's plan are computed once per
-    netlist object and kept on it (see :meth:`_derived`).
+    or :func:`dualize`.  Construction computes only ``primary_inputs`` and
+    ``net_count``; the per-net views (:meth:`net`, ``gate_by_id``), the
+    validation verdict and the simulator's plan are built on first use and
+    kept on the object (see :meth:`_derived`), so nothing may be changed
+    after construction.
     """
 
     def __init__(
@@ -272,48 +287,37 @@ class Netlist:
         self.extra_inputs = tuple(extra_inputs)
         self.meta = dict(meta or {})
         self._memo: dict[str, object] = {}
-        self._index()
-
-    # -- derived indexes ---------------------------------------------------
-
-    def _index(self) -> None:
         inputs = {p.rail1 for p in self.input_ports}
         inputs |= {p.rail0 for p in self.input_ports}
-        inputs |= set(self.extra_inputs)
-        if self.ack_in is not None:
-            inputs.add(self.ack_in)
-        if self.phase_net is not None:
-            inputs.add(self.phase_net)
+        inputs.update(self.extra_inputs)
+        inputs.update(n for n in (ack_in, phase_net) if n is not None)
         self.primary_inputs = frozenset(inputs)
-
-        top = -1
-        fanout: dict[int, list[tuple[int, int]]] = {}
-        sources: dict[int, list[tuple]] = {}
-        for n in inputs:
-            sources.setdefault(n, []).append(("input",))
-            top = max(top, n)
-        for n, lvl in self.const_nets:
-            sources.setdefault(n, []).append(("const", lvl))
-            top = max(top, n)
-        for g in self.gates:
-            sources.setdefault(g.output, []).append(("gate", g.id))
-            top = max(top, g.output)
-            for slot, n in enumerate(g.inputs):
-                fanout.setdefault(n, []).append((g.id, slot))
-                top = max(top, n)
-        for p in self.ports:
-            top = max(top, p.rail1, p.rail0)
-        self.net_count = top + 1
-        self._sources = sources
-        self._fanout = fanout
-        self.gate_by_id = {g.id: g for g in self.gates}
+        gates = self.gates
+        self.net_count = 1 + max(
+            chain(
+                inputs,
+                map(itemgetter(0), self.const_nets),
+                map(attrgetter("output"), gates),
+                chain.from_iterable(map(attrgetter("inputs"), gates)),
+                map(attrgetter("rail1"), self.output_ports),
+                map(attrgetter("rail0"), self.output_ports),
+            ),
+            default=-1,
+        )
 
     @property
     def ports(self) -> tuple[DualRailPort, ...]:
         return self.input_ports + self.output_ports
 
+    # -- derived views, built on first use -----------------------------------
+
+    @property
+    def gate_by_id(self) -> dict[int, Gate]:
+        return self._derived("gate_by_id", lambda nl: {g.id: g for g in nl.gates})
+
     def net(self, net_id: int) -> Net:
-        src = self._sources.get(net_id, [])
+        sources, fanout = self._derived("net_index", _net_index)
+        src = sources.get(net_id, [])
         kind, driver, level = "none", None, None
         if len(src) == 1:
             entry = src[0]
@@ -322,8 +326,7 @@ class Netlist:
                 driver = entry[1]
             elif kind == "const":
                 level = entry[1]
-        fan = tuple(self._fanout.get(net_id, ()))
-        return Net(net_id, kind, driver, level, fan)
+        return Net(net_id, kind, driver, level, tuple(fanout.get(net_id, ())))
 
     def gate_census(self) -> dict[GateKind, int]:
         census: dict[GateKind, int] = {}
@@ -393,19 +396,42 @@ class Netlist:
         )
 
 
+def _net_index(netlist: Netlist) -> tuple[dict[int, list[tuple]], dict[int, list[tuple]]]:
+    """Per-net sources (input, const or gate entries) and fanout (gate id, slot)."""
+    sources: dict[int, list[tuple]] = {}
+    fanout: dict[int, list[tuple[int, int]]] = {}
+    for n in netlist.primary_inputs:
+        sources.setdefault(n, []).append(("input",))
+    for n, lvl in netlist.const_nets:
+        sources.setdefault(n, []).append(("const", lvl))
+    for g in netlist.gates:
+        sources.setdefault(g.output, []).append(("gate", g.id))
+        for slot, n in enumerate(g.inputs):
+            fanout.setdefault(n, []).append((g.id, slot))
+    return sources, fanout
+
+
 # ---------------------------------------------------------------------------
 # validation
+
+
+#: Net ids may leave gaps, but the simulator allocates tables over
+#: ``net_count``, so ids must stay below this many per driven net (+1).
+NET_IDS_PER_DRIVEN_NET = 16
 
 
 def validate(netlist: Netlist) -> list[Diagnostic]:
     """Structural checks; an empty result means the simulator accepts it.
 
     Checks that gate ids are exactly ``0..len(gates)-1`` and net ids are
-    non-negative (the simulator indexes its tables by them), single
+    non-negative and below :data:`NET_IDS_PER_DRIVEN_NET` times the count of
+    driven nets (the simulator indexes its tables by them), single
     drivership, gate arity, port connectivity with two distinct rails per
-    port, a driven ``ack_out``, and the absence of combinational cycles.  A
-    cycle is legal only if it passes through a C-element, which is the one
-    place feedback is allowed to hold state.
+    port, a driven ``ack_out`` on a net other than ``ack_in`` (the
+    acknowledge would otherwise feed itself back at the same instant), and
+    the absence of combinational cycles.  A cycle is legal only if it passes
+    through a C-element, which is the one place feedback is allowed to hold
+    state.
     """
     diags = _check_ids(netlist)
 
@@ -473,6 +499,14 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
                 (netlist.ack_out,),
             )
         )
+    if netlist.ack_out is not None and netlist.ack_out == netlist.ack_in:
+        diags.append(
+            Diagnostic(
+                DiagnosticCode.ALIASED_ACK,
+                f"ack_out and ack_in share net {netlist.ack_out}",
+                (netlist.ack_out,),
+            )
+        )
 
     diags.extend(_find_combinational_loop(netlist))
     return diags
@@ -510,6 +544,17 @@ def _check_ids(netlist: Netlist) -> list[Diagnostic]:
     for n in sorted({n for n in nets if n < 0}):
         diags.append(
             Diagnostic(DiagnosticCode.NEGATIVE_NET_ID, f"net id {n} is negative", (n,))
+        )
+    driven = len(netlist.primary_inputs) + len(netlist.const_nets) + n_gates
+    bound = NET_IDS_PER_DRIVEN_NET * (driven + 1)
+    if netlist.net_count > bound:
+        top = netlist.net_count - 1
+        diags.append(
+            Diagnostic(
+                DiagnosticCode.NET_ID_TOO_LARGE,
+                f"net id {top} is past {bound - 1}, the bound for {driven} driven nets",
+                (top,),
+            )
         )
     return diags
 
@@ -582,7 +627,7 @@ def dualize(netlist: Netlist) -> Netlist:
     meta = dict(netlist.meta)
     if "protocol" in meta:
         meta["protocol"] = netlist.protocol.flipped.value
-    return Netlist(
+    twin = Netlist(
         protocol=netlist.protocol.flipped,
         gates=gates,
         input_ports=netlist.input_ports,
@@ -594,6 +639,10 @@ def dualize(netlist: Netlist) -> Netlist:
         extra_inputs=netlist.extra_inputs,
         meta=meta,
     )
+    # Ids, wiring, arity and the set of stateful gates are unchanged, and
+    # validation reads nothing else, so the twin inherits the verdict.
+    twin._memo["validate"] = netlist._derived("validate", validate)
+    return twin
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +708,6 @@ class NetlistBuilder:
         if len(ins) != ARITY[kind]:
             raise ValueError(f"{kind.value} expects {ARITY[kind]} inputs, got {len(ins)}")
         out = self._new_net(name)
-        in_resets = [self._reset[n] for n in ins]
         if kind in STATEFUL:
             if reset is None:
                 reset = self.protocol.spacer_level
@@ -667,13 +715,14 @@ class NetlistBuilder:
             if settled != reset:
                 raise ValueError(
                     f"gate {len(self._gates)} ({kind.value}) cannot rest at {reset} "
-                    f"with input resets {in_resets}"
+                    f"with input resets {[self._reset[n] for n in ins]}"
                 )
         else:
             computed = eval_family(FAMILY[kind], ins, self._reset, 0)
             if reset is not None and reset != computed:
                 raise ValueError(
-                    f"{kind.value} reset {reset} contradicts input resets {in_resets}"
+                    f"{kind.value} reset {reset} contradicts input resets "
+                    f"{[self._reset[n] for n in ins]}"
                 )
             reset = computed
         self._reset[out] = reset
@@ -728,9 +777,9 @@ class NetlistBuilder:
 # ---------------------------------------------------------------------------
 # JSON serialization
 
-_TOP_FIELDS = {"protocol", "gates", "ports", "ack_out", "ack_in", "meta"}
-_GATE_FIELDS = {"id", "kind", "inputs", "output", "reset"}
-_PORT_FIELDS = {"name", "dir", "rail1", "rail0"}
+_TOP_FIELDS = frozenset({"protocol", "gates", "ports", "ack_out", "ack_in", "meta"})
+_GATE_FIELDS = frozenset({"id", "kind", "inputs", "output", "reset"})
+_PORT_FIELDS = frozenset({"name", "dir", "rail1", "rail0"})
 
 #: Keys inside ``meta`` that carry structural information the flat gate list
 #: cannot express: constant rails, the constant-source phase line and any
@@ -739,9 +788,30 @@ _META_CONST = "const_nets"
 _META_PHASE = "phase_net"
 _META_EXTRA = "extra_inputs"
 
+_KIND_BY_VALUE: dict[str, GateKind] = {k.value: k for k in GateKind}
+_KIND_TEXT: dict[str, str] = {k.value: json.dumps(k.value) for k in GateKind}
+_INT = frozenset({int})
+
+
+def _gate_text(g: Gate) -> str:
+    """One gate as ``json.dumps(..., indent=1)`` renders it inside the gate list."""
+    kind = _KIND_TEXT.get(g.kind.value)
+    if kind is not None and _INT.issuperset(map(type, (g.id, g.output, g.reset, *g.inputs))):
+        ins = "[\n    " + ",\n    ".join(map(str, g.inputs)) + "\n   ]" if g.inputs else "[]"
+        return (f'  {{\n   "id": {g.id},\n   "inputs": {ins},\n   "kind": {kind},\n'
+                f'   "output": {g.output},\n   "reset": {g.reset}\n  }}')
+    raw = {"id": g.id, "kind": g.kind.value, "inputs": list(g.inputs),
+           "output": g.output, "reset": g.reset}
+    return "  " + json.dumps(raw, indent=1, sort_keys=True).replace("\n", "\n  ")
+
 
 def serialize(netlist: Netlist) -> str:
-    """Render a netlist as deterministic JSON (stable key order and layout)."""
+    """Render a netlist as deterministic JSON (stable key order and layout).
+
+    The text is ``json.dumps(doc, indent=1, sort_keys=True)`` plus a newline.
+    Gates are rendered from a template (:func:`_gate_text`) and spliced in
+    at the top-level ``"gates"`` key; the rest goes through ``json``.
+    """
     meta = dict(netlist.meta)
     if netlist.const_nets:
         meta[_META_CONST] = [[n, v] for n, v in netlist.const_nets]
@@ -751,16 +821,7 @@ def serialize(netlist: Netlist) -> str:
         meta[_META_EXTRA] = list(netlist.extra_inputs)
     doc = {
         "protocol": netlist.protocol.value,
-        "gates": [
-            {
-                "id": g.id,
-                "kind": g.kind.value,
-                "inputs": list(g.inputs),
-                "output": g.output,
-                "reset": g.reset,
-            }
-            for g in netlist.gates
-        ],
+        "gates": [],
         "ports": [
             {"name": p.name, "dir": p.direction, "rail1": p.rail1, "rail0": p.rail0}
             for p in netlist.ports
@@ -769,7 +830,13 @@ def serialize(netlist: Netlist) -> str:
         "ack_in": netlist.ack_in,
         "meta": meta,
     }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=1, sort_keys=True)
+    if netlist.gates:
+        # Only a top-level key starts a line with exactly one space of indent.
+        head, _, tail = text.partition('\n "gates": []')
+        gates = ",\n".join(map(_gate_text, netlist.gates))
+        text = f'{head}\n "gates": [\n{gates}\n ]{tail}'
+    return text + "\n"
 
 
 def _expect(value, types, path: str):
@@ -786,12 +853,47 @@ def _expect_bit(value, path: str) -> int:
     return v
 
 
+def _expect_fields(raw, fields: frozenset[str], path: str) -> None:
+    """Raise on the first unknown field of ``raw``, then on the first missing one."""
+    _expect(raw, dict, path)
+    unknown = raw.keys() - fields
+    if unknown:
+        raise ParseError(f"unknown field {min(unknown)!r}", path)
+    missing = fields - raw.keys()
+    if missing:
+        raise ParseError(f"missing field {min(missing)!r}", path)
+
+
+def _parse_gate(raw, path: str) -> Gate:
+    """A gate checked field by field; the error names the first bad field."""
+    _expect_fields(raw, _GATE_FIELDS, path)
+    kind_raw = _expect(raw["kind"], str, f"{path}.kind")
+    try:
+        kind = GateKind(kind_raw)
+    except ValueError:
+        raise ParseError(f"unknown gate kind {kind_raw!r}", f"{path}.kind") from None
+    inputs = tuple(
+        _expect(n, int, f"{path}.inputs[{j}]")
+        for j, n in enumerate(_expect(raw["inputs"], list, f"{path}.inputs"))
+    )
+    return Gate(
+        id=_expect(raw["id"], int, f"{path}.id"),
+        kind=kind,
+        inputs=inputs,
+        output=_expect(raw["output"], int, f"{path}.output"),
+        reset=_expect_bit(raw["reset"], f"{path}.reset"),
+    )
+
+
 def deserialize(text: str) -> Netlist:
     """Parse netlist JSON produced by :func:`serialize`.
 
     Strict by design: unknown fields anywhere outside ``meta`` are rejected
-    and the error names the first offending field, so generated files cannot
-    silently drift from the schema.
+    and the error names the first offending field (unknown fields first,
+    then missing ones, each in sorted order), so generated files cannot
+    silently drift from the schema.  A gate that passes one combined check
+    is accepted at once; any other goes through :func:`_parse_gate`, which
+    finds the error.
     """
     try:
         doc = json.loads(text)
@@ -802,14 +904,7 @@ def deserialize(text: str) -> Netlist:
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
 
-    _expect(doc, dict, "$")
-    unknown = set(doc) - _TOP_FIELDS
-    if unknown:
-        raise ParseError(f"unknown field {sorted(unknown)[0]!r}", "$")
-    for key in _TOP_FIELDS:
-        if key not in doc:
-            raise ParseError(f"missing field {key!r}", "$")
-
+    _expect_fields(doc, _TOP_FIELDS, "$")
     proto_raw = _expect(doc["protocol"], str, "protocol")
     try:
         protocol = Protocol(proto_raw)
@@ -818,44 +913,29 @@ def deserialize(text: str) -> Netlist:
 
     gates: list[Gate] = []
     for i, raw in enumerate(_expect(doc["gates"], list, "gates")):
-        path = f"gates[{i}]"
-        _expect(raw, dict, path)
-        unknown = set(raw) - _GATE_FIELDS
-        if unknown:
-            raise ParseError(f"unknown field {sorted(unknown)[0]!r}", path)
-        for key in _GATE_FIELDS:
-            if key not in raw:
-                raise ParseError(f"missing field {key!r}", path)
-        kind_raw = _expect(raw["kind"], str, f"{path}.kind")
-        try:
-            kind = GateKind(kind_raw)
-        except ValueError:
-            raise ParseError(f"unknown gate kind {kind_raw!r}", f"{path}.kind") from None
-        inputs = tuple(
-            _expect(n, int, f"{path}.inputs[{j}]")
-            for j, n in enumerate(_expect(raw["inputs"], list, f"{path}.inputs"))
-        )
-        gates.append(
-            Gate(
-                id=_expect(raw["id"], int, f"{path}.id"),
-                kind=kind,
-                inputs=inputs,
-                output=_expect(raw["output"], int, f"{path}.output"),
-                reset=_expect_bit(raw["reset"], f"{path}.reset"),
-            )
-        )
+        # JSON gives no int subclass but bool, so `type(x) is int` rejects bools.
+        if type(raw) is dict and raw.keys() == _GATE_FIELDS:
+            kind, inputs, reset = raw["kind"], raw["inputs"], raw["reset"]
+            if (
+                type(kind) is str
+                and kind in _KIND_BY_VALUE
+                and type(inputs) is list
+                and _INT.issuperset(map(type, inputs))
+                and type(raw["id"]) is int
+                and type(raw["output"]) is int
+                and type(reset) is int
+                and (reset == 0 or reset == 1)
+            ):
+                gates.append(Gate(raw["id"], _KIND_BY_VALUE[kind], tuple(inputs),
+                                  raw["output"], reset))
+                continue
+        gates.append(_parse_gate(raw, f"gates[{i}]"))
 
     in_ports: list[DualRailPort] = []
     out_ports: list[DualRailPort] = []
     for i, raw in enumerate(_expect(doc["ports"], list, "ports")):
         path = f"ports[{i}]"
-        _expect(raw, dict, path)
-        unknown = set(raw) - _PORT_FIELDS
-        if unknown:
-            raise ParseError(f"unknown field {sorted(unknown)[0]!r}", path)
-        for key in _PORT_FIELDS:
-            if key not in raw:
-                raise ParseError(f"missing field {key!r}", path)
+        _expect_fields(raw, _PORT_FIELDS, path)
         direction = _expect(raw["dir"], str, f"{path}.dir")
         if direction not in ("in", "out"):
             raise ParseError(f"dir must be 'in' or 'out', got {direction!r}", f"{path}.dir")

@@ -1,0 +1,234 @@
+"""Pinned behaviour shared by the tier-1 tests and the stdlib-only smoke run.
+
+Each digest or table here was computed on an earlier commit and must not
+change: a change to the engine, the writer or the reader that moves one of
+them changes observable behaviour.  Nothing here imports pytest or
+hypothesis, so ``python tests/smoke.py`` can check them on an interpreter
+without either.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+
+from qdimul import cells
+from qdimul.cells import FullAdderKind
+from qdimul.harness import Harness
+from qdimul.multiplier import MultiplierSpec, generate
+from qdimul.netlist import ParseError, Protocol, deserialize, serialize
+from qdimul.sim import DelayModel
+from qdimul.verify import default_pairs, inject_fork_skew, narrow_completion, swap_port_rails
+
+# -- engine traces -------------------------------------------------------------
+
+# Pinned on the engine before the compiled plan: a sha256 over the repr of
+# traced run_sequence reports and of run_burst (reports, trace, illegal).
+GOLDEN_TRACE_SHA256 = "cb96ebe655fd31e1d5748b1bd1d147fe536c377acd0112b7deb5db298bad8f08"
+
+
+def trace_digest() -> str:
+    """Traced sequences and bursts at n = 2, 4: every adder, protocol, two delay models."""
+    h = hashlib.sha256()
+    for n in (2, 4):
+        pairs = default_pairs(n)[::3]
+        for kind in FullAdderKind:
+            for protocol in Protocol:
+                nl = generate(MultiplierSpec(n, kind, protocol))
+                for dm in (DelayModel.unit(), DelayModel.random_per_gate(1, 20, seed=5)):
+                    reports = Harness(nl, dm).run_sequence(pairs, want_traces=True)
+                    h.update(repr(reports).encode())
+                    burst = Harness(nl, dm).run_burst(pairs[:8], gap=1)
+                    h.update(repr((burst.reports, burst.trace, burst.illegal)).encode())
+    return h.hexdigest()
+
+
+# -- the writer ----------------------------------------------------------------
+
+# Pinned on the writer that sent the whole document through json.dumps.
+GOLDEN_SERIALIZE_SHA256 = "beac8371ae6bb9d2dd09bea86f303cbbf5bb99f9c357cce58b67f6cbcbb2c409"
+
+
+def fork_skewed(netlist, stages=16):
+    """``inject_fork_skew`` on the fork that feeds output bit P0's true rail."""
+    p0 = next(p for p in netlist.output_ports if p.name == "P0")
+    consumer = netlist.net(p0.rail1).driver_gate
+    fork_net = netlist.gate_by_id[consumer].inputs[0]
+    return inject_fork_skew(netlist, fork_net, consumer, stages=stages)
+
+
+def serialized_designs():
+    """Every generator choice at n = 2, 4, 8, every cell, the three mutators."""
+    flags = list(itertools.product((False, True), repeat=2))
+    for n in (2, 4, 8):
+        for kind in FullAdderKind:
+            for protocol in Protocol:
+                for c3, or4 in flags:
+                    yield generate(MultiplierSpec(n, kind, protocol, c3, or4))
+    for protocol in Protocol:
+        yield cells.make_and2_strong(protocol).netlist
+        for kind in FullAdderKind:
+            for c3, or4 in flags:
+                yield cells.make_full_adder(kind, protocol, c3, or4).netlist
+        yield cells.make_completion_detector(3, protocol).netlist
+        yield cells.make_register_bank(2, protocol).netlist
+        for bit in (0, 1):
+            yield cells.make_constant_source(bit, protocol).netlist
+        for n in (2, 4):
+            base = generate(MultiplierSpec(n, protocol=protocol))
+            yield swap_port_rails(base)
+            yield narrow_completion(base)
+            yield fork_skewed(base)
+
+
+def serialize_digest() -> str:
+    h = hashlib.sha256()
+    for nl in serialized_designs():
+        h.update(serialize(nl).encode())
+    return h.hexdigest()
+
+
+# -- the reader's errors -------------------------------------------------------
+
+STAGE_TEXT = serialize(generate(MultiplierSpec(n=2)))
+_LAST = len(json.loads(STAGE_TEXT)["gates"]) - 1
+
+#: name -> (gate index, fields to set; a value of ``DELETE`` removes the field).
+#: ``"gate"`` as the only field replaces the whole gate.
+DELETE = object()
+_CORRUPTIONS = {
+    **{f"missing-{k}": (0, {k: DELETE}) for k in ("id", "kind", "inputs", "output", "reset")},
+    "missing-last-reset": (_LAST, {"reset": DELETE}),
+    "extra-key": (0, {"delay": 3}),
+    "extra-key-last": (_LAST, {"zz": None}),
+    "renamed-key": (3, {"reset": DELETE, "rest": 0}),
+    "gate-list": (0, {"gate": []}),
+    "gate-null": (1, {"gate": None}),
+    "gate-int": (2, {"gate": 5}),
+    "gate-str": (0, {"gate": "c2"}),
+    # every field missing: the first in sorted order is named
+    "gate-empty": (0, {"gate": {}}),
+    "id-str": (0, {"id": "0"}),
+    "id-float": (1, {"id": 1.0}),
+    "id-null": (0, {"id": None}),
+    "id-true": (0, {"id": True}),
+    "id-false": (0, {"id": False}),
+    "kind-int": (0, {"kind": 3}),
+    "kind-null": (0, {"kind": None}),
+    "kind-list": (0, {"kind": []}),
+    "kind-dict": (0, {"kind": {}}),
+    "kind-true": (0, {"kind": True}),
+    "kind-unknown": (0, {"kind": "nand2"}),
+    "kind-upper": (_LAST, {"kind": "AND2"}),
+    "kind-empty": (0, {"kind": ""}),
+    "inputs-str": (0, {"inputs": "1,2"}),
+    "inputs-null": (0, {"inputs": None}),
+    "inputs-int": (0, {"inputs": 5}),
+    "inputs-dict": (0, {"inputs": {}}),
+    "inputs-float-item": (0, {"inputs": [0, 1.5]}),
+    "inputs-str-item": (0, {"inputs": ["3"]}),
+    "inputs-bool-item": (4, {"inputs": [True, 0]}),
+    "inputs-null-item": (0, {"inputs": [0, None]}),
+    "inputs-nested": (0, {"inputs": [[1]]}),
+    "output-str": (0, {"output": "5"}),
+    "output-float": (0, {"output": 5.0}),
+    "output-true": (0, {"output": True}),
+    "output-null": (_LAST, {"output": None}),
+    "reset-2": (0, {"reset": 2}),
+    "reset-minus-1": (0, {"reset": -1}),
+    "reset-str": (0, {"reset": "0"}),
+    "reset-true": (0, {"reset": True}),
+    "reset-false": (_LAST, {"reset": False}),
+    "reset-float": (0, {"reset": 0.0}),
+    "reset-null": (0, {"reset": None}),
+    "id-and-reset": (0, {"id": "x", "reset": 5}),
+    "output-and-inputs": (0, {"output": True, "inputs": ["a"]}),
+    "kind-and-extra": (0, {"kind": [], "extra": 1}),
+    "reset-and-missing": (0, {"reset": 7, "output": DELETE}),
+}
+
+
+def corrupted_stage(index: int, fields: dict) -> str:
+    """The 2x2 stage text with gate ``index`` corrupted as ``fields`` says."""
+    doc = json.loads(STAGE_TEXT)
+    if list(fields) == ["gate"]:
+        doc["gates"][index] = fields["gate"]
+    else:
+        gate = doc["gates"][index]
+        for key, value in fields.items():
+            if value is DELETE:
+                del gate[key]
+            else:
+                gate[key] = value
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+def parse_errors() -> dict[str, str]:
+    """The error each corruption gives, as ``"<type>: <message> | <path>"``."""
+    got = {}
+    for name, (index, fields) in _CORRUPTIONS.items():
+        try:
+            deserialize(corrupted_stage(index, fields))
+        except ParseError as exc:
+            got[name] = f"ParseError: {exc} | {exc.path}"
+        except Exception as exc:  # recorded, so the comparison names it
+            got[name] = f"{type(exc).__name__}: {exc}"
+        else:
+            got[name] = "loaded"
+    return got
+
+
+GOLDEN_PARSE_ERRORS: dict[str, str] = {
+    "missing-id": "ParseError: missing field 'id' at gates[0] | gates[0]",
+    "missing-kind": "ParseError: missing field 'kind' at gates[0] | gates[0]",
+    "missing-inputs": "ParseError: missing field 'inputs' at gates[0] | gates[0]",
+    "missing-output": "ParseError: missing field 'output' at gates[0] | gates[0]",
+    "missing-reset": "ParseError: missing field 'reset' at gates[0] | gates[0]",
+    "missing-last-reset": "ParseError: missing field 'reset' at gates[58] | gates[58]",
+    "extra-key": "ParseError: unknown field 'delay' at gates[0] | gates[0]",
+    "extra-key-last": "ParseError: unknown field 'zz' at gates[58] | gates[58]",
+    "renamed-key": "ParseError: unknown field 'rest' at gates[3] | gates[3]",
+    "gate-list": "ParseError: expected dict, got list at gates[0] | gates[0]",
+    "gate-null": "ParseError: expected dict, got NoneType at gates[1] | gates[1]",
+    "gate-int": "ParseError: expected dict, got int at gates[2] | gates[2]",
+    "gate-str": "ParseError: expected dict, got str at gates[0] | gates[0]",
+    "gate-empty": "ParseError: missing field 'id' at gates[0] | gates[0]",
+    "id-str": "ParseError: expected int, got str at gates[0].id | gates[0].id",
+    "id-float": "ParseError: expected int, got float at gates[1].id | gates[1].id",
+    "id-null": "ParseError: expected int, got NoneType at gates[0].id | gates[0].id",
+    "id-true": "ParseError: expected int, got bool at gates[0].id | gates[0].id",
+    "id-false": "ParseError: expected int, got bool at gates[0].id | gates[0].id",
+    "kind-int": "ParseError: expected str, got int at gates[0].kind | gates[0].kind",
+    "kind-null": "ParseError: expected str, got NoneType at gates[0].kind | gates[0].kind",
+    "kind-list": "ParseError: expected str, got list at gates[0].kind | gates[0].kind",
+    "kind-dict": "ParseError: expected str, got dict at gates[0].kind | gates[0].kind",
+    "kind-true": "ParseError: expected str, got bool at gates[0].kind | gates[0].kind",
+    "kind-unknown": "ParseError: unknown gate kind 'nand2' at gates[0].kind | gates[0].kind",
+    "kind-upper": "ParseError: unknown gate kind 'AND2' at gates[58].kind | gates[58].kind",
+    "kind-empty": "ParseError: unknown gate kind '' at gates[0].kind | gates[0].kind",
+    "inputs-str": "ParseError: expected list, got str at gates[0].inputs | gates[0].inputs",
+    "inputs-null": "ParseError: expected list, got NoneType at gates[0].inputs | gates[0].inputs",
+    "inputs-int": "ParseError: expected list, got int at gates[0].inputs | gates[0].inputs",
+    "inputs-dict": "ParseError: expected list, got dict at gates[0].inputs | gates[0].inputs",
+    "inputs-float-item": "ParseError: expected int, got float at gates[0].inputs[1] | gates[0].inputs[1]",
+    "inputs-str-item": "ParseError: expected int, got str at gates[0].inputs[0] | gates[0].inputs[0]",
+    "inputs-bool-item": "ParseError: expected int, got bool at gates[4].inputs[0] | gates[4].inputs[0]",
+    "inputs-null-item": "ParseError: expected int, got NoneType at gates[0].inputs[1] | gates[0].inputs[1]",
+    "inputs-nested": "ParseError: expected int, got list at gates[0].inputs[0] | gates[0].inputs[0]",
+    "output-str": "ParseError: expected int, got str at gates[0].output | gates[0].output",
+    "output-float": "ParseError: expected int, got float at gates[0].output | gates[0].output",
+    "output-true": "ParseError: expected int, got bool at gates[0].output | gates[0].output",
+    "output-null": "ParseError: expected int, got NoneType at gates[58].output | gates[58].output",
+    "reset-2": "ParseError: expected 0 or 1, got 2 at gates[0].reset | gates[0].reset",
+    "reset-minus-1": "ParseError: expected 0 or 1, got -1 at gates[0].reset | gates[0].reset",
+    "reset-str": "ParseError: expected int, got str at gates[0].reset | gates[0].reset",
+    "reset-true": "ParseError: expected int, got bool at gates[0].reset | gates[0].reset",
+    "reset-false": "ParseError: expected int, got bool at gates[58].reset | gates[58].reset",
+    "reset-float": "ParseError: expected int, got float at gates[0].reset | gates[0].reset",
+    "reset-null": "ParseError: expected int, got NoneType at gates[0].reset | gates[0].reset",
+    "id-and-reset": "ParseError: expected int, got str at gates[0].id | gates[0].id",
+    "output-and-inputs": "ParseError: expected int, got str at gates[0].inputs[0] | gates[0].inputs[0]",
+    "kind-and-extra": "ParseError: unknown field 'extra' at gates[0] | gates[0]",
+    "reset-and-missing": "ParseError: missing field 'output' at gates[0] | gates[0]",
+}

@@ -1,0 +1,39 @@
+"""Stdlib-only smoke check for interpreters without pytest or hypothesis.
+
+    PYTHONPATH=src python tests/smoke.py
+
+Checks the golden trace digest, the golden serialize digest and the
+reader's error for each corruption in the parse-error corpus, all from
+``tests/golden.py``.  Prints one line per check and exits 1 if any differs.
+"""
+
+from __future__ import annotations
+
+import platform
+import sys
+
+import golden
+
+
+def main() -> int:
+    failed = 0
+    checks = (
+        ("trace digest", golden.trace_digest, golden.GOLDEN_TRACE_SHA256),
+        ("serialize digest", golden.serialize_digest, golden.GOLDEN_SERIALIZE_SHA256),
+        ("parse-error corpus", golden.parse_errors, golden.GOLDEN_PARSE_ERRORS),
+    )
+    for name, compute, want in checks:
+        got = compute()
+        ok = got == want
+        failed += not ok
+        print(f"{'ok  ' if ok else 'FAIL'} {name}")
+        if not ok and isinstance(want, dict):
+            for key in want:
+                if got.get(key) != want[key]:
+                    print(f"     {key}: got {got.get(key)!r}, want {want[key]!r}")
+    print(f"python {platform.python_version()}: {len(checks) - failed}/{len(checks)} passed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -128,6 +128,19 @@ def test_sim_stalled_stage_is_a_property_failure(tmp_path, capsys):
     assert err.startswith("qdimul: STUCK_PHASE: ") and err.count("\n") == 1
 
 
+def test_sim_net_id_past_the_bound_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "m4.json"
+    assert main(["gen", "--n", "4", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["meta"]["extra_inputs"] = [10**13]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "--netlist", str(path), "--a", "1", "--b", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "NET_ID_TOO_LARGE" in err and err.count("\n") == 1
+
+
 def test_sim_trace_csv_and_vcd(tmp_path, capsys):
     path = gen_netlist(tmp_path)
     csv_path = tmp_path / "t.csv"

@@ -6,10 +6,12 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import golden
 from qdimul.multiplier import MultiplierSpec, generate
 from qdimul.netlist import (
     ARITY,
     DUAL_KIND,
+    NET_IDS_PER_DRIVEN_NET,
     DualRailPort,
     DualRailValue,
     Gate,
@@ -19,6 +21,7 @@ from qdimul.netlist import (
     NetlistBuilder,
     ParseError,
     Protocol,
+    _parse_gate,
     decode,
     deserialize,
     dualize,
@@ -27,6 +30,7 @@ from qdimul.netlist import (
     serialize,
     validate,
 )
+from qdimul.sim import reset
 
 # Frozen oracle: rail pairs (rail1, rail0) per protocol.  DATA1 carries the
 # one on the rail whose active level matches the protocol; spacer is both
@@ -243,6 +247,29 @@ def test_validate_flags_port_with_one_net_for_both_rails():
     assert codes == {"ALIASED_RAILS"}
 
 
+def test_validate_flags_ack_out_on_the_ack_in_net():
+    # Simulated, the acknowledge inverter would feed the net back at the
+    # same instant forever; validation must refuse it before any engine runs.
+    nl = Netlist(Protocol.RTZ, [], ack_out=0, ack_in=0)
+    assert [d.code.value for d in validate(nl)] == ["ALIASED_ACK"]
+    with pytest.raises(InvalidNetlistError, match="ALIASED_ACK"):
+        reset(nl)
+
+
+def test_validate_bounds_net_ids_by_the_count_of_driven_nets():
+    g = Gate(0, GateKind.OR2, (0, 1), 2, 0)
+    driven = 4  # three inputs and one gate output
+    top = NET_IDS_PER_DRIVEN_NET * (driven + 1) - 1
+    assert validate(Netlist(Protocol.RTZ, [g], extra_inputs=[0, 1, top])) == []
+    for far in (top + 1, 10**13):
+        nl = Netlist(Protocol.RTZ, [g], extra_inputs=[0, 1, far])
+        diags = validate(nl)
+        assert [d.code.value for d in diags] == ["NET_ID_TOO_LARGE"]
+        assert diags[0].subjects == (far,)
+        with pytest.raises(InvalidNetlistError, match="NET_ID_TOO_LARGE"):
+            reset(nl)
+
+
 def test_validate_method_returns_a_fresh_list_each_call():
     g = Gate(0, GateKind.AND2, (0, 1, 2), 3, 0)
     nl = Netlist(Protocol.RTZ, [g], extra_inputs=[0, 1, 2])
@@ -289,6 +316,44 @@ def test_dualize_complements_const_nets():
     assert dict(dual.const_nets) == {k: 1}
 
 
+def test_dual_twin_inherits_the_validation_verdict():
+    for spec in (MultiplierSpec(2), MultiplierSpec(4, protocol=Protocol.RTO)):
+        nl = generate(spec)
+        twin = dualize(nl)
+        assert twin.validate() == validate(twin) == []
+        assert dualize(twin).validate() == validate(dualize(twin)) == []
+
+
+def test_net_views_are_built_on_first_use():
+    nl = generate(MultiplierSpec(2))
+    assert nl._memo == {}
+    drivers = {g.output: g.id for g in nl.gates}
+    readers = {}
+    for g in nl.gates:
+        for slot, n in enumerate(g.inputs):
+            readers.setdefault(n, []).append((g.id, slot))
+    consts = dict(nl.const_nets)
+    for n in range(nl.net_count + 2):
+        view = nl.net(n)
+        assert view.fanout == tuple(readers.get(n, ()))
+        assert view.driver_gate == drivers.get(n)
+        assert view.const_level == consts.get(n)
+        expect = ("gate" if n in drivers else "input" if n in nl.primary_inputs
+                  else "const" if n in consts else "none")
+        assert view.source == expect
+    assert nl.gate_by_id == {g.id: g for g in nl.gates}
+    assert nl.gate_by_id is nl.gate_by_id
+
+
+def test_net_count_covers_every_net_id():
+    for nl in (generate(MultiplierSpec(2)), golden.fork_skewed(generate(MultiplierSpec(2)))):
+        ids = set(nl.primary_inputs) | {n for n, _ in nl.const_nets}
+        ids |= {n for g in nl.gates for n in (*g.inputs, g.output)}
+        ids |= {n for p in nl.ports for n in (p.rail1, p.rail0)}
+        assert nl.net_count == max(ids) + 1
+    assert Netlist(Protocol.RTZ, []).net_count == 0
+
+
 def test_structural_equality_ignores_meta():
     a = small_and_netlist()
     c = small_and_netlist()
@@ -320,6 +385,12 @@ def test_serialized_document_shape():
         assert set(g) == {"id", "kind", "inputs", "output", "reset"}
     for p in doc["ports"]:
         assert set(p) == {"name", "dir", "rail1", "rail0"}
+
+
+def test_golden_serialize_hash():
+    # Every generator choice at n = 2, 4, 8, every cell and the three
+    # mutators; pinned on the writer that sent the whole document through json.
+    assert golden.serialize_digest() == golden.GOLDEN_SERIALIZE_SHA256
 
 
 def test_deserialize_rejects_unknown_top_level_field():
@@ -484,6 +555,87 @@ def test_mutated_stage_document_loads_or_raises_a_typed_error(text):
 @given(mutated_texts())
 def test_mutated_stage_text_loads_or_raises_a_typed_error(text):
     _load_outcome(text)
+
+
+# -- the writer and the reader against their references -----------------------
+
+
+def _reference_document(nl):
+    """The document the writer renders, built as the writer before gate templates did."""
+    meta = dict(nl.meta)
+    if nl.const_nets:
+        meta["const_nets"] = [[n, v] for n, v in nl.const_nets]
+    if nl.phase_net is not None:
+        meta["phase_net"] = nl.phase_net
+    if nl.extra_inputs:
+        meta["extra_inputs"] = list(nl.extra_inputs)
+    return {
+        "protocol": nl.protocol.value,
+        "gates": [{"id": g.id, "kind": g.kind.value, "inputs": list(g.inputs),
+                   "output": g.output, "reset": g.reset} for g in nl.gates],
+        "ports": [{"name": p.name, "dir": p.direction, "rail1": p.rail1, "rail0": p.rail0}
+                  for p in nl.ports],
+        "ack_out": nl.ack_out,
+        "ack_in": nl.ack_in,
+        "meta": meta,
+    }
+
+
+ANY_INT = st.integers(-2**70, 2**70) | st.booleans()
+HAND_GATES = st.lists(st.builds(
+    Gate, ANY_INT, st.sampled_from(list(GateKind)),
+    st.lists(ANY_INT, max_size=4).map(tuple), ANY_INT, ANY_INT), max_size=6)
+NET_OR_NONE = st.none() | st.integers(-5, 2**40)
+
+
+@PROPERTY
+@given(HAND_GATES, st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=4),
+       st.lists(st.builds(DualRailPort, st.text(max_size=4), ANY_INT, ANY_INT,
+                          st.sampled_from(["in", "out"])), max_size=2),
+       NET_OR_NONE, NET_OR_NONE, st.sampled_from(list(Protocol)))
+def test_serialize_equals_json_dumps_of_the_document(gates, meta, ports, ack_out, ack_in,
+                                                     protocol):
+    nl = Netlist(protocol, gates,
+                 input_ports=[p for p in ports if p.direction == "in"],
+                 output_ports=[p for p in ports if p.direction == "out"],
+                 ack_out=ack_out, ack_in=ack_in, meta=meta)
+    want = json.dumps(_reference_document(nl), indent=1, sort_keys=True) + "\n"
+    assert serialize(nl) == want
+
+
+def test_parse_error_corpus():
+    # One corruption of one gate of a 2x2 stage each; the messages and paths
+    # were recorded on the reader that checked every gate field by field.
+    assert golden.parse_errors() == golden.GOLDEN_PARSE_ERRORS
+
+
+FIELD_VALUES = {
+    "id": st.integers(-3, 3) | JSON_VALUES,
+    "kind": st.sampled_from([k.value for k in GateKind]) | JSON_VALUES,
+    "inputs": st.lists(st.integers(0, 9) | JSON_VALUES, max_size=4) | JSON_VALUES,
+    "output": st.integers(0, 9) | JSON_VALUES,
+    "reset": st.integers(-1, 2) | JSON_VALUES,
+}
+
+
+@PROPERTY
+@given(st.fixed_dictionaries(FIELD_VALUES, optional={"delay": JSON_VALUES})
+       | st.sampled_from([None, [], 3, "gate"]),
+       st.sets(st.sampled_from(sorted(FIELD_VALUES)), max_size=2))
+def test_one_check_accepts_exactly_what_the_field_checks_accept(raw, dropped):
+    if isinstance(raw, dict):
+        raw = {k: v for k, v in raw.items() if k not in dropped}
+    doc = json.loads(STAGE_TEXT)
+    doc["gates"][1] = raw
+    raw = json.loads(json.dumps(raw))  # what the reader sees: no tuples
+    try:
+        want = _parse_gate(raw, "gates[1]")
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            deserialize(json.dumps(doc))
+        assert (str(got.value), got.value.path) == (str(exc), exc.path)
+    else:
+        assert deserialize(json.dumps(doc)).gates[1] == want
 
 
 # -- reset levels ------------------------------------------------------------

@@ -7,6 +7,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import golden
 from qdimul.cells import FullAdderKind
 from qdimul.harness import Harness
 from qdimul.multiplier import MultiplierSpec, generate
@@ -29,7 +30,7 @@ from qdimul.sim import (
     write_trace_csv,
     write_trace_vcd,
 )
-from qdimul.verify import default_pairs, inject_fork_skew
+from qdimul.verify import default_pairs
 
 
 def chain_netlist(length=3, kind=GateKind.OR2):
@@ -307,31 +308,9 @@ def test_delay_vector_is_memoised_per_model(dm):
     assert reset(nl, twin)._gate_delay is vector
 
 
-# Pinned on the engine before the compiled plan: a sha256 over the repr of
-# traced run_sequence reports and of run_burst (reports, trace, illegal).
-GOLDEN_TRACE_SHA256 = "cb96ebe655fd31e1d5748b1bd1d147fe536c377acd0112b7deb5db298bad8f08"
-
-
 def test_golden_trace_hash():
-    h = hashlib.sha256()
-    for n in (2, 4):
-        pairs = default_pairs(n)[::3]
-        for kind in FullAdderKind:
-            for protocol in Protocol:
-                nl = generate(MultiplierSpec(n, kind, protocol))
-                for dm in (DelayModel.unit(), DelayModel.random_per_gate(1, 20, seed=5)):
-                    reports = Harness(nl, dm).run_sequence(pairs, want_traces=True)
-                    h.update(repr(reports).encode())
-                    burst = Harness(nl, dm).run_burst(pairs[:8], gap=1)
-                    h.update(repr((burst.reports, burst.trace, burst.illegal)).encode())
-    assert h.hexdigest() == GOLDEN_TRACE_SHA256
-
-
-def _fork_skewed(netlist):
-    p0 = next(p for p in netlist.output_ports if p.name == "P0")
-    consumer = netlist.net(p0.rail1).driver_gate
-    fork_net = netlist.gate_by_id[consumer].inputs[0]
-    return inject_fork_skew(netlist, fork_net, consumer, stages=16)
+    # digest and inputs live in tests/golden.py, shared with tests/smoke.py
+    assert golden.trace_digest() == golden.GOLDEN_TRACE_SHA256
 
 
 def _hash_burst(h, netlist, dm, pairs):
@@ -366,7 +345,7 @@ def test_golden_trace_hash_wide():
                 _hash_burst(h, nl, dm, pairs[:6])
     for n in (2, 8):
         for protocol in Protocol:
-            skewed = _fork_skewed(generate(MultiplierSpec(n, protocol=protocol)))
+            skewed = golden.fork_skewed(generate(MultiplierSpec(n, protocol=protocol)))
             for dm in models:
                 _hash_burst(h, skewed, dm, [(1, 0), (0, 1)] * 2 + pairs[:4] * (n == 8))
     assert h.hexdigest() == GOLDEN_TRACE_WIDE_SHA256
