@@ -35,6 +35,33 @@ class UsageError(ValueError):
     pass
 
 
+def _load_delay_table(path: str) -> dict[GateKind, int]:
+    """A JSON object mapping gate kind names to integer delays of at least 1."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except FileNotFoundError:
+        raise UsageError(f"delay table not found: {path}")
+    except RecursionError:
+        raise UsageError(f"bad delay table {path}: nested too deeply") from None
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"bad delay table {path}: {exc}")
+    if not isinstance(raw, dict):
+        raise UsageError(f"bad delay table {path}: expected a JSON object "
+                         f"mapping gate kinds to delays, got {type(raw).__name__}")
+    table = {}
+    for name, delay in raw.items():
+        try:
+            kind = GateKind(name)
+        except ValueError:
+            raise UsageError(f"bad delay table {path}: unknown gate kind {name!r}") from None
+        if type(delay) is not int or delay < 1:  # bool is an int subclass: refused
+            raise UsageError(f"bad delay table {path}: delay for {name} must be "
+                             f"an integer >= 1, got {json.dumps(delay)[:40]}")
+        table[kind] = delay
+    return table
+
+
 def parse_delay_model(text: str, seed: int) -> DelayModel:
     """Parse ``unit``, ``table:<path>`` or ``random:<lo>,<hi>``."""
     if text == "unit":
@@ -43,15 +70,7 @@ def parse_delay_model(text: str, seed: int) -> DelayModel:
         path = text[len("table:"):]
         if not path:
             raise UsageError("table delay model needs a file: table:<path>")
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-            table = {GateKind(k): int(v) for k, v in raw.items()}
-        except FileNotFoundError:
-            raise UsageError(f"delay table not found: {path}")
-        except (json.JSONDecodeError, ValueError) as exc:
-            raise UsageError(f"bad delay table {path}: {exc}")
-        return DelayModel.fixed_table(table)
+        return DelayModel.fixed_table(_load_delay_table(path))
     if text.startswith("random:"):
         spec = text[len("random:"):]
         try:

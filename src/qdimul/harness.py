@@ -35,7 +35,7 @@ from operator import itemgetter
 from statistics import fmean
 from typing import IO, Iterable, Sequence
 
-from .netlist import DualRailPort, DualRailValue, Netlist, Protocol, decode, encode
+from .netlist import DualRailPort, DualRailValue, Netlist, Protocol, encode
 from .sim import DEFAULT_GUARD, DelayModel, SimState, Trace, reset
 
 
@@ -140,21 +140,19 @@ def drive(state: SimState, port: DualRailPort, bit: int | None, t: int | None = 
     state.set_primary(port.rail0, r0, t)
 
 
-def _port_watch(netlist: Netlist) -> tuple[tuple[DualRailValue, ...], dict]:
-    """``(table, watchers)`` of a netlist, built once and kept on it.
+def _port_watchers(netlist: Netlist) -> dict[int, list[tuple[int, int, int]]]:
+    """Each rail net -> ``(port index, rail1, rail0)`` of every port it belongs to.
 
-    ``table[2 * rail1 + rail0]`` decodes a rail pair under the netlist's
-    protocol; ``watchers`` maps each rail net to ``(port index, rail1,
-    rail0)`` of every port it belongs to.
+    Built once and kept on the netlist.
     """
-    def build(nl: Netlist) -> tuple[tuple[DualRailValue, ...], dict]:
+    def build(nl: Netlist) -> dict[int, list[tuple[int, int, int]]]:
         watchers: dict[int, list[tuple[int, int, int]]] = {}
         for i, p in enumerate(nl.ports):
             for rail in (p.rail1, p.rail0):
                 watchers.setdefault(rail, []).append((i, p.rail1, p.rail0))
-        return tuple(decode(r1, r0, nl.protocol) for r1 in (0, 1) for r0 in (0, 1)), watchers
+        return watchers
 
-    return netlist._derived("harness.port_watch", build)
+    return netlist._derived("harness.port_watchers", build)
 
 
 def scan_port_changes(
@@ -168,7 +166,7 @@ def scan_port_changes(
     decoded value changed.  The caller supplies the net levels the trace
     starts from (usually the reset levels).
     """
-    table, watchers = _port_watch(netlist)
+    table, watchers = netlist.decode_table, _port_watchers(netlist)
     rails = {net: base_levels[net] for net in watchers}
     ports = netlist.ports
     current = [table[2 * rails[p.rail1] + rails[p.rail0]] for p in ports]
@@ -207,7 +205,7 @@ class Harness:
         self._active = netlist.protocol.active_level
         self._spacer = netlist.protocol.spacer_level
         self._reset_levels = lv = netlist.reset_levels()
-        self._decode = table = _port_watch(netlist)[0]
+        self._decode = table = netlist.decode_table
         # the ILLEGAL screen: every port rail, the (rail1, rail0) pairs of
         # ports at SPACER in the reset state, and the rails of all others
         self._rails = frozenset(r for p in netlist.ports for r in (p.rail1, p.rail0))

@@ -91,6 +91,10 @@ def decode(rail1: int, rail0: int, protocol: Protocol) -> DualRailValue:
     return DualRailValue.DATA1 if rail1 != spacer else DualRailValue.DATA0
 
 
+def _decode_table(netlist: "Netlist") -> tuple[DualRailValue, ...]:
+    return tuple(decode(r1, r0, netlist.protocol) for r1 in (0, 1) for r0 in (0, 1))
+
+
 class GateKind(Enum):
     # Members are singletons compared by identity, so hash them by identity
     # too: C speed, where Enum's own __hash__ runs Python code per lookup.
@@ -314,6 +318,11 @@ class Netlist:
     @property
     def gate_by_id(self) -> dict[int, Gate]:
         return self._derived("gate_by_id", lambda nl: {g.id: g for g in nl.gates})
+
+    @property
+    def decode_table(self) -> tuple[DualRailValue, ...]:
+        """``decode_table[2 * rail1 + rail0]`` is :func:`decode` of the pair."""
+        return self._derived("decode_table", _decode_table)
 
     def net(self, net_id: int) -> Net:
         sources, fanout = self._derived("net_index", _net_index)

@@ -6,6 +6,31 @@ a gate instance.  The engine processes pending events in (time, net id)
 order, applies each level change, then re-evaluates the fanout gates of all
 nets that changed at that timestamp.
 
+Pending events are kept in one of two queues, picked once per (netlist,
+delay model) next to the delay vector: by the tick queue when every gate of
+the netlist has the same delay d (always under ``unit``; under a table or a
+random model when the delays the netlist's gates get are all equal), and by
+the heap otherwise.
+
+- The heap holds ``(time, net, seq, level, cause)``; ``seq`` counts
+  scheduling calls, so events on one net at one time pop in call order.
+  It is the reference, and the only queue for unequal delays.
+- The tick queue holds ``(time, batch)`` pairs in time order.  A batch is
+  a list of trace tuples ``(time, net, level, cause)`` in scheduling order,
+  appended to the trace as they are.  Every event scheduled while
+  processing tick t lands in the batch for t + d, so it is found without a
+  per-event time lookup, usually at the tail.  A batch is stably sorted by
+  net when its tick starts, which gives the heap's (net, seq) order: the
+  batch receives events in seq order.  Environment events join the batch
+  for their time, and the acknowledge inverter (below) inserts its event
+  into the current tick where the heap would pop it: after every
+  unprocessed event on a net up to ``ack_in``.
+
+Both queues therefore apply the same events in the same order, so the
+trace, :attr:`SimState.ack_edges`, the clock, the return value and the
+``max_time`` error are the same; ``tests/test_tick_queue.py`` compares them
+call by call.
+
 Gates are evaluated by count: each gate keeps the number of its input pins
 at level 1 (a net tied to two pins counts twice), and its output is the
 entry for that count in a row of 0, 1 or HOLD (keep the current level).
@@ -43,10 +68,12 @@ from __future__ import annotations
 
 import csv
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import IO, Iterable, Mapping
 
 from .netlist import (
@@ -55,7 +82,6 @@ from .netlist import (
     DualRailValue,
     GateKind,
     Netlist,
-    decode,
     eval_family,
 )
 
@@ -69,6 +95,10 @@ HOLD = -1
 
 
 Trace = list  # list of (time, net, level, cause) tuples
+
+# sort keys of trace tuples and of the tick queue's (time, batch) pairs
+_NET = itemgetter(1)
+_TIME = itemgetter(0)
 
 
 class NotPrimaryError(ValueError):
@@ -104,14 +134,16 @@ class DelayModel:
     seed: int = 0
 
     @classmethod
+    @cache
     def unit(cls) -> "DelayModel":
+        """The unit model, one shared instance (models are immutable)."""
         return cls(DelayMode.UNIT)
 
     @classmethod
     def fixed_table(cls, table: Mapping[GateKind, int]) -> "DelayModel":
         items = tuple(sorted(table.items(), key=lambda kv: kv[0].value))
         for kind, d in items:
-            if not isinstance(d, int) or d < 1:
+            if not isinstance(d, int) or isinstance(d, bool) or d < 1:
                 raise ValueError(f"delay for {kind.value} must be a positive integer")
         return cls(DelayMode.FIXED_TABLE, table=items)
 
@@ -185,18 +217,27 @@ class _Plan:
         self.reset_levels = tuple(lv)
         self.ack_out = netlist.ack_out if netlist.ack_in is not None else None
         self.ack_in = netlist.ack_in
-        self._delays: dict[DelayModel, list[int]] = {}
+        self.decode = netlist.decode_table
+        self.port_by_name: dict[str, DualRailPort] = {}
+        for p in netlist.ports:  # the first of ports sharing a name wins
+            self.port_by_name.setdefault(p.name, p)
+        self._timing: dict[DelayModel, tuple[list[int], int | None]] = {}
 
-    def delays(self, model: DelayModel) -> list[int]:
-        """Per-gate delays under ``model``, computed once per model."""
-        vector = self._delays.get(model)
-        if vector is None:
+    def timing(self, model: DelayModel) -> tuple[list[int], int | None]:
+        """``(per-gate delays, step)`` under ``model``, computed once per model.
+
+        ``step`` is the delay every gate shares, or None when delays differ;
+        it selects the engine's queue discipline (see the module docstring).
+        """
+        timing = self._timing.get(model)
+        if timing is None:
             if model.mode is DelayMode.UNIT:
                 vector = [1] * len(self._gates)
             else:
                 vector = [model.delay_of(g.id, g.kind) for g in self._gates]
-            self._delays[model] = vector
-        return vector
+            step = vector[0] if vector and vector.count(vector[0]) == len(vector) else None
+            timing = self._timing[model] = (vector, step)
+        return timing
 
 
 class SimState:
@@ -214,9 +255,13 @@ class SimState:
         self.clock = 0
         self.trace: Trace = []
         self._seq = 0
-        self._heap: list[tuple[int, int, int, int, int]] = []
         self._plan = plan
-        self._gate_delay = plan.delays(delay_model)
+        # the queue discipline: the delay every gate shares, or None for the heap
+        self._gate_delay, self._step = plan.timing(delay_model)
+        # pending events: a heap of (time, net, seq, level, cause) when _step is
+        # None, else (time, batch) pairs in time order, each batch a list of
+        # (time, net, level, cause) trace tuples in scheduling order
+        self._queue: list = []
 
         self.levels = list(plan.reset_levels)
         self._projected = list(plan.reset_levels)
@@ -231,7 +276,7 @@ class SimState:
 
     @property
     def quiescent(self) -> bool:
-        return not self._heap
+        return not self._queue
 
     def set_primary(self, net: int, level: int, at_time: int | None = None) -> None:
         """Schedule an environment transition on a primary-input net.
@@ -251,10 +296,18 @@ class SimState:
             raise ValueError(f"net {net} already has an event after t={t}")
         if level == self._projected[net]:
             return
-        self._seq += 1
-        heappush(self._heap, (t, net, self._seq, level, ENV))
         self._projected[net] = level
         self._pending_time[net] = t
+        queue = self._queue
+        if self._step is None:
+            self._seq += 1
+            heappush(queue, (t, net, self._seq, level, ENV))
+        elif queue and queue[-1][0] == t:
+            queue[-1][1].append((t, net, level, ENV))
+        elif not queue or queue[-1][0] < t:
+            queue.append((t, [(t, net, level, ENV)]))
+        else:
+            _file(queue, t, [(t, net, level, ENV)])
 
     # -- engine ------------------------------------------------------------
 
@@ -271,7 +324,7 @@ class SimState:
         given, the run returns early right after that net reaches
         ``stop_level`` (the surrounding timestamp batch still completes).
         """
-        heap = self._heap
+        queue = self._queue
         levels = self.levels
         projected = self._projected
         ones = self._ones
@@ -279,14 +332,84 @@ class SimState:
         fanout = plan.fanout
         rows = plan.row
         gouts = plan.output
-        gdelay = self._gate_delay
         trace = self.trace
         ack_edges = self.ack_edges
         ack_out, ack_in = plan.ack_out, plan.ack_in
-        push, pop = heappush, heappop
-        seq = self._seq
         start = self.clock
         deadline = start + max_time
+        step = self._step
+
+        if step is not None:
+            # Tick by tick: every event of one tick lands in the batch at
+            # t + step.  Sorting a batch by net (stably, so events on one net
+            # keep their scheduling order) gives the heap's (net, seq) order.
+            append = trace.append
+            while queue:
+                t, batch = queue[0]
+                if t > deadline:
+                    raise NonQuiescentError(
+                        f"no quiescence within {max_time} units (next event at t={t})"
+                    )
+                del queue[0]
+                if len(batch) > 1:
+                    batch.sort(key=_NET)
+                touched: list[int] = []
+                stop_hit = False
+                for event in batch:  # the loop also visits events inserted ahead
+                    _, net, level, _ = event
+                    if levels[net] == level:
+                        continue
+                    levels[net] = level
+                    append(event)
+                    gates = fanout[net]
+                    if level:
+                        for gid in gates:
+                            ones[gid] += 1
+                    else:
+                        for gid in gates:
+                            ones[gid] -= 1
+                    touched += gates
+                    if net == ack_out:
+                        ack_edges.append((t, level))
+                        # environment acknowledge inverter, zero delay
+                        v = 1 - level
+                        if projected[ack_in] != v:
+                            # where the heap pops it: after every unprocessed
+                            # event of this tick on a net up to ack_in.  One
+                            # gate drives ack_out and schedules at most once
+                            # per tick, so bisecting for ack_out finds this
+                            # event in the sorted batch.
+                            after = bisect_left(batch, ack_out, key=_NET) + 1
+                            batch.insert(bisect_right(batch, ack_in, after, key=_NET),
+                                         (t, ack_in, v, ENV))
+                            projected[ack_in] = v
+                            self._pending_time[ack_in] = t
+                    if net == stop_net and level == stop_level:
+                        stop_hit = True
+                self.clock = t
+                at = t + step
+                successors = []
+                for gid in touched:
+                    v = rows[gid][ones[gid]]
+                    out = gouts[gid]
+                    if v == HOLD:
+                        v = levels[out]
+                    if v != projected[out]:
+                        successors.append((at, out, v, gid))
+                        projected[out] = v
+                if successors:
+                    if not queue or queue[-1][0] < at:
+                        queue.append((at, successors))
+                    else:
+                        _file(queue, at, successors)
+                if stop_hit:
+                    break
+            return self.clock - start
+
+        heap = queue
+        gdelay = self._gate_delay
+        push, pop = heappush, heappop
+        seq = self._seq
 
         # Each net has one driver and the heap orders by (time, net, seq), so
         # the order in which touched gates are evaluated only permutes seq
@@ -300,7 +423,7 @@ class SimState:
                     raise NonQuiescentError(
                         f"no quiescence within {max_time} units (next event at t={t})"
                     )
-                touched: list[int] = []
+                touched = []
                 stop_hit = False
                 while heap and heap[0][0] == t:
                     _, net, _, level, cause = pop(heap)
@@ -346,22 +469,28 @@ class SimState:
     # -- observation -------------------------------------------------------
 
     def read_port(self, port: DualRailPort | str) -> DualRailValue:
-        p = self._resolve_port(port)
-        return decode(self.levels[p.rail1], self.levels[p.rail0], self.netlist.protocol)
-
-    def _resolve_port(self, port: DualRailPort | str) -> DualRailPort:
-        if isinstance(port, DualRailPort):
-            return port
-        for p in self.netlist.ports:
-            if p.name == port:
-                return p
-        raise KeyError(f"no port named {port!r}")
+        if not isinstance(port, DualRailPort):
+            try:
+                port = self._plan.port_by_name[port]
+            except (KeyError, TypeError):
+                raise KeyError(f"no port named {port!r}") from None
+        levels = self.levels
+        return self._plan.decode[2 * levels[port.rail1] + levels[port.rail0]]
 
     def take_trace(self) -> Trace:
         """Hand over and clear the accumulated trace and its ack edges."""
         out, self.trace = self.trace, []
         self.ack_edges = []
         return out
+
+
+def _file(queue: list, t: int, events: list) -> None:
+    """Add ``events``, all at time ``t``, to the batch for ``t`` in ``queue``."""
+    i = bisect_left(queue, t, key=_TIME)
+    if i < len(queue) and queue[i][0] == t:
+        queue[i][1].extend(events)
+    else:
+        queue.insert(i, (t, events))
 
 
 def reset(netlist: Netlist, delay_model: DelayModel | None = None) -> SimState:

@@ -17,7 +17,7 @@ from qdimul import cells
 from qdimul.cells import FullAdderKind
 from qdimul.harness import Harness
 from qdimul.multiplier import MultiplierSpec, generate
-from qdimul.netlist import ParseError, Protocol, deserialize, serialize
+from qdimul.netlist import GateKind, ParseError, Protocol, deserialize, serialize
 from qdimul.sim import DelayModel
 from qdimul.verify import default_pairs, inject_fork_skew, narrow_completion, swap_port_rails
 
@@ -27,21 +27,32 @@ from qdimul.verify import default_pairs, inject_fork_skew, narrow_completion, sw
 # traced run_sequence reports and of run_burst (reports, trace, illegal).
 GOLDEN_TRACE_SHA256 = "cb96ebe655fd31e1d5748b1bd1d147fe536c377acd0112b7deb5db298bad8f08"
 
+#: Every gate kind at delay 3: a constant delay other than 1.
+TABLE_3 = DelayModel.fixed_table({kind: 3 for kind in GateKind})
 
-def trace_digest() -> str:
-    """Traced sequences and bursts at n = 2, 4: every adder, protocol, two delay models."""
+# Pinned on the heap-only engine, before constant-delay runs stepped tick by
+# tick: trace_digest's runs under TABLE_3 alone.
+GOLDEN_TRACE_TABLE_SHA256 = "9dc37d15161690f9158b248ebaac6e1f933a1014e4ea6c00f23512bfbb2274b0"
+
+
+def trace_digest(models=(DelayModel.unit(), DelayModel.random_per_gate(1, 20, seed=5))) -> str:
+    """Traced sequences and bursts at n = 2, 4: every adder, protocol and delay model."""
     h = hashlib.sha256()
     for n in (2, 4):
         pairs = default_pairs(n)[::3]
         for kind in FullAdderKind:
             for protocol in Protocol:
                 nl = generate(MultiplierSpec(n, kind, protocol))
-                for dm in (DelayModel.unit(), DelayModel.random_per_gate(1, 20, seed=5)):
+                for dm in models:
                     reports = Harness(nl, dm).run_sequence(pairs, want_traces=True)
                     h.update(repr(reports).encode())
                     burst = Harness(nl, dm).run_burst(pairs[:8], gap=1)
                     h.update(repr((burst.reports, burst.trace, burst.illegal)).encode())
     return h.hexdigest()
+
+
+def table_trace_digest() -> str:
+    return trace_digest((TABLE_3,))
 
 
 # -- the writer ----------------------------------------------------------------

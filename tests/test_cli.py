@@ -53,6 +53,48 @@ def test_parse_delay_model_errors(tmp_path):
             parse_delay_model(text, 0)
 
 
+# A table file's text, and the words its one-line error must contain.
+BAD_DELAY_TABLES = {
+    "list": ("[1, 2]", "expected a JSON object"),
+    "number": ("5", "expected a JSON object"),
+    "overflow": ('{"c2": 1e400}', "got Infinity"),
+    "fraction": ('{"c2": 2.7}', "got 2.7"),
+    "true": ('{"c2": true}', "got true"),
+    "string": ('{"c2": "5"}', 'got "5"'),
+    "zero": ('{"c2": 0}', "got 0"),
+    "unknown-kind": ('{"nand2": 1}', "unknown gate kind 'nand2'"),
+    "deep": ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+    "not-utf8": (b"\xff\xfe", "bad delay table"),
+    "missing-kind": ('{"c2": 3}', "no entry for gate kind"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_DELAY_TABLES))
+def test_bad_delay_table_is_a_usage_error(tmp_path, capsys, name):
+    text, words = BAD_DELAY_TABLES[name]
+    netlist = gen_netlist(tmp_path)
+    table = tmp_path / "delays.json"
+    if isinstance(text, bytes):
+        table.write_bytes(text)
+    else:
+        table.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "--netlist", str(netlist), "--a", "1", "--b", "1",
+              "--delay-model", f"table:{table}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qdimul: error: ") and err.count("\n") == 1
+    assert words in err
+
+
+def test_delay_table_directory_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "--netlist", str(gen_netlist(tmp_path)), "--a", "1", "--b", "1",
+              "--delay-model", f"table:{tmp_path}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_gen_writes_valid_netlist(tmp_path):
     path = gen_netlist(tmp_path)
     netlist = deserialize(path.read_text())

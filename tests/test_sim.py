@@ -74,6 +74,12 @@ def test_fixed_table_rejects_nonpositive_delay():
         DelayModel.fixed_table({GateKind.OR2: 0})
 
 
+@pytest.mark.parametrize("delay", [True, 2.0, "3", None])
+def test_fixed_table_rejects_non_integer_delay(delay):
+    with pytest.raises(ValueError, match="positive integer"):
+        DelayModel.fixed_table({GateKind.OR2: delay})
+
+
 def test_random_model_rejects_bad_bounds():
     with pytest.raises(ValueError):
         DelayModel.random_per_gate(0, 5)
@@ -311,6 +317,10 @@ def test_delay_vector_is_memoised_per_model(dm):
 def test_golden_trace_hash():
     # digest and inputs live in tests/golden.py, shared with tests/smoke.py
     assert golden.trace_digest() == golden.GOLDEN_TRACE_SHA256
+
+
+def test_golden_trace_table_hash():
+    assert golden.table_trace_digest() == golden.GOLDEN_TRACE_TABLE_SHA256
 
 
 def _hash_burst(h, netlist, dm, pairs):
