@@ -22,12 +22,12 @@ from typing import Sequence
 
 from . import __version__
 from .cells import FullAdderKind
-from .harness import (Harness, IllegalOutputError, StuckPhaseError, cycle_report_rows,
+from .harness import (HANDSHAKE_ERRORS, Harness, cycle_report_rows,
                       write_cycle_reports_csv)
 from .metrics import StageMetrics, compare, measure, normalize_pctp, render_rows
 from .multiplier import MultiplierSpec, generate
 from .netlist import GateKind, ParseError, Protocol, deserialize, serialize
-from .sim import DelayModel, NonQuiescentError, write_trace_csv, write_trace_vcd
+from .sim import DelayModel, write_trace_csv, write_trace_vcd
 from . import verify as verify_mod
 
 
@@ -347,7 +347,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (UsageError, ParseError, FileNotFoundError, ValueError) as exc:
         parser.exit(2, f"qdimul: error: {exc}\n")
-    except (StuckPhaseError, IllegalOutputError, NonQuiescentError) as exc:
+    except HANDSHAKE_ERRORS as exc:
         sys.stderr.write(f"qdimul: {exc.code}: {exc}\n")
         return 1
 

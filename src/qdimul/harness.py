@@ -13,7 +13,9 @@ to the completion assert edge; reverse latency from spacer application to
 the release edge.  Cycle time is their sum.  The harness waits for full
 quiescence before switching phases, which is the conservative contract the
 checkers rely on; :meth:`Harness.run_burst` offers an impatient environment
-(next phase right after the acknowledge edge) for race experiments.
+(next phase right after the acknowledge edge) for race experiments.  Every
+run is bounded by the engine's ``DEFAULT_GUARD``, and a cycle that fails
+raises one of :data:`HANDSHAKE_ERRORS`.
 
 Observation costs what the caller needs.  The acknowledge edges come from
 the engine's record of ``ack_out`` transitions (``SimState.ack_edges``),
@@ -36,7 +38,7 @@ from statistics import fmean
 from typing import IO, Iterable, Sequence
 
 from .netlist import DualRailPort, DualRailValue, Netlist, Protocol, encode
-from .sim import DEFAULT_GUARD, DelayModel, SimState, Trace, reset
+from .sim import DelayModel, NonQuiescentError, SimState, Trace, reset
 
 
 class IllegalOutputError(RuntimeError):
@@ -49,6 +51,10 @@ class StuckPhaseError(RuntimeError):
     """A handshake phase ended without the expected completion edge."""
 
     code = "STUCK_PHASE"
+
+
+#: What a failed handshake raises: a stall, an ILLEGAL decode or no quiescence.
+HANDSHAKE_ERRORS = (StuckPhaseError, IllegalOutputError, NonQuiescentError)
 
 
 class EmptyReportsError(ValueError):
@@ -187,17 +193,11 @@ def scan_port_changes(
 class Harness:
     """Drives a generated multiplier stage through handshake cycles."""
 
-    def __init__(
-        self,
-        netlist: Netlist,
-        delay_model: DelayModel | None = None,
-        guard: int = DEFAULT_GUARD,
-    ):
+    def __init__(self, netlist: Netlist, delay_model: DelayModel | None = None):
         self.a_ports, self.b_ports, self.out_ports = stage_ports(netlist)
         if netlist.ack_out is None or netlist.ack_in is None or netlist.phase_net is None:
             raise ValueError("harness requires ack_out, ack_in and a phase net")
         self.netlist = netlist
-        self.guard = guard
         self.state: SimState = reset(netlist, delay_model)
         self.n = len(self.a_ports)
         self._ack = netlist.ack_out
@@ -273,7 +273,7 @@ class Harness:
         Raises :class:`StuckPhaseError` if completion never asserts or
         releases, :class:`IllegalOutputError` if any port ever decodes to the
         forbidden rail pair, and propagates ``NonQuiescentError`` from the
-        engine on oscillation.
+        engine on oscillation (together, :data:`HANDSHAKE_ERRORS`).
         """
         limit = 1 << self.n
         if not (0 <= a < limit and 0 <= b < limit):
@@ -284,14 +284,14 @@ class Harness:
 
         t0 = st.clock
         self._apply_operands(a, b, t0)
-        st.run_until_quiescent(self.guard)
+        st.run_until_quiescent()
         ta = self._ack_edge(0, self._active, "asserted")
         product = self._decode_product()
 
         t1 = st.clock + 1
         data_edges = len(st.ack_edges)
         self._apply_spacer(t1)
-        st.run_until_quiescent(self.guard)
+        st.run_until_quiescent()
         tb = self._ack_edge(data_edges, self._spacer, "released")
         levels, table = st.levels, self._decode
         for p in self.out_ports:
@@ -346,14 +346,14 @@ class Harness:
         for a, b in pairs:
             t0 = st.clock if not reports else st.clock + gap
             self._apply_operands(a, b, t0)
-            st.run_until_quiescent(self.guard, stop_net=self._ack, stop_level=self._active)
+            st.run_until_quiescent(stop_net=self._ack, stop_level=self._active)
             if st.levels[self._ack] != self._active:
                 raise StuckPhaseError("completion never asserted during burst")
             ta = st.clock
             product = self._decode_product()
             t1 = ta + gap
             self._apply_spacer(t1)
-            st.run_until_quiescent(self.guard, stop_net=self._ack, stop_level=self._spacer)
+            st.run_until_quiescent(stop_net=self._ack, stop_level=self._spacer)
             if st.levels[self._ack] != self._spacer:
                 raise StuckPhaseError("completion never released during burst")
             tb = st.clock
@@ -366,7 +366,7 @@ class Harness:
                 )
             )
             windows.append((t0, t1, tb))
-        st.run_until_quiescent(self.guard)
+        st.run_until_quiescent()
         trace = st.trace[origin:]
         illegal = sorted(self._illegal_points(trace))
         st.take_trace()

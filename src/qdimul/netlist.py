@@ -111,47 +111,31 @@ class GateKind(Enum):
     C3 = "c3"
 
 
-ARITY: dict[GateKind, int] = {
-    GateKind.AND2: 2,
-    GateKind.AND3: 3,
-    GateKind.AND4: 4,
-    GateKind.OR2: 2,
-    GateKind.OR3: 3,
-    GateKind.OR4: 4,
-    GateKind.NOT: 1,
-    GateKind.C2: 2,
-    GateKind.C3: 3,
-}
-
-STATEFUL: frozenset[GateKind] = frozenset({GateKind.C2, GateKind.C3})
-
-#: AND <-> OR of equal arity; NOT and C-elements are self-dual.
-DUAL_KIND: dict[GateKind, GateKind] = {
-    GateKind.AND2: GateKind.OR2,
-    GateKind.AND3: GateKind.OR3,
-    GateKind.AND4: GateKind.OR4,
-    GateKind.OR2: GateKind.AND2,
-    GateKind.OR3: GateKind.AND3,
-    GateKind.OR4: GateKind.AND4,
-    GateKind.NOT: GateKind.NOT,
-    GateKind.C2: GateKind.C2,
-    GateKind.C3: GateKind.C3,
-}
-
 #: Gate families as evaluated: AND, OR, NOT and C-element of any arity.
 F_AND, F_OR, F_NOT, F_C = 0, 1, 2, 3
 
-FAMILY: dict[GateKind, int] = {
-    GateKind.AND2: F_AND,
-    GateKind.AND3: F_AND,
-    GateKind.AND4: F_AND,
-    GateKind.OR2: F_OR,
-    GateKind.OR3: F_OR,
-    GateKind.OR4: F_OR,
-    GateKind.NOT: F_NOT,
-    GateKind.C2: F_C,
-    GateKind.C3: F_C,
+#: Each kind's (family, arity); every per-kind map below derives from it.
+_SHAPE: dict[GateKind, tuple[int, int]] = {
+    GateKind.AND2: (F_AND, 2),
+    GateKind.AND3: (F_AND, 3),
+    GateKind.AND4: (F_AND, 4),
+    GateKind.OR2: (F_OR, 2),
+    GateKind.OR3: (F_OR, 3),
+    GateKind.OR4: (F_OR, 4),
+    GateKind.NOT: (F_NOT, 1),
+    GateKind.C2: (F_C, 2),
+    GateKind.C3: (F_C, 3),
 }
+
+FAMILY: dict[GateKind, int] = {k: f for k, (f, _) in _SHAPE.items()}
+ARITY: dict[GateKind, int] = {k: a for k, (_, a) in _SHAPE.items()}
+STATEFUL: frozenset[GateKind] = frozenset(k for k, f in FAMILY.items() if f == F_C)
+
+_DUAL_FAMILY = {F_AND: F_OR, F_OR: F_AND, F_NOT: F_NOT, F_C: F_C}
+_KIND_OF_SHAPE = {shape: k for k, shape in _SHAPE.items()}
+#: AND <-> OR of equal arity; NOT and C-elements are self-dual.
+DUAL_KIND: dict[GateKind, GateKind] = {
+    k: _KIND_OF_SHAPE[_DUAL_FAMILY[f], a] for k, (f, a) in _SHAPE.items()}
 
 
 def eval_family(

@@ -149,6 +149,9 @@ class DelayModel:
 
     @classmethod
     def random_per_gate(cls, lo: int = 1, hi: int = 20, seed: int = 0) -> "DelayModel":
+        for what, v in (("lo", lo), ("hi", hi), ("seed", seed)):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"{what} must be an integer, got {v!r}")
         if lo < 1 or hi < lo:
             raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
         return cls(DelayMode.RANDOM_PER_GATE, lo=lo, hi=hi, seed=seed)
@@ -375,12 +378,14 @@ class SimState:
                         v = 1 - level
                         if projected[ack_in] != v:
                             # where the heap pops it: after every unprocessed
-                            # event of this tick on a net up to ack_in.  One
-                            # gate drives ack_out and schedules at most once
-                            # per tick, so bisecting for ack_out finds this
-                            # event in the sorted batch.
-                            after = bisect_left(batch, ack_out, key=_NET) + 1
-                            batch.insert(bisect_right(batch, ack_in, after, key=_NET),
+                            # event of this tick on a net up to ack_in.  The
+                            # environment may put several ack_out events in
+                            # one tick, so find this one by identity among
+                            # the batch's ack_out run.
+                            after = bisect_left(batch, ack_out, key=_NET)
+                            while batch[after] is not event:
+                                after += 1
+                            batch.insert(bisect_right(batch, ack_in, after + 1, key=_NET),
                                          (t, ack_in, v, ENV))
                             projected[ack_in] = v
                             self._pending_time[ack_in] = t

@@ -3,7 +3,11 @@
 Each checker returns a :class:`CheckOutcome`; a failing outcome carries a
 :class:`Counterexample` with everything needed to replay it (operands, seed,
 delay model, tail of the event trace).  The checkers never mutate the
-netlist under test.
+netlist under test, and each fixes its own environment: every check runs
+under unit delays except :func:`check_delay_insensitivity`, which adds
+``random_per_gate(1, 20, seed)`` models, and every run is bounded by the
+engine's ``DEFAULT_GUARD``.  A handshake that fails with one of
+:data:`~qdimul.harness.HANDSHAKE_ERRORS` is a failing outcome, not an error.
 
 The module also ships three netlist mutators used as negative controls:
 :func:`swap_port_rails` (corrupts function), :func:`narrow_completion`
@@ -24,16 +28,18 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .harness import (
+    HANDSHAKE_ERRORS,
     Harness,
     CycleReport,
-    IllegalOutputError,
-    StuckPhaseError,
     drive,
     scan_port_changes,
     stage_ports,
 )
 from .metrics import design_label
 from .netlist import (
+    F_AND,
+    F_OR,
+    FAMILY,
     DualRailPort,
     DualRailValue,
     Gate,
@@ -41,7 +47,7 @@ from .netlist import (
     Netlist,
     dualize,
 )
-from .sim import DEFAULT_GUARD, DelayModel, NonQuiescentError, reset
+from .sim import DelayModel, reset
 
 TRACE_TAIL = 24
 
@@ -119,47 +125,40 @@ def default_pairs(n: int, samples: int = 64, seed: int = 0) -> list[tuple[int, i
 
 def check_functional(
     netlist: Netlist,
-    delay_model: DelayModel | None = None,
     pairs: Sequence[tuple[int, int]] | None = None,
     samples: int = 64,
     seed: int = 0,
 ) -> CheckOutcome:
-    """Products must equal the integer product of the operands."""
+    """Products must equal the integer product of the operands (unit delays)."""
     name = "functional"
-    harness = Harness(netlist, delay_model)
+    harness = Harness(netlist)
     if pairs is None:
         pairs = default_pairs(harness.n, samples, seed)
     done = 0
     for a, b in pairs:
         try:
             report = harness.run_cycle(a, b)
-        except (StuckPhaseError, IllegalOutputError, NonQuiescentError) as exc:
-            tail = _replay_tail(netlist, delay_model, pairs[: done + 1])
-            return _fail(name, netlist, {"a": a, "b": b, "cycle": done},
-                         delay_model, f"{type(exc).__name__}: {exc}",
-                         "clean handshake cycle", done, tail)
+        except HANDSHAKE_ERRORS as exc:
+            tail = _replay_tail(netlist, pairs[: done + 1])
+            return _fail(name, netlist, {"a": a, "b": b, "cycle": done}, None,
+                         f"{type(exc).__name__}: {exc}", "clean handshake cycle", done, tail)
         if report.product != a * b:
-            tail = _replay_tail(netlist, delay_model, pairs[: done + 1])
-            return _fail(name, netlist, {"a": a, "b": b, "cycle": done},
-                         delay_model, f"product {report.product}",
-                         f"product {a * b}", done, tail)
+            tail = _replay_tail(netlist, pairs[: done + 1])
+            return _fail(name, netlist, {"a": a, "b": b, "cycle": done}, None,
+                         f"product {report.product}", f"product {a * b}", done, tail)
         done += 1
     return CheckOutcome(name, True, f"{done} products match the integer oracle", done)
 
 
-def _replay_tail(
-    netlist: Netlist,
-    delay_model: DelayModel | None,
-    pairs: Sequence[tuple[int, int]],
-) -> tuple:
+def _replay_tail(netlist: Netlist, pairs: Sequence[tuple[int, int]]) -> tuple:
     """Re-run a failing prefix with tracing on to capture the event tail."""
-    harness = Harness(netlist, delay_model)
+    harness = Harness(netlist)
     trace: list = []
     try:
         for a, b in pairs:
             report = harness.run_cycle(a, b, want_trace=True)
             trace = report.trace or []
-    except (StuckPhaseError, IllegalOutputError, NonQuiescentError):
+    except HANDSHAKE_ERRORS:
         trace = harness.state.trace
     return _tail(trace)
 
@@ -177,14 +176,13 @@ def _cell_io(netlist: Netlist) -> tuple[tuple[DualRailPort, ...], tuple[DualRail
 def _arrival_orders(
     netlist: Netlist,
     name: str,
-    guard: int,
     step: Callable[..., tuple[str, str] | None],
     passed: str,
 ) -> CheckOutcome:
     """Drive a cell through every input codeword under every arrival order.
 
-    Inputs are applied one at a time, settling in between, then withdrawn in
-    the same order.  After each step ``step(st, outs, mark, early,
+    Inputs are applied one at a time, settling under unit delays in between,
+    then withdrawn in the same order.  After each step ``step(st, outs, mark, early,
     withdrawing)`` judges the settled state: ``mark`` is where the step's
     events start in the trace, and ``early`` reads "after only i of k
     inputs" (or "withdrawals") while inputs remain, else "".  It returns an
@@ -207,7 +205,7 @@ def _arrival_orders(
                 for pos, idx in enumerate(order, 1):
                     mark = len(st.trace)
                     drive(st, ins[idx], None if withdrawing else bits[idx])
-                    st.run_until_quiescent(guard)
+                    st.run_until_quiescent()
                     early = f"after only {pos} of {k} {unit}" if pos < k else ""
                     failure = step(st, outs, mark, early, withdrawing)
                     if failure:
@@ -223,7 +221,7 @@ def _arrival_orders(
     return CheckOutcome(name, True, passed.format(scenarios), scenarios)
 
 
-def check_strong_indication(netlist: Netlist, guard: int = DEFAULT_GUARD) -> CheckOutcome:
+def check_strong_indication(netlist: Netlist) -> CheckOutcome:
     """No output may move before the last input, in either phase.
 
     Exercises every input codeword under every arrival order: inputs are
@@ -244,12 +242,12 @@ def check_strong_indication(netlist: Netlist, guard: int = DEFAULT_GUARD) -> Che
             return "outputs stuck off spacer", "all outputs at spacer"
         return None
 
-    return _arrival_orders(netlist, "strong_indication", guard, step,
+    return _arrival_orders(netlist, "strong_indication", step,
                            "outputs wait for the last input under all {} "
                            "codeword/arrival-order scenarios")
 
 
-def check_weak_indication(netlist: Netlist, guard: int = DEFAULT_GUARD) -> CheckOutcome:
+def check_weak_indication(netlist: Netlist) -> CheckOutcome:
     """Output completion must imply input completion, in both phases.
 
     Weaker than :func:`check_strong_indication`: individual outputs may fire
@@ -261,7 +259,7 @@ def check_weak_indication(netlist: Netlist, guard: int = DEFAULT_GUARD) -> Check
     """
     name = "weak_indication"
     if "operands" in netlist.meta:
-        outcome = check_stage_indication(netlist, guard=guard)
+        outcome = check_stage_indication(netlist)
         ce = outcome.counterexample
         if ce is not None:
             ce = dataclasses.replace(ce, check=name)
@@ -277,7 +275,7 @@ def check_weak_indication(netlist: Netlist, guard: int = DEFAULT_GUARD) -> Check
             return f"all outputs complete {early}", "at least one output incomplete"
         return None
 
-    return _arrival_orders(netlist, name, guard, step,
+    return _arrival_orders(netlist, name, step,
                            "output completion implies input completion across {} "
                            "codeword/arrival-order scenarios")
 
@@ -287,15 +285,13 @@ def check_weak_indication(netlist: Netlist, guard: int = DEFAULT_GUARD) -> Check
 
 def check_stage_indication(
     netlist: Netlist,
-    delay_model: DelayModel | None = None,
     extra_values: int = 2,
     seed: int = 0,
-    guard: int = DEFAULT_GUARD,
 ) -> CheckOutcome:
     """Completion must not assert while any single operand bit is withheld.
 
-    For every operand port and a handful of operand values the stage runs
-    with that one dual-rail bit held at spacer; ``ack_out`` must stay
+    For every operand port and a handful of operand values the stage runs,
+    under unit delays, with that one dual-rail bit held at spacer; ``ack_out`` must stay
     released.  Supplying the bit must then complete the handshake with the
     correct product, and a full spacer must restore the reset state.
     """
@@ -303,7 +299,6 @@ def check_stage_indication(
     a_ports, b_ports, out_ports = stage_ports(netlist)
     ports = (*a_ports, *b_ports)
     n = len(a_ports)
-    dm = delay_model or DelayModel.unit()
     proto = netlist.protocol
     active, spacer = proto.active_level, proto.spacer_level
     ack = netlist.ack_out
@@ -317,43 +312,43 @@ def check_stage_indication(
         for a, b in values:
             stim = {"a": a, "b": b, "withheld": withheld.name}
             word = a | b << n  # bit i goes to ports[i]
-            st = reset(netlist, dm)
+            st = reset(netlist)
             st.set_primary(netlist.phase_net, active)
             for i, p in enumerate(ports):
                 if i != k:
                     drive(st, p, word >> i & 1)
-            st.run_until_quiescent(guard)
+            st.run_until_quiescent()
             if st.levels[ack] != spacer:
-                return _fail(name, netlist, stim, dm,
+                return _fail(name, netlist, stim, None,
                              f"completion asserted with {withheld.name} withheld",
                              "ack_out released until every input bit arrives",
                              scenarios, st.trace)
             if all(st.read_port(p) is not DualRailValue.SPACER for p in out_ports):
-                return _fail(name, netlist, stim, dm,
+                return _fail(name, netlist, stim, None,
                              f"every product bit completed with {withheld.name} withheld",
                              "at least one product bit still at spacer",
                              scenarios, st.trace)
             drive(st, withheld, word >> k & 1)
-            st.run_until_quiescent(guard)
+            st.run_until_quiescent()
             if st.levels[ack] != active:
-                return _fail(name, netlist, stim, dm, "completion missing with all inputs",
+                return _fail(name, netlist, stim, None, "completion missing with all inputs",
                              "ack_out asserted", scenarios, st.trace)
             product = 0
             for i, p in enumerate(out_ports):
                 v = st.read_port(p).bit
                 if v is None:
-                    return _fail(name, netlist, stim, dm, f"port {p.name} incomplete",
+                    return _fail(name, netlist, stim, None, f"port {p.name} incomplete",
                                  "all products at codewords", scenarios, st.trace)
                 product |= v << i
             if product != a * b:
-                return _fail(name, netlist, stim, dm, f"product {product}",
+                return _fail(name, netlist, stim, None, f"product {product}",
                              f"product {a * b}", scenarios, st.trace)
             st.set_primary(netlist.phase_net, spacer)
             for p in ports:
                 drive(st, p, None)
-            st.run_until_quiescent(guard)
+            st.run_until_quiescent()
             if st.levels != reset_levels:
-                return _fail(name, netlist, stim, dm, "stage did not return to reset",
+                return _fail(name, netlist, stim, None, "stage did not return to reset",
                              "exact reset state after a full cycle", scenarios, st.trace)
             scenarios += 1
     return CheckOutcome(name, True,
@@ -366,6 +361,9 @@ def check_stage_indication(
 
 _TIME, _NET, _NET_LEVEL = itemgetter(0), itemgetter(1), itemgetter(1, 2)
 
+#: The input level that fires a merge gate, by family.
+_FIRING_LEVEL = {F_OR: 1, F_AND: 0}
+
 
 def _merge_watchers(netlist: Netlist) -> dict[tuple[int, int], tuple[int, ...]]:
     """Map (net, level) -> merge gates for which that transition is a firing input.
@@ -375,12 +373,8 @@ def _merge_watchers(netlist: Netlist) -> dict[tuple[int, int], tuple[int, ...]]:
     """
     watch: dict[tuple[int, int], list[int]] = {}
     for g in netlist.gates:
-        fam = g.kind.name
-        if fam.startswith("OR"):
-            level = 1
-        elif fam.startswith("AND"):
-            level = 0
-        else:
+        level = _FIRING_LEVEL.get(FAMILY[g.kind])
+        if level is None:
             continue
         for n in g.inputs:
             watch.setdefault((n, level), []).append(g.id)
@@ -480,15 +474,13 @@ def check_delay_insensitivity(
     netlist: Netlist,
     pairs: Sequence[tuple[int, int]] | None = None,
     seeds: Iterable[int] | int = 8,
-    lo: int = 1,
-    hi: int = 20,
     samples: int = 16,
     seed: int = 0,
 ) -> CheckOutcome:
     """Behaviour must not depend on gate delays.
 
     Runs the same operand sequence under unit delays and under per-gate
-    random delays for several seeds.  Every run must produce the oracle
+    random delays in [1, 20] for each of ``seeds``.  Every run must produce the oracle
     products, keep every port on the data/spacer alternation, and stay
     monotonic per phase.  Cycle times may and do differ; that is the point.
     """
@@ -498,7 +490,7 @@ def check_delay_insensitivity(
     if isinstance(seeds, int):
         seeds = range(seeds)
     models = [DelayModel.unit()]
-    models += [DelayModel.random_per_gate(lo, hi, s) for s in seeds]
+    models += [DelayModel.random_per_gate(1, 20, s) for s in seeds]
     cycle_times = set()
     scenarios = 0
     for dm in models:
@@ -508,7 +500,7 @@ def check_delay_insensitivity(
             stim = {"a": a, "b": b, "cycle": idx}
             try:
                 r = harness.run_cycle(a, b, want_trace=True)
-            except (StuckPhaseError, IllegalOutputError, NonQuiescentError) as exc:
+            except HANDSHAKE_ERRORS as exc:
                 return _fail(name, netlist, stim, dm, f"{type(exc).__name__}: {exc}",
                              "clean handshake cycle", scenarios, harness.state.trace)
             if r.product != a * b:
@@ -567,7 +559,7 @@ def check_duality(
             r1 = h1.run_cycle(a, b)
             h = h2
             r2 = h2.run_cycle(a, b)
-        except (StuckPhaseError, IllegalOutputError, NonQuiescentError) as exc:
+        except HANDSHAKE_ERRORS as exc:
             return _fail(name, netlist, {**stim, "protocol": h.netlist.protocol.value},
                          None, f"{type(exc).__name__}: {exc}", "clean handshake cycle",
                          scenarios, h.state.trace)
@@ -588,46 +580,45 @@ def check_duality(
 
 # -- racing environment --------------------------------------------------------
 
+#: Ticks between an acknowledge edge and the racing environment's next phase.
+_RACE_GAP = 1
+
 
 def check_race_immunity(
     netlist: Netlist,
     pairs: Sequence[tuple[int, int]] | None = None,
-    gap: int = 1,
-    delay_model: DelayModel | None = None,
     samples: int = 16,
     seed: int = 0,
 ) -> CheckOutcome:
     """The stage must survive an environment that never waits for quiescence.
 
-    Phases switch one tick after each acknowledge edge, so transitions still
-    in flight from the previous phase race the next one.  A correct
-    quasi-delay-insensitive stage still yields oracle products and legal
-    codewords; stages with skewed forks leak stale transitions across phase
-    boundaries and fail here.
+    Under unit delays, phases switch one tick after each acknowledge edge, so
+    transitions still in flight from the previous phase race the next one.
+    A correct quasi-delay-insensitive stage still yields oracle products and
+    legal codewords; stages with skewed forks leak stale transitions across
+    phase boundaries and fail here.
     """
     name = "race_immunity"
-    harness = Harness(netlist, delay_model)
+    harness = Harness(netlist)
     if pairs is None:
         pairs = default_pairs(harness.n, samples, seed)[:samples]
+    stim = {"pairs": list(pairs), "gap": _RACE_GAP}
     try:
-        result = harness.run_burst(pairs, gap=gap)
-    except (StuckPhaseError, IllegalOutputError, NonQuiescentError) as exc:
-        return _fail(name, netlist, {"pairs": list(pairs), "gap": gap}, delay_model,
-                     f"{type(exc).__name__}: {exc}", "completed burst", 0,
-                     harness.state.trace)
+        result = harness.run_burst(pairs, gap=_RACE_GAP)
+    except HANDSHAKE_ERRORS as exc:
+        return _fail(name, netlist, stim, None, f"{type(exc).__name__}: {exc}",
+                     "completed burst", 0, harness.state.trace)
     if result.illegal:
         t, pname = result.illegal[0]
-        return _fail(name, netlist, {"pairs": list(pairs), "gap": gap}, delay_model,
-                     f"port {pname} decoded ILLEGAL at t={t}",
+        return _fail(name, netlist, stim, None, f"port {pname} decoded ILLEGAL at t={t}",
                      "legal codewords throughout the burst", 0, result.trace)
     for idx, r in enumerate(result.reports):
         if r.product != r.a * r.b:
-            return _fail(name, netlist, {"a": r.a, "b": r.b, "cycle": idx, "gap": gap},
-                         delay_model, f"product {r.product}", f"product {r.a * r.b}",
+            return _fail(name, netlist, {"a": r.a, "b": r.b, "cycle": idx, "gap": _RACE_GAP},
+                         None, f"product {r.product}", f"product {r.a * r.b}",
                          idx, result.trace)
-    return CheckOutcome(name, True,
-                        f"{len(result.reports)} back-to-back cycles stay clean at gap={gap}",
-                        len(result.reports))
+    return CheckOutcome(name, True, f"{len(result.reports)} back-to-back cycles stay "
+                        f"clean at gap={_RACE_GAP}", len(result.reports))
 
 
 #: The standard stage verification battery, cheapest checks first: check

@@ -87,6 +87,15 @@ def test_random_model_rejects_bad_bounds():
         DelayModel.random_per_gate(9, 5)
 
 
+@pytest.mark.parametrize("lo, hi, seed", [
+    (True, True, 0), (1, True, 0), (1.5, 3, 0), (1, 3.0, 0), ("1", 3, 0), (1, 3, True),
+    (1, 3, 1.0), (1, 3, None),
+])
+def test_random_model_rejects_non_integer_arguments(lo, hi, seed):
+    with pytest.raises(ValueError, match="must be an integer"):
+        DelayModel.random_per_gate(lo, hi, seed)
+
+
 @given(st.integers(0, 2**31), st.integers(0, 500))
 def test_random_delay_is_a_pure_function_of_seed_and_gate(seed, gate_id):
     dm = DelayModel.random_per_gate(1, 20, seed)

@@ -162,6 +162,24 @@ def test_acknowledge_lands_at_its_net_position_in_the_tick(model):
 
 
 @pytest.mark.parametrize("model", list(CONSTANT))
+@pytest.mark.parametrize("ack_out, ack_in", [(1, 0), (0, 1)])
+@pytest.mark.parametrize("pulses", [1, 2, 3, 4, 5])
+def test_each_environment_acknowledge_in_one_tick_matches_the_heap(pulses, ack_out, ack_in,
+                                                                   model):
+    # ack_out is a primary input here, so one tick can hold several of its
+    # events; each inverter event belongs after its own ack_out event
+    gates = [Gate(0, GateKind.OR2, (ack_in, ack_in), 2, 1)]
+    nl = Netlist(Protocol.RTZ, gates, ack_out=ack_out, ack_in=ack_in, extra_inputs=[ack_out])
+    tick, heap = pair_of_states(nl, CONSTANT[model][0])
+    for state in (tick, heap):
+        for i in range(pulses):
+            state.set_primary(ack_out, 1 - i % 2, at_time=5)
+    got = [(observe(s, s.run_until_quiescent()), s.ack_edges) for s in (tick, heap)]
+    assert got[0] == got[1]
+    assert tick.levels[ack_in] == 1 - tick.levels[ack_out]
+
+
+@pytest.mark.parametrize("model", list(CONSTANT))
 def test_future_pulses_and_out_of_order_times_match_the_heap(model):
     nl, x, y, w = chain(length=4)
     tick, heap = pair_of_states(nl, CONSTANT[model][0])
