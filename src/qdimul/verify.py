@@ -182,17 +182,23 @@ def _arrival_orders(
     """Drive a cell through every input codeword under every arrival order.
 
     Inputs are applied one at a time, settling under unit delays in between,
-    then withdrawn in the same order.  After each step ``step(st, outs, mark, early,
-    withdrawing)`` judges the settled state: ``mark`` is where the step's
-    events start in the trace, and ``early`` reads "after only i of k
+    then withdrawn in the same order.  After each step ``step(st, outs, mark,
+    early, withdrawing)`` judges the settled state: ``mark`` is where the
+    step's events start in the trace, and ``early`` reads "after only i of k
     inputs" (or "withdrawals") while inputs remain, else "".  It returns an
     ``(observed, expected)`` failure or None.  Every scenario must also
     complete the outputs once all inputs are present and end in the exact
     reset state.
+
+    A cell with ``ack_in`` but no ``ack_out`` (whose ``ack_in`` the engine
+    would mirror) gets the four-phase environment's acknowledge: ``ack_in``
+    leaves its reset level once the outputs complete and returns to it after
+    the last withdrawal.
     """
     ins, outs = _cell_io(netlist)
     k = len(ins)
     reset_levels = netlist.reset_levels()
+    ack = netlist.ack_in if netlist.ack_out is None else None
     scenarios = 0
     for bits in itertools.product((0, 1), repeat=k):
         for order in itertools.permutations(range(k)):
@@ -214,6 +220,10 @@ def _arrival_orders(
                     return _fail(name, netlist, stim, None,
                                  "outputs incomplete with all inputs present",
                                  "all outputs at codewords", scenarios, st.trace)
+                if ack is not None:
+                    st.set_primary(ack, reset_levels[ack] if withdrawing
+                                   else 1 - reset_levels[ack])
+                    st.run_until_quiescent()
             if st.levels != reset_levels:
                 return _fail(name, netlist, stim, None, "cell did not return to reset",
                              "exact reset state after a full cycle", scenarios, st.trace)
