@@ -61,7 +61,10 @@ reset state is quiescent, and keeps that plan (plus one delay vector per
 :class:`DelayModel` used) on the netlist.  Later resets only copy the reset
 levels and input counts and allocate an empty event queue.  A netlist that
 fails validation or the quiescence check is not compiled and fails the same
-way on every reset.
+way on every reset.  A random delay model draws each gate id once and
+shares the draws with every netlist simulated under that model object: a
+netlist's vector is the first ``len(gates)`` of them, so designs of
+different sizes under one model draw only the ids no earlier design had.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from __future__ import annotations
 import csv
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from heapq import heappop, heappush
@@ -77,6 +80,7 @@ from operator import itemgetter
 from typing import IO, Iterable, Mapping
 
 from .netlist import (
+    ARITY,
     FAMILY,
     DualRailPort,
     DualRailValue,
@@ -124,7 +128,10 @@ class DelayModel:
     UNIT gives every gate delay 1.  FIXED_TABLE maps each :class:`GateKind`
     to a delay.  RANDOM_PER_GATE draws uniformly from [lo, hi]; the draw is a
     pure function of (seed, gate id), so two gates never share entropy and a
-    netlist edit cannot silently reshuffle delays of untouched gates.
+    netlist edit cannot silently reshuffle delays of untouched gates.  A
+    random model draws each gate id once and shares the draws with every
+    netlist simulated under that model object; the draws take no part in
+    equality, hashing, ``repr`` or :meth:`describe`.
     """
 
     mode: DelayMode = DelayMode.UNIT
@@ -132,6 +139,8 @@ class DelayModel:
     lo: int = 1
     hi: int = 20
     seed: int = 0
+    # a random model's delays drawn so far, indexed by gate id
+    _drawn: list[int] = field(default_factory=list, init=False, compare=False, repr=False)
 
     @classmethod
     @cache
@@ -164,7 +173,28 @@ class DelayModel:
                 if k is kind:
                     return d
             raise ValueError(f"delay table has no entry for gate kind {kind.value!r}")
-        return random.Random(f"{self.seed}:{gate_id}").randint(self.lo, self.hi)
+        return self._draw((gate_id,))[0]
+
+    def _draw(self, gate_ids: Iterable[int]) -> list[int]:
+        """Random delays of ``gate_ids``: the one (seed, gate id) -> delay mapping.
+
+        One generator reseeded per id gives the same numbers as
+        ``random.Random(f"{seed}:{gate_id}").randint(lo, hi)``.
+        """
+        rng = random.Random(0)
+        seed, lo, hi = self.seed, self.lo, self.hi
+        drawn = []
+        for gid in gate_ids:
+            rng.seed(f"{seed}:{gid}")
+            drawn.append(rng.randint(lo, hi))
+        return drawn
+
+    def _random_prefix(self, count: int) -> list[int]:
+        """Delays of gate ids ``0..count-1``, drawing only the ids not drawn yet."""
+        drawn = self._drawn
+        if len(drawn) < count:
+            drawn += self._draw(range(len(drawn), count))
+        return drawn[:count]
 
     def describe(self) -> dict:
         """JSON-safe summary embedded into result artifacts."""
@@ -198,21 +228,22 @@ class _Plan:
 
     def __init__(self, netlist: Netlist):
         netlist.require_valid()
-        self._gates = sorted(netlist.gates, key=lambda g: g.id)
-        families = [FAMILY[g.kind] for g in self._gates]
-        self.row = [_gate_row(f, len(g.inputs)) for f, g in zip(families, self._gates)]
-        self.output = [g.output for g in self._gates]
+        self._gates = gates = sorted(netlist.gates, key=lambda g: g.id)
+        # validate guarantees each gate's arity, so a kind names its row
+        row_of = {k: _gate_row(FAMILY[k], ARITY[k]) for k in {g.kind for g in gates}}
+        self.row = [row_of[g.kind] for g in gates]
+        self.output = [g.output for g in gates]
         fanout: list[list[int]] = [[] for _ in range(netlist.net_count)]
-        for g in self._gates:
+        for g in gates:
             for n in g.inputs:
                 fanout[n].append(g.id)
         self.fanout = [tuple(f) for f in fanout]
 
         lv = netlist.reset_levels()
-        self.reset_ones = [sum(map(lv.__getitem__, g.inputs)) for g in self._gates]
-        for g, family in zip(self._gates, families):
-            settled = eval_family(family, g.inputs, lv, lv[g.output])
-            if settled != lv[g.output]:
+        self.reset_ones = [sum(map(lv.__getitem__, g.inputs)) for g in gates]
+        for g, row, ones in zip(gates, self.row, self.reset_ones):
+            settled = row[ones]
+            if settled != HOLD and settled != lv[g.output]:  # HOLD keeps the reset level
                 raise ValueError(
                     f"reset is not quiescent: gate {g.id} ({g.kind.value}) would "
                     f"drive {settled}, reset says {lv[g.output]}"
@@ -236,6 +267,8 @@ class _Plan:
         if timing is None:
             if model.mode is DelayMode.UNIT:
                 vector = [1] * len(self._gates)
+            elif model.mode is DelayMode.RANDOM_PER_GATE:
+                vector = model._random_prefix(len(self._gates))
             else:
                 vector = [model.delay_of(g.id, g.kind) for g in self._gates]
             step = vector[0] if vector and vector.count(vector[0]) == len(vector) else None

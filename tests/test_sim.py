@@ -323,6 +323,63 @@ def test_delay_vector_is_memoised_per_model(dm):
     assert reset(nl, twin)._gate_delay is vector
 
 
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+@pytest.mark.parametrize("sizes", [(16, 2), (2, 8)], ids=["16-then-2", "2-then-8"])
+def test_random_draws_are_shared_across_netlists_of_any_size(sizes, protocol):
+    dm = DelayModel.random_per_gate(1, 20, seed=11)
+    uniform = DelayModel.random_per_gate(4, 4, seed=11)
+    for n in sizes:
+        nl = generate(MultiplierSpec(n, protocol=protocol))
+        state = reset(nl, dm)
+        assert state._gate_delay == [dm.delay_of(g.id, g.kind) for g in nl.gates]
+        assert state._step is None
+        # every gate drawing the same delay still selects the tick loop
+        assert reset(nl, uniform)._step == 4
+    # the draws kept on a model are invisible to its value
+    fresh = DelayModel.random_per_gate(1, 20, seed=11)
+    assert dm == fresh and hash(dm) == hash(fresh)
+    assert repr(dm) == repr(fresh) and dm.describe() == fresh.describe()
+
+
+def _forged_gate(kind, ones, reset_level):
+    """``kind`` as gate 1 behind a healthy NOT (gate 0), under RTZ.
+
+    Its first ``ones`` inputs read a constant-1 net, the rest read primary
+    inputs at 0; its output's reset level is ``reset_level``.
+    """
+    one, low = 1, list(range(3, 3 + ARITY[kind] - ones))
+    gates = [Gate(0, GateKind.NOT, (0,), 2, 1),
+             Gate(1, kind, (one,) * ones + tuple(low), 10, reset_level)]
+    return Netlist(Protocol.RTZ, gates, const_nets=[(one, 1)], extra_inputs=[0, *low])
+
+
+# (kind, inputs at 1, reset level) -> the error, recorded on the compile that
+# evaluated each gate with eval_family
+NOT_QUIESCENT = {
+    (GateKind.AND3, 3, 0): "reset is not quiescent: gate 1 (and3) would drive 1, reset says 0",
+    (GateKind.AND2, 1, 1): "reset is not quiescent: gate 1 (and2) would drive 0, reset says 1",
+    (GateKind.OR2, 1, 0): "reset is not quiescent: gate 1 (or2) would drive 1, reset says 0",
+    (GateKind.OR4, 0, 1): "reset is not quiescent: gate 1 (or4) would drive 0, reset says 1",
+    (GateKind.NOT, 0, 0): "reset is not quiescent: gate 1 (not) would drive 1, reset says 0",
+    (GateKind.NOT, 1, 1): "reset is not quiescent: gate 1 (not) would drive 0, reset says 1",
+    (GateKind.C2, 0, 1): "reset is not quiescent: gate 1 (c2) would drive 0, reset says 1",
+    (GateKind.C3, 3, 0): "reset is not quiescent: gate 1 (c3) would drive 1, reset says 0",
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_QUIESCENT), ids=lambda c: f"{c[0].value}-{c[1]}")
+def test_non_quiescent_reset_names_the_gate(case):
+    with pytest.raises(ValueError) as err:
+        reset(_forged_gate(*case))
+    assert str(err.value) == NOT_QUIESCENT[case]
+
+
+@pytest.mark.parametrize("kind, ones", [(GateKind.C2, 1), (GateKind.C3, 1), (GateKind.C3, 2)])
+def test_c_element_with_disagreeing_inputs_holds_either_reset_level(kind, ones):
+    for level in (0, 1):
+        assert reset(_forged_gate(kind, ones, level)).levels[10] == level
+
+
 def test_golden_trace_hash():
     # digest and inputs live in tests/golden.py, shared with tests/smoke.py
     assert golden.trace_digest() == golden.GOLDEN_TRACE_SHA256
