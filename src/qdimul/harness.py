@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import itemgetter
@@ -335,16 +336,19 @@ class Harness:
         forks or unacknowledged transitions can be caught mid-flight here,
         which the fully patient :meth:`run_cycle` would mask by waiting for
         global quiescence.  Port codeword violations are collected rather
-        than raised.
+        than raised.  Cycles overlap in time, so a report's ``transitions``
+        counts the trace's events from its data start up to the next
+        cycle's; the last cycle takes the rest, and the counts sum to the
+        length of the returned trace.
         """
         st = self.state
         if not st.quiescent:
             raise StuckPhaseError("burst started with events still pending")
-        reports: list[CycleReport] = []
+        cycles: list[tuple[int, int, int, int]] = []  # (a, b, product, ack edge)
         windows: list[tuple[int, int, int]] = []
         origin = len(st.trace)
         for a, b in pairs:
-            t0 = st.clock if not reports else st.clock + gap
+            t0 = st.clock if not windows else st.clock + gap
             self._apply_operands(a, b, t0)
             st.run_until_quiescent(stop_net=self._ack, stop_level=self._active)
             if st.levels[self._ack] != self._active:
@@ -356,20 +360,23 @@ class Harness:
             st.run_until_quiescent(stop_net=self._ack, stop_level=self._spacer)
             if st.levels[self._ack] != self._spacer:
                 raise StuckPhaseError("completion never released during burst")
-            tb = st.clock
-            reports.append(
-                CycleReport(
-                    a=a, b=b, product=product,
-                    forward=ta - t0, reverse=tb - t1, cycle=(ta - t0) + (tb - t1),
-                    transitions=0,
-                    data_start=t0, spacer_start=t1, end=tb,
-                )
-            )
-            windows.append((t0, t1, tb))
+            cycles.append((a, b, product, ta))
+            windows.append((t0, t1, st.clock))
         st.run_until_quiescent()
         trace = st.trace[origin:]
         illegal = sorted(self._illegal_points(trace))
         st.take_trace()
+        cuts = [bisect_left(trace, t0, key=itemgetter(0)) for t0, _, _ in windows]
+        cuts.append(len(trace))
+        reports = [
+            CycleReport(
+                a=a, b=b, product=product,
+                forward=ta - t0, reverse=tb - t1, cycle=(ta - t0) + (tb - t1),
+                transitions=cuts[k + 1] - cuts[k],
+                data_start=t0, spacer_start=t1, end=tb,
+            )
+            for k, ((a, b, product, ta), (t0, t1, tb)) in enumerate(zip(cycles, windows))
+        ]
         return BurstResult(reports=reports, trace=trace, windows=windows, illegal=illegal)
 
 

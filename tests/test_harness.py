@@ -175,6 +175,16 @@ def test_run_burst_matches_oracle_and_reports_windows(mult2):
     assert result.trace
 
 
+def test_run_burst_counts_each_cycles_transitions(mult2):
+    result = Harness(mult2).run_burst([(1, 2), (3, 3)])
+    counts = [r.transitions for r in result.reports]
+    assert sum(counts) == len(result.trace)
+    assert all(c > 0 for c in counts)
+    # cycle k owns the events from its data start up to the next cycle's
+    second = result.reports[1].data_start
+    assert counts[0] == sum(t < second for t, *_ in result.trace)
+
+
 def test_drive_puts_codewords_and_rejects_bad_bits(mult2):
     for protocol in Protocol:
         stage = generate(MultiplierSpec(n=2, protocol=protocol))
