@@ -17,6 +17,13 @@ checkers rely on; :meth:`Harness.run_burst` offers an impatient environment
 run is bounded by the engine's ``DEFAULT_GUARD``, and a cycle that fails
 raises one of :data:`HANDSHAKE_ERRORS`.
 
+Each phase is one :meth:`SimState.set_primaries` call.  Its events come
+from tables built once per stage and kept on the netlist: every operand
+port's two codeword event pairs, and the spacer phase's events with the
+phase net.  The end-of-cycle checks decode the product through an int bit
+table and compare the net levels with the reset state first, walking the
+product ports only to name a failure.
+
 Observation costs what the caller needs.  The acknowledge edges come from
 the engine's record of ``ack_out`` transitions (``SimState.ack_edges``),
 not from a search of the trace.  The ILLEGAL check first collects the port
@@ -132,34 +139,58 @@ def _codes(protocol: Protocol) -> dict:
     return {0: encode(0, protocol), 1: encode(1, protocol), None: (spacer, spacer)}
 
 
-# two names rather than a dict: hashing an Enum member runs Python code
+# two names rather than a dict: hashing an Enum member runs Python code, and
+# on Python 3.11 so does reading one off its class
+_RTZ = Protocol.RTZ
 _RTZ_CODES, _RTO_CODES = _codes(Protocol.RTZ), _codes(Protocol.RTO)
 
 
-def drive(state: SimState, port: DualRailPort, bit: int | None, t: int | None = None) -> None:
-    """Put the codeword of ``bit``, or the spacer for None, on ``port``'s rails."""
-    codes = _RTZ_CODES if state.netlist.protocol is Protocol.RTZ else _RTO_CODES
-    try:
-        r1, r0 = codes[bit]
-    except (KeyError, TypeError):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}") from None
-    state.set_primary(port.rail1, r1, t)
-    state.set_primary(port.rail0, r0, t)
+def drive(
+    state: SimState,
+    ports: Sequence[DualRailPort],
+    bits: Sequence[int | None],
+    t: int | None = None,
+) -> None:
+    """Put the codeword of each bit, or the spacer for None, on its port's rails.
 
-
-def _port_watchers(netlist: Netlist) -> dict[int, list[tuple[int, int, int]]]:
-    """Each rail net -> ``(port index, rail1, rail0)`` of every port it belongs to.
-
-    Built once and kept on the netlist.
+    ``bits[i]`` goes to ``ports[i]``, rail1 then rail0, in one
+    :meth:`SimState.set_primaries` call.  A bad bit, or a count of bits
+    other than the count of ports, raises ``ValueError`` before anything is
+    scheduled.
     """
-    def build(nl: Netlist) -> dict[int, list[tuple[int, int, int]]]:
-        watchers: dict[int, list[tuple[int, int, int]]] = {}
-        for i, p in enumerate(nl.ports):
-            for rail in (p.rail1, p.rail0):
-                watchers.setdefault(rail, []).append((i, p.rail1, p.rail0))
-        return watchers
+    codes = _RTZ_CODES if state.netlist.protocol is _RTZ else _RTO_CODES
+    if len(ports) != len(bits):
+        raise ValueError(f"{len(ports)} ports but {len(bits)} bits")
+    events = []
+    i = 0  # an index costs less than zip() for the one port most calls pass
+    for port in ports:
+        bit = bits[i]
+        try:
+            r1, r0 = codes[bit]
+        except (KeyError, TypeError):
+            raise ValueError(f"bit must be 0 or 1, got {bit!r}") from None
+        events.append((port.rail1, r1))
+        events.append((port.rail0, r0))
+        i += 1
+    state.set_primaries(events, t)
 
-    return netlist._derived("harness.port_watchers", build)
+
+def _port_masks(netlist: Netlist) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Each rail net -> ``(port index, mask)`` of every port it belongs to.
+
+    A port's code is ``2 * rail1 + rail0``; ``mask`` holds the code bits
+    the rail sets (2 for rail1, 1 for rail0, 3 for a port whose rails are
+    one net).  Built once and kept on the netlist.
+    """
+    def build(nl: Netlist) -> dict[int, tuple[tuple[int, int], ...]]:
+        masks: dict[int, dict[int, int]] = {}
+        for i, p in enumerate(nl.ports):
+            for rail, mask in ((p.rail1, 2), (p.rail0, 1)):
+                of_rail = masks.setdefault(rail, {})
+                of_rail[i] = of_rail.get(i, 0) | mask
+        return {rail: tuple(of_rail.items()) for rail, of_rail in masks.items()}
+
+    return netlist._derived("harness.port_masks", build)
 
 
 def scan_port_changes(
@@ -171,24 +202,69 @@ def scan_port_changes(
 
     Returns, per port name, the list of (time, value) points where the
     decoded value changed.  The caller supplies the net levels the trace
-    starts from (usually the reset levels).
+    starts from (usually the reset levels).  Each port is kept as its 2-bit
+    code, and a rail event sets its bits to the event's level.
     """
-    table, watchers = netlist.decode_table, _port_watchers(netlist)
-    rails = {net: base_levels[net] for net in watchers}
+    table, masks = netlist.decode_table, _port_masks(netlist)
     ports = netlist.ports
-    current = [table[2 * rails[p.rail1] + rails[p.rail0]] for p in ports]
+    codes = [2 * base_levels[p.rail1] + base_levels[p.rail0] for p in ports]
     changes: dict[str, list[tuple[int, DualRailValue]]] = {p.name: [] for p in ports}
+    points = [changes[p.name] for p in ports]
     if not isinstance(trace, list):
         trace = list(trace)
-    on_rail = map(watchers.__contains__, map(itemgetter(1), trace))
+    on_rail = map(masks.__contains__, map(itemgetter(1), trace))
+    # the four codes decode to four distinct values, so a value changes
+    # exactly when its code does
     for t, net, level, _cause in compress(trace, on_rail):
-        rails[net] = level
-        for i, r1, r0 in watchers[net]:
-            val = table[2 * rails[r1] + rails[r0]]
-            if val is not current[i]:
-                current[i] = val
-                changes[ports[i].name].append((t, val))
+        for i, mask in masks[net]:
+            old = codes[i]
+            code = old | mask if level else old & ~mask
+            if code != old:
+                codes[i] = code
+                points[i].append((t, table[code]))
     return changes
+
+
+class _Stage:
+    """What a :class:`Harness` needs from one stage, built once per netlist.
+
+    The environment's events per operand port and bit (``(net, level)``
+    pairs, rail1 then rail0), the spacer phase's events, and the tables of
+    the end-of-cycle checks and the ILLEGAL screen.  Nothing here is mutated
+    after construction.
+    """
+
+    def __init__(self, netlist: Netlist):
+        a_ports, b_ports, out_ports = stage_ports(netlist)
+        protocol = netlist.protocol
+        codes = _RTZ_CODES if protocol is Protocol.RTZ else _RTO_CODES
+
+        def events(p: DualRailPort, bit: int | None) -> tuple[tuple[int, int], ...]:
+            r1, r0 = codes[bit]
+            return (p.rail1, r1), (p.rail0, r0)
+
+        self.a_events = [(events(p, 0), events(p, 1)) for p in a_ports]
+        self.b_events = [(events(p, 0), events(p, 1)) for p in b_ports]
+        self.phase_active = (netlist.phase_net, protocol.active_level)
+        self.spacer_events = [e for p in (*a_ports, *b_ports) for e in events(p, None)]
+        self.spacer_events.append((netlist.phase_net, protocol.spacer_level))
+
+        self.reset_levels = lv = netlist.reset_levels()
+        self.decode = table = netlist.decode_table
+        self.bit_of = [v.bit for v in table]
+        self.out_rails = [(p.rail1, p.rail0) for p in out_ports]
+        # the ILLEGAL screen: every port rail, the (rail1, rail0) pairs of
+        # ports at SPACER in the reset state, and the rails of all others
+        self.rails = frozenset(r for p in netlist.ports for r in (p.rail1, p.rail0))
+        at_spacer = [table[2 * lv[p.rail1] + lv[p.rail0]] is DualRailValue.SPACER
+                     for p in netlist.ports]
+        self.spacer_pairs = [frozenset((p.rail1, p.rail0))
+                             for p, sp in zip(netlist.ports, at_spacer) if sp]
+        self.hot_rails = frozenset(r for p, sp in zip(netlist.ports, at_spacer) if not sp
+                                   for r in (p.rail1, p.rail0))
+        # the reset state passes the end-of-cycle port check
+        self.outs_reset_spacer = all(table[2 * lv[r1] + lv[r0]] is DualRailValue.SPACER
+                                     for r1, r0 in self.out_rails)
 
 
 class Harness:
@@ -202,35 +278,26 @@ class Harness:
         self.state: SimState = reset(netlist, delay_model)
         self.n = len(self.a_ports)
         self._ack = netlist.ack_out
-        self._phase = netlist.phase_net
         self._active = netlist.protocol.active_level
         self._spacer = netlist.protocol.spacer_level
-        self._reset_levels = lv = netlist.reset_levels()
-        self._decode = table = netlist.decode_table
-        # the ILLEGAL screen: every port rail, the (rail1, rail0) pairs of
-        # ports at SPACER in the reset state, and the rails of all others
-        self._rails = frozenset(r for p in netlist.ports for r in (p.rail1, p.rail0))
-        at_spacer = [table[2 * lv[p.rail1] + lv[p.rail0]] is DualRailValue.SPACER
-                     for p in netlist.ports]
-        self._spacer_pairs = [frozenset((p.rail1, p.rail0))
-                              for p, sp in zip(netlist.ports, at_spacer) if sp]
-        self._hot_rails = frozenset(r for p, sp in zip(netlist.ports, at_spacer) if not sp
-                                    for r in (p.rail1, p.rail0))
+        self._stage: _Stage = netlist._derived("harness.stage", _Stage)
 
     # -- phase primitives ----------------------------------------------------
 
     def _apply_operands(self, a: int, b: int, t: int) -> None:
-        st = self.state
-        for ports, value in ((self.a_ports, a), (self.b_ports, b)):
-            for i, p in enumerate(ports):
-                drive(st, p, (value >> i) & 1, t)
-        st.set_primary(self._phase, self._active, t)
+        stage = self._stage
+        events: list[tuple[int, int]] = []
+        for codewords in stage.a_events:
+            events += codewords[a & 1]
+            a >>= 1
+        for codewords in stage.b_events:
+            events += codewords[b & 1]
+            b >>= 1
+        events.append(stage.phase_active)
+        self.state.set_primaries(events, t)
 
     def _apply_spacer(self, t: int) -> None:
-        st = self.state
-        for p in (*self.a_ports, *self.b_ports):
-            drive(st, p, None, t)
-        st.set_primary(self._phase, self._spacer, t)
+        self.state.set_primaries(self._stage.spacer_events, t)
 
     def _ack_edge(self, start: int, level: int, what: str) -> int:
         """Time of the first ``ack_out`` edge to ``level`` from edge ``start`` on."""
@@ -240,17 +307,35 @@ class Harness:
         raise StuckPhaseError(f"completion never {what} (ack_out stayed put)")
 
     def _decode_product(self) -> int:
-        levels, table = self.state.levels, self._decode
+        levels, stage = self.state.levels, self._stage
+        bit_of = stage.bit_of
         value = 0
-        for i, p in enumerate(self.out_ports):
-            v = table[2 * levels[p.rail1] + levels[p.rail0]]
-            bit = v.bit
+        for i, (r1, r0) in enumerate(stage.out_rails):
+            bit = bit_of[2 * levels[r1] + levels[r0]]
             if bit is None:
-                if v is DualRailValue.ILLEGAL:
+                p = self.out_ports[i]
+                if stage.decode[2 * levels[r1] + levels[r0]] is DualRailValue.ILLEGAL:
                     raise IllegalOutputError(f"product port {p.name} decodes ILLEGAL")
                 raise StuckPhaseError(f"product port {p.name} still at spacer after completion")
             value |= bit << i
         return value
+
+    def _check_reset(self) -> None:
+        """Raise unless the spacer phase restored the reset state.
+
+        A product port off SPACER is named first; the ports are walked only
+        when the levels differ from the reset state, or when some product
+        port is off SPACER in the reset state itself.
+        """
+        levels, stage = self.state.levels, self._stage
+        if levels == stage.reset_levels and stage.outs_reset_spacer:
+            return
+        table = stage.decode
+        for p, (r1, r0) in zip(self.out_ports, stage.out_rails):
+            if table[2 * levels[r1] + levels[r0]] is not DualRailValue.SPACER:
+                raise StuckPhaseError(f"port {p.name} failed to return to spacer")
+        if levels != stage.reset_levels:
+            raise StuckPhaseError("cycle ended away from the reset state")
 
     def _illegal_points(self, trace: Trace) -> list[tuple[int, str]]:
         """(time, port) of every ILLEGAL decode in ``trace``, port by port.
@@ -258,11 +343,12 @@ class Harness:
         Runs the full port scan only when the rails that moved could have
         formed ILLEGAL (see the module docstring); one moving rail cannot.
         """
-        moved = self._rails.intersection(map(itemgetter(1), trace))
-        if moved.isdisjoint(self._hot_rails) and not any(
-                map(moved.issuperset, self._spacer_pairs)):
+        stage = self._stage
+        moved = stage.rails.intersection(map(itemgetter(1), trace))
+        if moved.isdisjoint(stage.hot_rails) and not any(
+                map(moved.issuperset, stage.spacer_pairs)):
             return []
-        changes = scan_port_changes(self.netlist, self._reset_levels, trace)
+        changes = scan_port_changes(self.netlist, stage.reset_levels, trace)
         return [(t, name) for name, points in changes.items()
                 for t, val in points if val is DualRailValue.ILLEGAL]
 
@@ -294,12 +380,7 @@ class Harness:
         self._apply_spacer(t1)
         st.run_until_quiescent()
         tb = self._ack_edge(data_edges, self._spacer, "released")
-        levels, table = st.levels, self._decode
-        for p in self.out_ports:
-            if table[2 * levels[p.rail1] + levels[p.rail0]] is not DualRailValue.SPACER:
-                raise StuckPhaseError(f"port {p.name} failed to return to spacer")
-        if st.levels != self._reset_levels:
-            raise StuckPhaseError("cycle ended away from the reset state")
+        self._check_reset()
 
         trace = st.take_trace()
         illegal = self._illegal_points(trace)

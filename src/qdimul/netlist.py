@@ -166,13 +166,28 @@ def eval_kind(kind: GateKind, inputs: Iterable[int], state: int) -> int:
     return eval_family(FAMILY[kind], range(len(levels)), levels, state)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     id: int
     kind: GateKind
     inputs: tuple[int, ...]
     output: int
     reset: int
+
+    def __init__(self, id: int, kind: GateKind, inputs: tuple[int, ...], output: int,
+                 reset: int) -> None:
+        # Each slot's own setter: a frozen dataclass's generated __init__ calls
+        # object.__setattr__ per field, which costs almost twice as much, and
+        # filling an instance __dict__ instead would add 128 bytes per gate.
+        _SET_ID(self, id)
+        _SET_KIND(self, kind)
+        _SET_INPUTS(self, inputs)
+        _SET_OUTPUT(self, output)
+        _SET_RESET(self, reset)
+
+
+_SET_ID, _SET_KIND, _SET_INPUTS, _SET_OUTPUT, _SET_RESET = (
+    Gate.__dict__[f].__set__ for f in ("id", "kind", "inputs", "output", "reset"))
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,14 @@ decides the output; each row is derived once per (family, arity) from
 :func:`netlist.eval_family`, the one gate evaluator.  Every net also keeps
 its projected level: the level of the last event scheduled on it, or its
 current level when none is pending.  A net's events are scheduled in time
-order (one driver with a fixed delay; :meth:`SimState.set_primary` refuses
-an earlier environment event), so that is the level the net settles at.
+order (one driver with a fixed delay; the environment's scheduling refuses
+an earlier event), so that is the level the net settles at.
+
+The environment schedules through one path: :meth:`SimState.set_primaries`
+takes a sequence of ``(net, level)`` transitions at one time, and
+:meth:`SimState.set_primary` is that call with one transition.  A batch
+leaves exactly the state its transitions would leave one call at a time,
+also when one of them is refused; a level must be the int 0 or 1.
 Scheduling is suppressed when a gate's output equals its output net's
 projected level, so every applied event is a real transition and the trace
 doubles as a transition count.
@@ -320,30 +326,56 @@ class SimState:
         Setting the level the net is already heading for is a silent no-op,
         so callers may re-assert levels without polluting the trace.
         """
-        if net not in self.netlist.primary_inputs:
-            raise NotPrimaryError(f"net {net} is not a primary input")
-        if level not in (0, 1):
-            raise ValueError(f"level must be 0 or 1, got {level!r}")
-        t = self.clock if at_time is None else at_time
-        if t < self.clock:
-            raise ValueError(f"cannot schedule at {t}, clock is already {self.clock}")
-        # with nothing pending, the net's last event lies at or before the clock
-        if t < self._pending_time.get(net, 0):
-            raise ValueError(f"net {net} already has an event after t={t}")
-        if level == self._projected[net]:
-            return
-        self._projected[net] = level
-        self._pending_time[net] = t
-        queue = self._queue
-        if self._step is None:
-            self._seq += 1
-            heappush(queue, (t, net, self._seq, level, ENV))
-        elif queue and queue[-1][0] == t:
-            queue[-1][1].append((t, net, level, ENV))
-        elif not queue or queue[-1][0] < t:
-            queue.append((t, [(t, net, level, ENV)]))
-        else:
-            _file(queue, t, [(t, net, level, ENV)])
+        self.set_primaries(((net, level),), at_time)
+
+    def set_primaries(
+        self, events: Iterable[tuple[int, int]], at_time: int | None = None
+    ) -> None:
+        """Schedule ``(net, level)`` environment transitions, in order, at one time.
+
+        Leaves exactly the state that one :meth:`set_primary` call per event
+        would leave, also when an event is refused: the events before it
+        stay scheduled and the error is the one that call would raise.  A
+        level must be the int 0 or 1.
+        """
+        clock = self.clock
+        t = clock if at_time is None else at_time
+        primary = self.netlist.primary_inputs
+        projected = self._projected
+        pending = self._pending_time
+        scheduled = []  # trace tuples, queued together once the loop ends
+        try:
+            for net, level in events:
+                if net not in primary:
+                    raise NotPrimaryError(f"net {net} is not a primary input")
+                if level.__class__ is not int or level not in (0, 1):
+                    raise ValueError(f"level must be 0 or 1, got {level!r}")
+                if t < clock:
+                    raise ValueError(f"cannot schedule at {t}, clock is already {clock}")
+                # with nothing pending, the net's last event lies at or before the clock
+                if t < pending.get(net, 0):
+                    raise ValueError(f"net {net} already has an event after t={t}")
+                if level == projected[net]:
+                    continue
+                projected[net] = level
+                pending[net] = t
+                scheduled.append((t, net, level, ENV))
+        finally:
+            # queued as one call per event would queue them
+            if scheduled:
+                queue = self._queue
+                if self._step is None:
+                    seq = self._seq
+                    for _, net, level, cause in scheduled:
+                        seq += 1
+                        heappush(queue, (t, net, seq, level, cause))
+                    self._seq = seq
+                elif queue and queue[-1][0] == t:
+                    queue[-1][1].extend(scheduled)
+                elif not queue or queue[-1][0] < t:
+                    queue.append((t, scheduled))
+                else:
+                    _file(queue, t, scheduled)
 
     # -- engine ------------------------------------------------------------
 

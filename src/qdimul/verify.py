@@ -132,8 +132,7 @@ def check_functional(
     """Products must equal the integer product of the operands (unit delays)."""
     name = "functional"
     harness = Harness(netlist)
-    if pairs is None:
-        pairs = default_pairs(harness.n, samples, seed)
+    pairs = default_pairs(harness.n, samples, seed) if pairs is None else list(pairs)
     done = 0
     for a, b in pairs:
         try:
@@ -210,7 +209,7 @@ def _arrival_orders(
             for withdrawing, unit in ((False, "inputs"), (True, "withdrawals")):
                 for pos, idx in enumerate(order, 1):
                     mark = len(st.trace)
-                    drive(st, ins[idx], None if withdrawing else bits[idx])
+                    drive(st, (ins[idx],), (None if withdrawing else bits[idx],))
                     st.run_until_quiescent()
                     early = f"after only {pos} of {k} {unit}" if pos < k else ""
                     failure = step(st, outs, mark, early, withdrawing)
@@ -324,9 +323,8 @@ def check_stage_indication(
             word = a | b << n  # bit i goes to ports[i]
             st = reset(netlist)
             st.set_primary(netlist.phase_net, active)
-            for i, p in enumerate(ports):
-                if i != k:
-                    drive(st, p, word >> i & 1)
+            drive(st, ports[:k] + ports[k + 1:],
+                  [word >> i & 1 for i in range(len(ports)) if i != k])
             st.run_until_quiescent()
             if st.levels[ack] != spacer:
                 return _fail(name, netlist, stim, None,
@@ -338,7 +336,7 @@ def check_stage_indication(
                              f"every product bit completed with {withheld.name} withheld",
                              "at least one product bit still at spacer",
                              scenarios, st.trace)
-            drive(st, withheld, word >> k & 1)
+            drive(st, (withheld,), (word >> k & 1,))
             st.run_until_quiescent()
             if st.levels[ack] != active:
                 return _fail(name, netlist, stim, None, "completion missing with all inputs",
@@ -354,8 +352,7 @@ def check_stage_indication(
                 return _fail(name, netlist, stim, None, f"product {product}",
                              f"product {a * b}", scenarios, st.trace)
             st.set_primary(netlist.phase_net, spacer)
-            for p in ports:
-                drive(st, p, None)
+            drive(st, ports, [None] * len(ports))
             st.run_until_quiescent()
             if st.levels != reset_levels:
                 return _fail(name, netlist, stim, None, "stage did not return to reset",
@@ -497,6 +494,8 @@ def check_delay_insensitivity(
     name = "delay_insensitivity"
     if pairs is None:
         pairs = default_pairs(len(stage_ports(netlist)[0]), samples, seed)[:samples]
+    else:
+        pairs = list(pairs)
     if isinstance(seeds, int):
         seeds = range(seeds)
     models = [DelayModel.unit()]
@@ -559,6 +558,8 @@ def check_duality(
                      "polarity flip is an involution", 0)
     if pairs is None:
         pairs = default_pairs(len(stage_ports(netlist)[0]), samples, seed)[:samples]
+    else:
+        pairs = list(pairs)
     h1 = Harness(netlist)
     h2 = Harness(dual)
     scenarios = 0
@@ -610,9 +611,8 @@ def check_race_immunity(
     """
     name = "race_immunity"
     harness = Harness(netlist)
-    if pairs is None:
-        pairs = default_pairs(harness.n, samples, seed)[:samples]
-    stim = {"pairs": list(pairs), "gap": _RACE_GAP}
+    pairs = default_pairs(harness.n, samples, seed)[:samples] if pairs is None else list(pairs)
+    stim = {"pairs": pairs, "gap": _RACE_GAP}
     try:
         result = harness.run_burst(pairs, gap=_RACE_GAP)
     except HANDSHAKE_ERRORS as exc:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 
 import pytest
 
@@ -17,18 +18,21 @@ from qdimul.harness import (
     scan_port_changes,
     write_cycle_reports_csv,
 )
+from qdimul.cells import FullAdderKind
 from qdimul.multiplier import MultiplierSpec, generate
 from qdimul.netlist import (
     DiagnosticCode,
     DualRailPort,
     DualRailValue,
+    Gate,
+    GateKind,
     InvalidNetlistError,
     Netlist,
     Protocol,
     encode,
 )
-from qdimul.sim import DelayModel, reset
-from qdimul.verify import inject_fork_skew
+from qdimul.sim import ENV, DelayModel, reset
+from qdimul.verify import default_pairs, inject_fork_skew
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +153,45 @@ def test_illegal_output_detected(mult2):
         Harness(_crossed_rails(mult2)).run_cycle(1, 3)
 
 
+def _p0_true_rail_on_ack_in(stage):
+    # P0's true rail is ack_in, active at reset: the reset state itself has
+    # a product port off SPACER, and an even product still decodes
+    p0 = next(p for p in stage.output_ports if p.name == "P0")
+    return _with_output_ports(stage, tuple(
+        DualRailPort("P0", stage.ack_in, p.rail0, "out") if p is p0 else p
+        for p in stage.output_ports))
+
+
+def _latch_left_set(stage):
+    # an extra C-element on (phase, ack_in) resets at the active level, is
+    # cleared by the spacer phase and never set again
+    active = stage.protocol.active_level
+    extra = Gate(len(stage.gates), GateKind.C2, (stage.phase_net, stage.ack_in),
+                 stage.net_count, active)
+    return Netlist(stage.protocol, [*stage.gates, extra], stage.input_ports,
+                   stage.output_ports, ack_out=stage.ack_out, ack_in=stage.ack_in,
+                   const_nets=stage.const_nets, phase_net=stage.phase_net,
+                   extra_inputs=stage.extra_inputs, meta=stage.meta)
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+def test_end_of_cycle_names_the_first_failure(protocol):
+    stage = generate(MultiplierSpec(n=2, protocol=protocol))
+    off_spacer = _p0_true_rail_on_ack_in(stage)
+    latched = _latch_left_set(stage)
+    both = _latch_left_set(off_spacer)
+    # the reset levels alone would pass the first: its port is walked anyway
+    for netlist, message in ((off_spacer, "port P0 failed to return to spacer"),
+                             (latched, "cycle ended away from the reset state"),
+                             (both, "port P0 failed to return to spacer")):
+        for dm in (DelayModel.unit(), DelayModel.random_per_gate(1, 20, seed=5)):
+            with pytest.raises(StuckPhaseError, match=message):
+                Harness(netlist, dm).run_cycle(2, 2)
+    assert Harness(stage).run_cycle(2, 2).product == 4
+    with pytest.raises(StuckPhaseError, match="product port P0 still at spacer"):
+        Harness(off_spacer).run_cycle(1, 1)
+
+
 def test_rto_harness_runs_identically(mult2):
     rto = generate(MultiplierSpec(n=2, protocol=Protocol.RTO))
     r_rtz = Harness(mult2).run_cycle(3, 2)
@@ -191,17 +234,93 @@ def test_drive_puts_codewords_and_rejects_bad_bits(mult2):
         port = stage.input_ports[0]
         for bit in (0, 1, None):
             st = reset(stage)
-            drive(st, port, bit, 3)
+            drive(st, [port], [bit], 3)
             st.run_until_quiescent()
             want = (encode(bit, protocol) if bit is not None
                     else (protocol.spacer_level,) * 2)
             assert (st.levels[port.rail1], st.levels[port.rail0]) == want
+        # several ports in one call: each gets its own bit, rail1 then rail0
+        ports = stage.input_ports[:3]
+        bits = (1, None, 0)
+        st = reset(stage)
+        drive(st, ports, bits, 3)
+        st.run_until_quiescent()
+        for p, b in zip(ports, bits):
+            want = encode(b, protocol) if b is not None else (protocol.spacer_level,) * 2
+            assert (st.levels[p.rail1], st.levels[p.rail0]) == want
     for bad in (2, -1, "1", [1]):
         with pytest.raises(ValueError, match="bit must be 0 or 1"):
-            drive(reset(mult2), mult2.input_ports[0], bad)
+            drive(reset(mult2), [mult2.input_ports[0]], [bad])
+    # a bad bit anywhere schedules nothing
+    st = reset(mult2)
+    with pytest.raises(ValueError, match="bit must be 0 or 1"):
+        drive(st, mult2.input_ports[:2], [1, 2])
+    assert st.quiescent
+    for bits in ([1], [1, 0, 1]):
+        with pytest.raises(ValueError, match=f"2 ports but {len(bits)} bits"):
+            drive(st, mult2.input_ports[:2], bits)
+    assert st.quiescent
 
 
 # -- observation shortcuts against the paths they replace ---------------------
+
+
+def _scan_by_rail_levels(netlist, base_levels, trace):
+    """The port scan as first written: a level per rail, each port decoded anew."""
+    table, ports = netlist.decode_table, netlist.ports
+    watchers = {}
+    for i, p in enumerate(ports):
+        for rail in (p.rail1, p.rail0):
+            watchers.setdefault(rail, []).append((i, p.rail1, p.rail0))
+    rails = {net: base_levels[net] for net in watchers}
+    current = [table[2 * rails[p.rail1] + rails[p.rail0]] for p in ports]
+    changes = {p.name: [] for p in ports}
+    for t, net, level, _cause in trace:
+        if net in watchers:
+            rails[net] = level
+            for i, r1, r0 in watchers[net]:
+                val = table[2 * rails[r1] + rails[r0]]
+                if val is not current[i]:
+                    current[i] = val
+                    changes[ports[i].name].append((t, val))
+    return changes
+
+
+@pytest.mark.parametrize("model", ["unit", "random"])
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", list(FullAdderKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("n", [2, 4])
+def test_port_scan_matches_the_rail_level_oracle(n, kind, protocol, model):
+    nl = generate(MultiplierSpec(n, kind, protocol))
+    dm = DelayModel.unit() if model == "unit" else DelayModel.random_per_gate(1, 20, seed=n)
+    pairs = default_pairs(n, seed=n)[::7][:6]
+    traces = [r.trace for r in Harness(nl, dm).run_sequence(pairs, want_traces=True)]
+    traces.append(Harness(nl, dm).run_burst(pairs).trace)  # phases overlap
+    # an event that re-asserts a rail's level changes no code
+    rails = {r for p in nl.ports for r in (p.rail1, p.rail0)}
+    first = next(i for i, e in enumerate(traces[0]) if e[1] in rails)
+    traces.append(traces[0][:first + 1] + traces[0][first:])
+    base = nl.reset_levels()
+    for trace in traces:
+        want = _scan_by_rail_levels(nl, base, trace)
+        assert scan_port_changes(nl, base, trace) == want
+        assert scan_port_changes(nl, base, (e for e in trace)) == want
+        # from other levels, and with rails set to levels they already hold
+        flipped = [1 - lv for lv in base]
+        assert (scan_port_changes(nl, flipped, trace)
+                == _scan_by_rail_levels(nl, flipped, trace))
+
+
+def test_port_scan_with_shared_and_tied_rails_matches_the_oracle():
+    # P and Q share net 1; T has one net for both rails
+    ports = [DualRailPort("P", 0, 1, "in"), DualRailPort("Q", 1, 2, "in"),
+             DualRailPort("T", 3, 3, "in"), DualRailPort("P", 2, 0, "in")]
+    nl = Netlist(Protocol.RTZ, [], ports, extra_inputs=[0, 1, 2, 3])
+    rng = random.Random(7)
+    for _ in range(50):
+        base = [rng.randrange(2) for _ in range(4)]
+        trace = [(t, rng.randrange(4), rng.randrange(2), ENV) for t in range(30)]
+        assert scan_port_changes(nl, base, trace) == _scan_by_rail_levels(nl, base, trace)
 
 
 def _full_scan_illegal(netlist, trace):

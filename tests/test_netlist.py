@@ -1,5 +1,6 @@
 """Core IR: encodings, gate semantics, validation, duality, JSON round trips."""
 
+import dataclasses
 import itertools
 import json
 
@@ -49,6 +50,19 @@ CODEWORDS = {
         (0, 0): DualRailValue.ILLEGAL,
     },
 }
+
+
+def test_gate_is_a_frozen_value():
+    g = Gate(3, GateKind.C2, (1, 2), 4, 0)
+    same = Gate(id=3, kind=GateKind.C2, inputs=(1, 2), output=4, reset=0)
+    assert g == same and hash(g) == hash(same) and g != Gate(3, GateKind.C2, (1, 2), 4, 1)
+    assert repr(g) == "Gate(id=3, kind=<GateKind.C2: 'c2'>, inputs=(1, 2), output=4, reset=0)"
+    assert dataclasses.replace(g, reset=1) == Gate(3, GateKind.C2, (1, 2), 4, 1)
+    assert dataclasses.astuple(g) == (3, GateKind.C2, (1, 2), 4, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.output = 5
+    with pytest.raises(TypeError):
+        Gate(3, GateKind.C2, (1, 2), 4)
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))

@@ -188,8 +188,11 @@ def test_set_primary_pulse_keeps_both_events():
 def test_set_primary_rejects_bad_level_and_past_time():
     nl, x, _ = chain_netlist()
     st_ = reset(nl)
-    with pytest.raises(ValueError):
-        st_.set_primary(x, 2)
+    # True and 1.0 compare equal to 1 but are not levels
+    for bad in (2, True, 1.0):
+        with pytest.raises(ValueError, match="level must be 0 or 1"):
+            st_.set_primary(x, bad)
+    assert st_.quiescent
     st_.set_primary(x, 1)
     st_.run_until_quiescent()
     with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ requires the same trace, ``ack_edges``, clock, return values, pending state
 and errors after every engine call.
 """
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +17,7 @@ from qdimul.cells import FullAdderKind
 from qdimul.harness import Harness
 from qdimul.multiplier import MultiplierSpec, generate
 from qdimul.netlist import Gate, GateKind, Netlist, NetlistBuilder, Protocol
-from qdimul.sim import DelayModel, NonQuiescentError, SimState, reset
+from qdimul.sim import DEFAULT_GUARD, DelayModel, NonQuiescentError, SimState, reset
 from qdimul.verify import default_pairs
 
 CONSTANT = {
@@ -248,4 +250,112 @@ def test_arbitrary_stimulus_matches_the_heap(script, model):
                 got.append(outcome(lambda: state.run_until_quiescent(
                     max_time, stop_net, stop_level if stop_net is not None else None)))
             got[-1] = (got[-1], observe(state, None), list(state.ack_edges))
+        assert got[0] == got[1]
+
+
+# -- one scheduling call per batch against one set_primary call per event -----
+
+
+def pending(state):
+    """A copy of everything scheduling writes, and of what the engine fills."""
+    return copy.deepcopy((state._queue, state._seq, state._projected, state._pending_time,
+                          state.clock, state.levels, state.trace, state.ack_edges))
+
+
+def one_by_one(state, events, at):
+    """What ``set_primaries`` must equal: a ``set_primary`` call per event."""
+    for net, level in events:
+        state.set_primary(net, level, at)
+
+
+QUEUES = {"tick": False, "heap": True}
+
+
+def batched_and_called(netlist, queue, dm=DelayModel.unit()):
+    """Two fresh states on the queue named by ``queue``."""
+    states = SimState(netlist, dm), SimState(netlist, dm)
+    if QUEUES[queue]:
+        for state in states:
+            state._step = None
+    return states
+
+
+def schedule_both(batched, called, events, at, run_for=DEFAULT_GUARD):
+    """Schedule ``events`` in one call and one by one; each outcome and state."""
+    got = []
+    for state, schedule in ((batched, lambda: batched.set_primaries(events, at)),
+                            (called, lambda: one_by_one(called, events, at))):
+        got.append((outcome(schedule), pending(state)))
+        if run_for:
+            got[-1] += (outcome(lambda: state.run_until_quiescent(run_for)), pending(state))
+    return got
+
+
+def _x_at_9(state, x):
+    state.set_primary(x, 1, at_time=9)
+
+
+def _clock_past_0(state, x):
+    state.set_primary(x, 1)
+    state.run_until_quiescent()
+
+
+LEVELS = {"0": 0, "1": 1, "2": 2, "True": True, "1.0": 1.0}
+
+# (prelude, events, at_time, error) on the chain x -> OR2 -> OR2 -> OR2 with
+# side inputs y and w; z is the chain's first gate output, not a primary input
+BATCHES = {
+    "duplicate nets": (None, "x1 x0 y1 x1 y1", 2, None),
+    "behind a pending batch": (_x_at_9, "y1 w1 y0", 4, None),
+    "into a pending batch": (_x_at_9, "y1 x0", 9, None),
+    "after a pending batch": (_x_at_9, "x0 w1", 12, None),
+    "empty": (None, "", None, None),
+    "empty at a past time": (_clock_past_0, "", 0, None),
+    "non-primary mid-batch": (None, "x1 z1 y1", 3, "NotPrimaryError"),
+    "bad level mid-batch": (None, "x1 y2 w1", 3, "ValueError"),
+    "bool level mid-batch": (_x_at_9, "y1 wTrue", 9, "ValueError"),
+    "float level mid-batch": (None, "y1 w1.0", None, "ValueError"),
+    "past time": (_clock_past_0, "x0 y1", 0, "ValueError"),
+    "earlier than a pending event mid-batch": (_x_at_9, "y1 x0", 5, "ValueError"),
+}
+
+
+@pytest.mark.parametrize("queue", list(QUEUES))
+@pytest.mark.parametrize("case", list(BATCHES))
+def test_set_primaries_equals_one_set_primary_per_event(case, queue):
+    nl, x, y, w = chain(length=3)
+    nets = {"x": x, "y": y, "w": w, "z": nl.gates[0].output}
+    prelude, text, at, error = BATCHES[case]
+    events = [(nets[word[0]], LEVELS[word[1:]]) for word in text.split()]
+    batched, called = batched_and_called(nl, queue)
+    assert (batched._step is None) == QUEUES[queue]
+    for state in (batched, called):
+        if prelude:
+            prelude(state, x)
+    got = schedule_both(batched, called, events, at)
+    assert got[0] == got[1]
+    scheduled = got[0][0]
+    assert (scheduled[0] if scheduled else None) == error
+
+
+batches = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.sampled_from([*INPUTS, STAGE.ack_out]),
+                           st.sampled_from([0, 1, 0, 1, 2, True])), max_size=6),
+        st.none() | st.integers(-1, 6),
+        st.sampled_from([0, 3, 60]),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(script=batches, queue=st.sampled_from(list(QUEUES)),
+       model=st.sampled_from(["unit", "random"]))
+def test_arbitrary_batches_equal_one_call_per_event(script, queue, model):
+    dm = DelayModel.unit() if model == "unit" else DelayModel.random_per_gate(1, 5, seed=3)
+    batched, called = batched_and_called(STAGE, queue, dm)
+    for events, offset, run_for in script:
+        at = None if offset is None else batched.clock + offset
+        got = schedule_both(batched, called, events, at, run_for)
         assert got[0] == got[1]

@@ -270,6 +270,33 @@ def test_race_immunity_clean_on_healthy_design(mult2):
     assert check_race_immunity(mult2, pairs=BURST_PAIRS)
 
 
+def _three_pairs():
+    yield from [(1, 2), (3, 3), (2, 1)]
+
+
+# each checker lists its pairs once, so a generator runs every pair
+def test_race_immunity_takes_pairs_from_a_generator(mult2):
+    race = check_race_immunity(mult2, pairs=_three_pairs())
+    assert race and race.scenarios == 3
+    assert race.detail == check_race_immunity(mult2, pairs=list(_three_pairs())).detail
+
+
+def test_delay_insensitivity_takes_pairs_from_a_generator(mult2):
+    di = check_delay_insensitivity(mult2, pairs=_three_pairs(), seeds=2)
+    assert di and di.scenarios == 9
+    assert di.detail.startswith("9 cycles over 3 delay models")
+
+
+def test_functional_and_duality_take_pairs_from_a_generator(mult2):
+    assert check_duality(mult2, pairs=_three_pairs()).scenarios == 3
+    assert check_functional(mult2, pairs=_three_pairs()).scenarios == 3
+    # the failure path replays the failing prefix from the same pairs
+    broken = swap_port_rails(mult2)
+    listed = check_functional(broken, pairs=list(_three_pairs()))
+    assert not listed
+    assert check_functional(broken, pairs=_three_pairs()) == listed
+
+
 def test_run_all_checks_green(mult2):
     outcomes = run_all_checks(mult2, seeds=2, samples=8)
     assert len(outcomes) == 5
