@@ -237,7 +237,7 @@ class _Stage:
     def __init__(self, netlist: Netlist):
         a_ports, b_ports, out_ports = stage_ports(netlist)
         protocol = netlist.protocol
-        codes = _RTZ_CODES if protocol is Protocol.RTZ else _RTO_CODES
+        codes = _RTZ_CODES if protocol is _RTZ else _RTO_CODES
 
         def events(p: DualRailPort, bit: int | None) -> tuple[tuple[int, int], ...]:
             r1, r0 = codes[bit]

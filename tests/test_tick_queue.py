@@ -303,7 +303,8 @@ def _clock_past_0(state, x):
 LEVELS = {"0": 0, "1": 1, "2": 2, "True": True, "1.0": 1.0}
 
 # (prelude, events, at_time, error) on the chain x -> OR2 -> OR2 -> OR2 with
-# side inputs y and w; z is the chain's first gate output, not a primary input
+# side inputs y and w; each event is a net letter and a level, and z is the
+# chain's first gate output, not a primary input
 BATCHES = {
     "duplicate nets": (None, "x1 x0 y1 x1 y1", 2, None),
     "behind a pending batch": (_x_at_9, "y1 w1 y0", 4, None),
