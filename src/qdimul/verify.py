@@ -198,6 +198,9 @@ def _arrival_orders(
     k = len(ins)
     reset_levels = netlist.reset_levels()
     ack = netlist.ack_in if netlist.ack_out is None else None
+    # each step's "early" text, formatted once per check rather than per step
+    earlies = {withdrawing: [f"after only {pos} of {k} {unit}" for pos in range(1, k)] + [""]
+               for withdrawing, unit in ((False, "inputs"), (True, "withdrawals"))}
     scenarios = 0
     for bits in itertools.product((0, 1), repeat=k):
         for order in itertools.permutations(range(k)):
@@ -206,12 +209,11 @@ def _arrival_orders(
                 "arrival": [ins[i].name for i in order],
             }
             st = reset(netlist)
-            for withdrawing, unit in ((False, "inputs"), (True, "withdrawals")):
-                for pos, idx in enumerate(order, 1):
+            for withdrawing in (False, True):
+                for early, idx in zip(earlies[withdrawing], order):
                     mark = len(st.trace)
                     drive(st, (ins[idx],), (None if withdrawing else bits[idx],))
                     st.run_until_quiescent()
-                    early = f"after only {pos} of {k} {unit}" if pos < k else ""
                     failure = step(st, outs, mark, early, withdrawing)
                     if failure:
                         return _fail(name, netlist, stim, None, *failure, scenarios, st.trace)
