@@ -6,15 +6,27 @@ a gate instance.  The engine processes pending events in (time, net id)
 order, applies each level change, then re-evaluates the fanout gates of all
 nets that changed at that timestamp.
 
-Pending events are kept in one of two queues, picked once per (netlist,
-delay model) next to the delay vector: by the tick queue when every gate of
-the netlist has the same delay d (always under ``unit``; under a table or a
-random model when the delays the netlist's gates get are all equal), and by
-the heap otherwise.
+The engine contract is :class:`Engine`: what the harness and the checkers
+use of a simulation state, namely ``netlist``, ``clock``, ``levels``,
+``trace``, ``ack_edges``, ``quiescent``, ``set_primary``,
+``set_primaries``, ``run_until_quiescent``, ``read_port`` and
+``take_trace``.  Every queue discipline runs inside
+:meth:`SimState.run_until_quiescent`, so wrapping that one method sees all
+simulated work.
+
+Pending events are kept under one of three disciplines, picked once per
+:class:`SimState` from what the netlist's plan already knows:
+
+- every gate of the netlist has the same delay d (always under ``unit``;
+  under a table or a random model when the delays the netlist's gates get
+  are all equal): the tick queue;
+- delays differ and the netlist has at least :data:`_BATCH_MIN_GATES`
+  gates: per-timestamp batches;
+- otherwise: the heap.
 
 - The heap holds ``(time, net, seq, level, cause)``; ``seq`` counts
   scheduling calls, so events on one net at one time pop in call order.
-  It is the reference, and the only queue for unequal delays.
+  It is the reference, and the path for small stages with unequal delays.
 - The tick queue holds ``(time, batch)`` pairs in time order.  A batch is
   a list of trace tuples ``(time, net, level, cause)`` in scheduling order,
   appended to the trace as they are.  Every event scheduled while
@@ -25,11 +37,18 @@ the heap otherwise.
   for their time, and the acknowledge inverter (below) inserts its event
   into the current tick where the heap would pop it: after every
   unprocessed event on a net up to ``ack_in``.
+- Per-timestamp batches are the tick queue's discipline with each
+  successor filed in the batch for ``t + delay(g)``: a dict from time to
+  batch plus a heap of the pending times.  A heap push costs log(depth)
+  tuple comparisons per event, a batch one dict lookup per event and one
+  sort per timestamp, so batches win once timestamps hold several events
+  each, which needs a large stage (the crossover, about 600 gates under
+  ``random_per_gate(1, 20)``, is recorded in ROADMAP.md).
 
-Both queues therefore apply the same events in the same order, so the
-trace, :attr:`SimState.ack_edges`, the clock, the return value and the
-``max_time`` error are the same; ``tests/test_tick_queue.py`` compares them
-call by call.
+All three apply the same events in the same order, so the trace,
+:attr:`SimState.ack_edges`, the clock, the return value and the
+``max_time`` error are the same; ``tests/test_tick_queue.py`` and
+``tests/test_batch_queue.py`` compare them with the heap call by call.
 
 Gates are evaluated by count: each gate keeps the number of its input pins
 at level 1 (a net tied to two pins counts twice), and its output is the
@@ -83,7 +102,7 @@ from enum import Enum
 from functools import cache
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, Protocol, runtime_checkable
 
 from .netlist import (
     ARITY,
@@ -102,6 +121,10 @@ DEFAULT_GUARD = 1_000_000
 
 #: Gate-row entry for "the output keeps its current level" (C-element).
 HOLD = -1
+
+#: Fewest gates for which unequal delays run on per-timestamp batches rather
+#: than the heap (see the module docstring).
+_BATCH_MIN_GATES = 600
 
 
 Trace = list  # list of (time, net, level, cause) tuples
@@ -282,6 +305,41 @@ class _Plan:
         return timing
 
 
+@runtime_checkable
+class Engine(Protocol):
+    """What the harness and the checkers use of a simulation state.
+
+    :class:`SimState` is the one implementation.  Every queue discipline
+    runs inside :meth:`run_until_quiescent`.
+    """
+
+    netlist: Netlist
+    clock: int
+    levels: list[int]
+    trace: Trace
+    ack_edges: list[tuple[int, int]]
+
+    @property
+    def quiescent(self) -> bool: ...
+
+    def set_primary(self, net: int, level: int, at_time: int | None = None) -> None: ...
+
+    def set_primaries(
+        self, events: Iterable[tuple[int, int]], at_time: int | None = None
+    ) -> None: ...
+
+    def run_until_quiescent(
+        self,
+        max_time: int = DEFAULT_GUARD,
+        stop_net: int | None = None,
+        stop_level: int | None = None,
+    ) -> int: ...
+
+    def read_port(self, port: DualRailPort | str) -> DualRailValue: ...
+
+    def take_trace(self) -> Trace: ...
+
+
 class SimState:
     """Simulation instance: net levels, pending events, clock and trace.
 
@@ -298,12 +356,16 @@ class SimState:
         self.trace: Trace = []
         self._seq = 0
         self._plan = plan
-        # the queue discipline: the delay every gate shares, or None for the heap
+        # the queue discipline: the delay every gate shares (the tick queue),
+        # else per-timestamp batches on a large stage, else the heap
         self._gate_delay, self._step = plan.timing(delay_model)
-        # pending events: a heap of (time, net, seq, level, cause) when _step is
-        # None, else (time, batch) pairs in time order, each batch a list of
-        # (time, net, level, cause) trace tuples in scheduling order
+        self._batched = self._step is None and len(plan.output) >= _BATCH_MIN_GATES
+        # pending events: with _batched, a heap of the pending times, each time's
+        # batch in _batches; else a heap of (time, net, seq, level, cause) when
+        # _step is None, else (time, batch) pairs in time order.  A batch is a
+        # list of (time, net, level, cause) trace tuples in scheduling order.
         self._queue: list = []
+        self._batches: dict[int, list] = {}
 
         self.levels = list(plan.reset_levels)
         self._projected = list(plan.reset_levels)
@@ -364,7 +426,14 @@ class SimState:
             # queued as one call per event would queue them
             if scheduled:
                 queue = self._queue
-                if self._step is None:
+                if self._batched:
+                    batch = self._batches.get(t)
+                    if batch is None:
+                        self._batches[t] = scheduled
+                        heappush(queue, t)
+                    else:
+                        batch.extend(scheduled)
+                elif self._step is None:
                     seq = self._seq
                     for _, net, level, cause in scheduled:
                         seq += 1
@@ -392,6 +461,8 @@ class SimState:
         given, the run returns early right after that net reaches
         ``stop_level`` (the surrounding timestamp batch still completes).
         """
+        if self._batched:
+            return self._run_batches(max_time, stop_net, stop_level)
         queue = self._queue
         levels = self.levels
         projected = self._projected
@@ -534,6 +605,92 @@ class SimState:
                     break
         finally:
             self._seq = seq
+        return self.clock - start
+
+    def _run_batches(self, max_time: int, stop_net: int | None,
+                     stop_level: int | None) -> int:
+        """:meth:`run_until_quiescent` on per-timestamp batches (unequal delays).
+
+        The tick loop's discipline with each successor filed in the batch
+        for ``t + delay(g)``: ``_queue`` is a heap of the pending times and
+        ``_batches`` maps each of them to its batch.
+        """
+        times = self._queue
+        batches = self._batches
+        levels = self.levels
+        projected = self._projected
+        ones = self._ones
+        plan = self._plan
+        fanout = plan.fanout
+        rows = plan.row
+        gouts = plan.output
+        gdelay = self._gate_delay
+        append = self.trace.append
+        ack_edges = self.ack_edges
+        ack_out, ack_in = plan.ack_out, plan.ack_in
+        start = self.clock
+        deadline = start + max_time
+        get = batches.get
+        push, pop = heappush, heappop
+
+        while times:
+            t = times[0]
+            if t > deadline:
+                raise NonQuiescentError(
+                    f"no quiescence within {max_time} units (next event at t={t})"
+                )
+            pop(times)
+            batch = batches.pop(t)
+            if len(batch) > 1:
+                batch.sort(key=_NET)
+            touched: list[int] = []
+            stop_hit = False
+            for event in batch:  # the loop also visits events inserted ahead
+                _, net, level, _ = event
+                if levels[net] == level:
+                    continue
+                levels[net] = level
+                append(event)
+                gates = fanout[net]
+                if level:
+                    for gid in gates:
+                        ones[gid] += 1
+                else:
+                    for gid in gates:
+                        ones[gid] -= 1
+                touched += gates
+                if net == ack_out:
+                    ack_edges.append((t, level))
+                    # environment acknowledge inverter, zero delay, inserted
+                    # where the tick loop inserts it
+                    v = 1 - level
+                    if projected[ack_in] != v:
+                        after = bisect_left(batch, ack_out, key=_NET)
+                        while batch[after] is not event:
+                            after += 1
+                        batch.insert(bisect_right(batch, ack_in, after + 1, key=_NET),
+                                     (t, ack_in, v, ENV))
+                        projected[ack_in] = v
+                        self._pending_time[ack_in] = t
+                if net == stop_net and level == stop_level:
+                    stop_hit = True
+            self.clock = t
+            for gid in touched:
+                v = rows[gid][ones[gid]]
+                out = gouts[gid]
+                if v == HOLD:
+                    v = levels[out]
+                if v != projected[out]:
+                    at = t + gdelay[gid]
+                    later = get(at)
+                    if later is None:
+                        batches[at] = [(at, out, v, gid)]
+                        push(times, at)
+                    else:
+                        later.append((at, out, v, gid))
+                    projected[out] = v
+            if stop_hit:
+                break
         return self.clock - start
 
     # -- observation -------------------------------------------------------

@@ -58,6 +58,46 @@ def table_trace_digest() -> str:
     return trace_digest((TABLE_3,))
 
 
+# Pinned on the engine before input-count gate tables and projected levels:
+# n = 8 under every adder, both protocols, unit and random delays, plus
+# bursts through a fork skewed by a chain of tied-input OR2s, stopped at
+# each ack edge.  At n = 2 with delay seed 3 the chain carries pulses
+# shorter than a gate delay, so events are scheduled on nets with one
+# already pending.  Re-pinned once when burst reports began to count their
+# transitions; with those counts set to 0 it is the earlier digest.
+GOLDEN_TRACE_WIDE_SHA256 = "f4bace9333db78e0f111fb56a3057f9c2b9d571d1f6ee5a86146e4f4d441989f"
+
+
+def _hash_burst(h, netlist, dm, pairs) -> None:
+    harness = Harness(netlist, dm)
+    try:
+        burst = harness.run_burst(pairs, gap=1)
+    except RuntimeError as exc:  # stuck, illegal or non-quiescent
+        h.update(repr((type(exc).__name__, str(exc), harness.state.trace)).encode())
+        return
+    h.update(repr((burst.reports, burst.trace, burst.illegal)).encode())
+
+
+def wide_trace_digest() -> str:
+    """Traced 8x8 sequences and bursts, and fork-skew pulses at n = 2 and 8."""
+    h = hashlib.sha256()
+    pairs = default_pairs(8, samples=12, seed=4)
+    models = [DelayModel.unit()] + [DelayModel.random_per_gate(1, 20, seed=s) for s in (3, 13)]
+    for kind in FullAdderKind:
+        for protocol in Protocol:
+            nl = generate(MultiplierSpec(8, kind, protocol))
+            for dm in models[::2]:
+                reports = Harness(nl, dm).run_sequence(pairs, want_traces=True)
+                h.update(repr(reports).encode())
+                _hash_burst(h, nl, dm, pairs[:6])
+    for n in (2, 8):
+        for protocol in Protocol:
+            skewed = fork_skewed(generate(MultiplierSpec(n, protocol=protocol)))
+            for dm in models:
+                _hash_burst(h, skewed, dm, [(1, 0), (0, 1)] * 2 + pairs[:4] * (n == 8))
+    return h.hexdigest()
+
+
 # -- the writer ----------------------------------------------------------------
 
 # Pinned on the writer that sent the whole document through json.dumps.

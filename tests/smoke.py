@@ -3,8 +3,11 @@
     PYTHONPATH=src python tests/smoke.py
 
 Checks the golden trace digests (unit and random delays, and a uniform
-delay table), the golden serialize digest and the reader's error for each
-corruption in the parse-error corpus, all from ``tests/golden.py``.  Prints one line per check and exits 1 if any differs.
+delay table, at n = 2 and 4; 8x8 sequences and bursts and fork-skew pulses,
+which run unequal delays on the per-timestamp batch loop), the golden
+serialize digest and the reader's error for each corruption in the
+parse-error corpus, all from ``tests/golden.py``.  Prints one line per
+check and exits 1 if any differs.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ def main() -> int:
     checks = (
         ("trace digest", golden.trace_digest, golden.GOLDEN_TRACE_SHA256),
         ("table trace digest", golden.table_trace_digest, golden.GOLDEN_TRACE_TABLE_SHA256),
+        ("wide trace digest", golden.wide_trace_digest, golden.GOLDEN_TRACE_WIDE_SHA256),
         ("serialize digest", golden.serialize_digest, golden.GOLDEN_SERIALIZE_SHA256),
         ("parse-error corpus", golden.parse_errors, golden.GOLDEN_PARSE_ERRORS),
     )

@@ -258,8 +258,9 @@ def test_arbitrary_stimulus_matches_the_heap(script, model):
 
 def pending(state):
     """A copy of everything scheduling writes, and of what the engine fills."""
-    return copy.deepcopy((state._queue, state._seq, state._projected, state._pending_time,
-                          state.clock, state.levels, state.trace, state.ack_edges))
+    return copy.deepcopy((state._queue, state._batches, state._seq, state._projected,
+                          state._pending_time, state.clock, state.levels, state.trace,
+                          state.ack_edges))
 
 
 def one_by_one(state, events, at):
