@@ -39,7 +39,7 @@ from __future__ import annotations
 import csv
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import compress, islice
 from operator import itemgetter
 from statistics import fmean
@@ -75,7 +75,7 @@ class NotAStageError(ValueError):
     code = "NOT_A_STAGE"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleReport:
     """Result of one full data/spacer handshake cycle."""
 
@@ -90,6 +90,28 @@ class CycleReport:
     spacer_start: int
     end: int
     trace: Trace | None = None
+
+    def __init__(self, a: int, b: int, product: int, forward: int, reverse: int, cycle: int,
+                 transitions: int, data_start: int, spacer_start: int, end: int,
+                 trace: Trace | None = None) -> None:
+        # Each slot's own setter, as for netlist.Gate: the generated frozen
+        # __init__ calls object.__setattr__ per field.
+        _SET_A(self, a)
+        _SET_B(self, b)
+        _SET_PRODUCT(self, product)
+        _SET_FORWARD(self, forward)
+        _SET_REVERSE(self, reverse)
+        _SET_CYCLE(self, cycle)
+        _SET_TRANSITIONS(self, transitions)
+        _SET_DATA_START(self, data_start)
+        _SET_SPACER_START(self, spacer_start)
+        _SET_END(self, end)
+        _SET_TRACE(self, trace)
+
+
+(_SET_A, _SET_B, _SET_PRODUCT, _SET_FORWARD, _SET_REVERSE, _SET_CYCLE, _SET_TRANSITIONS,
+ _SET_DATA_START, _SET_SPACER_START, _SET_END, _SET_TRACE) = (
+    CycleReport.__dict__[f.name].__set__ for f in fields(CycleReport))
 
 
 @dataclass(frozen=True)

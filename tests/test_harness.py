@@ -1,5 +1,6 @@
 """Handshake driver: cycle mechanics, latencies, error paths, exports."""
 
+import dataclasses
 import io
 import json
 import random
@@ -7,6 +8,7 @@ import random
 import pytest
 
 from qdimul.harness import (
+    CycleReport,
     EmptyReportsError,
     Harness,
     IllegalOutputError,
@@ -33,6 +35,25 @@ from qdimul.netlist import (
 )
 from qdimul.sim import ENV, DelayModel, reset
 from qdimul.verify import default_pairs, inject_fork_skew
+
+
+def test_cycle_report_is_a_frozen_value():
+    fields = dict(a=1, b=2, product=2, forward=5, reverse=4, cycle=9, transitions=30,
+                  data_start=0, spacer_start=6, end=11)
+    r = CycleReport(*fields.values())
+    assert r == CycleReport(**fields) == CycleReport(**fields, trace=None)
+    assert hash(r) == hash(CycleReport(**fields))
+    assert r != CycleReport(**{**fields, "end": 12})
+    assert repr(r) == ("CycleReport(a=1, b=2, product=2, forward=5, reverse=4, cycle=9, "
+                       "transitions=30, data_start=0, spacer_start=6, end=11, trace=None)")
+    traced = dataclasses.replace(r, trace=[(0, 1, 1, -1)])
+    assert traced.trace == [(0, 1, 1, -1)] and dataclasses.replace(traced, trace=None) == r
+    assert dataclasses.astuple(r) == (*fields.values(), None)
+    assert not hasattr(r, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.product = 3
+    with pytest.raises(TypeError):
+        CycleReport(1, 2, 2, 5, 4, 9, 30, 0, 6)
 
 
 @pytest.fixture(scope="module")
