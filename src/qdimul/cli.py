@@ -82,6 +82,19 @@ def parse_delay_model(text: str, seed: int) -> DelayModel:
                      "(expected unit, table:<path> or random:<lo>,<hi>)")
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" error
+    return parse
+
+
 def _run_config(command: str, args: argparse.Namespace, keys: Sequence[str]) -> dict:
     return {
         "tool": "qdimul",
@@ -313,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the checker battery on a netlist")
     p.add_argument("--netlist", required=True)
     p.add_argument("--checks", default=None, help="comma list, default all")
-    p.add_argument("--samples", type=int, default=32)
-    p.add_argument("--seeds", type=int, default=4,
+    p.add_argument("--samples", type=_at_least(1), default=32)
+    p.add_argument("--seeds", type=_at_least(0), default=4,
                    help="random delay seeds for the insensitivity sweep")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
@@ -325,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--protocol", default="rtz", choices=["rtz", "rto"])
     p.add_argument("--adders", default="dims,weak", help="comma list of adder styles")
-    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--samples", type=_at_least(1), default=32)
     p.add_argument("--delay-model", default="unit", dest="delay_model")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")

@@ -108,13 +108,25 @@ def _fail(
     return CheckOutcome(check, False, f"{observed} (expected {expected})", scenarios, ce)
 
 
+def _require_counts(samples: int, seeds: Iterable[int] | int = 0) -> None:
+    """Refuse a stimulus count below 1 or a seed count below 0."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if isinstance(seeds, int) and seeds < 0:
+        raise ValueError(f"seeds must be at least 0, got {seeds}")
+
+
 def default_pairs(n: int, samples: int = 64, seed: int = 0) -> list[tuple[int, int]]:
-    """Stimulus set: exhaustive up to 4-bit operands, seeded sample beyond."""
+    """Stimulus set: exhaustive up to 4-bit operands, ``samples`` pairs beyond.
+
+    Beyond 4 bits the four corner pairs come first, then seeded random pairs.
+    """
+    _require_counts(samples)
     limit = 1 << n
     if n <= 4:
         return [(a, b) for a in range(limit) for b in range(limit)]
     rng = random.Random(seed)
-    pairs = [(0, 0), (limit - 1, limit - 1), (1, limit - 1), (limit - 1, 1)]
+    pairs = [(0, 0), (limit - 1, limit - 1), (1, limit - 1), (limit - 1, 1)][:samples]
     while len(pairs) < samples:
         pairs.append((rng.randrange(limit), rng.randrange(limit)))
     return pairs
@@ -131,6 +143,7 @@ def check_functional(
 ) -> CheckOutcome:
     """Products must equal the integer product of the operands (unit delays)."""
     name = "functional"
+    _require_counts(samples)
     harness = Harness(netlist)
     pairs = default_pairs(harness.n, samples, seed) if pairs is None else list(pairs)
     done = 0
@@ -494,6 +507,7 @@ def check_delay_insensitivity(
     monotonic per phase.  Cycle times may and do differ; that is the point.
     """
     name = "delay_insensitivity"
+    _require_counts(samples, seeds)
     if pairs is None:
         pairs = default_pairs(len(stage_ports(netlist)[0]), samples, seed)[:samples]
     else:
@@ -554,6 +568,7 @@ def check_duality(
     check with that twin's trace tail.
     """
     name = "duality"
+    _require_counts(samples)
     dual = dualize(netlist)
     if dualize(dual) != netlist:
         return _fail(name, netlist, {}, None, "double flip changed the netlist",
@@ -612,6 +627,7 @@ def check_race_immunity(
     phase boundaries and fail here.
     """
     name = "race_immunity"
+    _require_counts(samples)
     harness = Harness(netlist)
     pairs = default_pairs(harness.n, samples, seed)[:samples] if pairs is None else list(pairs)
     stim = {"pairs": pairs, "gap": _RACE_GAP}
@@ -656,6 +672,7 @@ def run_all_checks(
     seed: int = 0,
 ) -> list[CheckOutcome]:
     """The standard stage verification battery, :data:`BATTERY`, in order."""
+    _require_counts(samples, seeds)
     return [check(netlist, seeds, samples, seed) for check in BATTERY.values()]
 
 

@@ -247,6 +247,38 @@ def test_verify_unknown_check(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--samples", "0"], "argument --samples: must be at least 1, got 0"),
+    (["--samples", "-5"], "argument --samples: must be at least 1, got -5"),
+    (["--seeds", "-3"], "argument --seeds: must be at least 0, got -3"),
+    (["--samples", "x"], "argument --samples: invalid int value: 'x'"),
+])
+def test_verify_refuses_empty_sample_and_seed_counts(tmp_path, capsys, argv, message):
+    path = gen_netlist(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--netlist", str(path), *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "PASS" not in captured.out
+
+
+def test_verify_with_no_random_seeds_runs_unit_delays_only(tmp_path, capsys):
+    path = gen_netlist(tmp_path)
+    argv = ["verify", "--netlist", str(path), "--checks", "delay_insensitivity",
+            "--seeds", "0", "--samples", "3"]
+    code, out, _ = run_main(argv, capsys)
+    assert code == 0 and "3 cycles over 1 delay models" in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_bench_refuses_an_empty_sample_count(capsys, samples):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n", "8", "--samples", samples])
+    assert exc.value.code == 2
+    assert f"must be at least 1, got {samples}" in capsys.readouterr().err
+
+
 def test_bench_table_and_determinism(tmp_path, capsys):
     argv = ["bench", "--n", "2", "--samples", "8"]
     code, first, _ = run_main(argv, capsys)

@@ -66,6 +66,46 @@ def test_default_pairs_sampled_when_wide():
     assert pairs == default_pairs(8, samples=40, seed=3)
 
 
+@pytest.mark.parametrize("samples", [1, 2, 3, 4, 5, 9])
+def test_default_pairs_gives_exactly_samples_pairs_when_wide(samples):
+    corners = [(0, 0), (255, 255), (1, 255), (255, 1)]
+    pairs = default_pairs(8, samples=samples, seed=3)
+    assert len(pairs) == samples
+    assert pairs[:4] == corners[:samples]
+    assert pairs == default_pairs(8, samples=9, seed=3)[:samples]
+    # exhaustive at 4 bits and below, whatever the count
+    assert len(default_pairs(4, samples=samples)) == 256
+
+
+def test_functional_runs_exactly_samples_cycles_when_wide():
+    out = check_functional(generate(MultiplierSpec(n=8)), samples=2)
+    assert out and out.scenarios == 2
+
+
+CHECKERS_WITH_SAMPLES = {
+    "default_pairs": lambda nl, **kw: default_pairs(8, **kw),
+    "functional": check_functional,
+    "duality": check_duality,
+    "race_immunity": check_race_immunity,
+    "delay_insensitivity": check_delay_insensitivity,
+    "run_all_checks": run_all_checks,
+}
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+@pytest.mark.parametrize("check", list(CHECKERS_WITH_SAMPLES))
+def test_an_empty_sample_count_is_refused(mult2, check, samples):
+    with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+        CHECKERS_WITH_SAMPLES[check](mult2, samples=samples)
+
+
+@pytest.mark.parametrize("check", [check_delay_insensitivity, run_all_checks])
+def test_a_negative_seed_count_is_refused(mult2, check):
+    with pytest.raises(ValueError, match="seeds must be at least 0, got -3"):
+        check(mult2, seeds=-3)
+    assert check_delay_insensitivity(mult2, seeds=0, samples=2).stats["models"] == 1
+
+
 def test_functional_passes_on_healthy_design(mult2):
     out = check_functional(mult2)
     assert out
