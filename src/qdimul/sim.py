@@ -102,7 +102,7 @@ from enum import Enum
 from functools import cache
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import IO, Iterable, Mapping, Protocol, runtime_checkable
+from typing import IO, Iterable, Mapping, Protocol
 
 from .netlist import (
     ARITY,
@@ -305,7 +305,6 @@ class _Plan:
         return timing
 
 
-@runtime_checkable
 class Engine(Protocol):
     """What the harness and the checkers use of a simulation state.
 

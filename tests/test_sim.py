@@ -401,7 +401,6 @@ def test_sim_state_provides_every_member_of_the_engine_contract():
     nl = generate(MultiplierSpec(2))
     for dm in (DelayModel.unit(), DelayModel.random_per_gate(1, 20, seed=1)):
         state = reset(nl, dm)
-        assert isinstance(state, Engine)
         for name in CONTRACT:
             assert hasattr(state, name), name
             member = vars(Engine)[name] if name in vars(Engine) else None
