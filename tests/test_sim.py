@@ -403,7 +403,7 @@ def test_sim_state_provides_every_member_of_the_engine_contract():
         state = reset(nl, dm)
         for name in CONTRACT:
             assert hasattr(state, name), name
-            member = vars(Engine)[name] if name in vars(Engine) else None
+            member = vars(Engine).get(name)
             if callable(member):
                 assert inspect.signature(member) == inspect.signature(getattr(SimState, name))
         assert isinstance(vars(SimState)["quiescent"], property)
