@@ -90,6 +90,12 @@ way on every reset.  A random delay model draws each gate id once and
 shares the draws with every netlist simulated under that model object: a
 netlist's vector is the first ``len(gates)`` of them, so designs of
 different sizes under one model draw only the ids no earlier design had.
+The draws are one stream per model: gate k gets the k-th value ``u`` of
+``random.Random(str(seed)).random()`` as ``lo + int(u * (hi - lo + 1))``,
+one cheap step of the generator per gate instead of a reseeded generator
+per gate.  A seed therefore names other delays than it did before this
+mapping (each gate got ``random.Random(f"{seed}:{gate id}").randint(lo,
+hi)``).
 """
 
 from __future__ import annotations
@@ -155,9 +161,16 @@ class DelayModel:
     """Assignment of integer delays to gate instances.
 
     UNIT gives every gate delay 1.  FIXED_TABLE maps each :class:`GateKind`
-    to a delay.  RANDOM_PER_GATE draws uniformly from [lo, hi]; the draw is a
-    pure function of (seed, gate id), so two gates never share entropy and a
-    netlist edit cannot silently reshuffle delays of untouched gates.  A
+    to a delay.  RANDOM_PER_GATE draws uniformly from [lo, hi]: gate k gets
+    ``lo + int(u * (hi - lo + 1))``, where ``u`` is the k-th value of
+    ``random.Random(str(seed)).random()``.  The delay is a pure function of
+    (seed, gate id), so it does not depend on netlist size or on the order
+    in which netlists are simulated, and a netlist edit cannot reshuffle
+    delays of untouched gates; the seed is hashed as a string, so ``-s``
+    and ``s`` name different delays.  ``random()`` is the one sequence
+    whose reproducibility Python documents across versions.  This mapping
+    replaced one ``random.Random(f"{seed}:{gate id}").randint(lo, hi)`` per
+    gate, so a seed names other delays than it did in earlier versions.  A
     random model draws each gate id once and shares the draws with every
     netlist simulated under that model object; the draws take no part in
     equality, hashing, ``repr`` or :meth:`describe`.
@@ -168,8 +181,15 @@ class DelayModel:
     lo: int = 1
     hi: int = 20
     seed: int = 0
-    # a random model's delays drawn so far, indexed by gate id
+    # a random model's delays drawn so far, indexed by gate id, and the
+    # generator whose stream they are (it has given exactly len(_drawn) values)
     _drawn: list[int] = field(default_factory=list, init=False, compare=False, repr=False)
+    _stream: random.Random | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.mode is DelayMode.RANDOM_PER_GATE:
+            # a str seed, because Random(int) seeds with abs(int)
+            object.__setattr__(self, "_stream", random.Random(str(self.seed)))
 
     @classmethod
     @cache
@@ -202,28 +222,27 @@ class DelayModel:
                 if k is kind:
                     return d
             raise ValueError(f"delay table has no entry for gate kind {kind.value!r}")
-        return self._draw((gate_id,))[0]
+        if gate_id < 0:
+            raise ValueError(f"gate ids are non-negative, got {gate_id}")
+        return self._draws(gate_id + 1)[gate_id]
 
-    def _draw(self, gate_ids: Iterable[int]) -> list[int]:
-        """Random delays of ``gate_ids``: the one (seed, gate id) -> delay mapping.
+    def _draws(self, count: int) -> list[int]:
+        """The memo of random delays, extended to at least ``count`` gate ids.
 
-        One generator reseeded per id gives the same numbers as
-        ``random.Random(f"{seed}:{gate_id}").randint(lo, hi)``.
+        Gate k gets the k-th value ``u`` of one generator seeded with
+        ``str(seed)``: ``lo + int(u * (hi - lo + 1))``.  The memo is extended
+        by continuing that stream, so it holds the same list however it was
+        grown.  Returned as is, not copied.
         """
-        rng = random.Random(0)
-        seed, lo, hi = self.seed, self.lo, self.hi
-        drawn = []
-        for gid in gate_ids:
-            rng.seed(f"{seed}:{gid}")
-            drawn.append(rng.randint(lo, hi))
+        drawn = self._drawn
+        if len(drawn) < count:
+            u, lo, span = self._stream.random, self.lo, self.hi - self.lo + 1
+            drawn += [lo + int(u() * span) for _ in range(count - len(drawn))]
         return drawn
 
     def _random_prefix(self, count: int) -> list[int]:
         """Delays of gate ids ``0..count-1``, drawing only the ids not drawn yet."""
-        drawn = self._drawn
-        if len(drawn) < count:
-            drawn += self._draw(range(len(drawn), count))
-        return drawn[:count]
+        return self._draws(count)[:count]
 
     def describe(self) -> dict:
         """JSON-safe summary embedded into result artifacts."""

@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
+from contextlib import contextmanager
 
 from qdimul import cells
 from qdimul.cells import FullAdderKind
@@ -23,11 +25,40 @@ from qdimul.verify import default_pairs, inject_fork_skew, narrow_completion, sw
 
 # -- engine traces -------------------------------------------------------------
 
+
+@contextmanager
+def legacy_draws():
+    """Random delay models draw as they did before one seeded stream per model.
+
+    Inside, gate k of a ``random_per_gate(lo, hi, seed)`` model gets
+    ``random.Random(f"{seed}:{k}").randint(lo, hi)``, and the model's memo is
+    neither read nor grown.  A netlist keeps the delay vector of its first
+    reset under each model, so only netlists first simulated inside see
+    these delays.  With them the digests below reproduce their
+    ``LEGACY_DRAW_*`` values, which shows that a change of draws alone moved
+    them, not a change of the engine.
+    """
+
+    def draws(model, count):
+        return [random.Random(f"{model.seed}:{gid}").randint(model.lo, model.hi)
+                for gid in range(count)]
+
+    saved = DelayModel._draws
+    DelayModel._draws = draws
+    try:
+        yield
+    finally:
+        DelayModel._draws = saved
+
+
 # Pinned on the engine before the compiled plan: a sha256 over the repr of
 # traced run_sequence reports and of run_burst (reports, trace, illegal).
 # Re-pinned once when burst reports began to count their transitions; with
-# those counts set to 0 it is the earlier digest.
-GOLDEN_TRACE_SHA256 = "4e3bf40d62c6064e854707475e7ac4f7f2f0996bff9a772130a3747f4e1b9732"
+# those counts set to 0 it is the earlier digest.  Re-pinned again when a
+# random model began to draw from one seeded stream; under legacy_draws()
+# it is LEGACY_DRAW_TRACE_SHA256, the digest before that change.
+GOLDEN_TRACE_SHA256 = "26d5826681cab9ea920db0fc5cfd34dceec864285d6f6bf0a76720f59668ad3c"
+LEGACY_DRAW_TRACE_SHA256 = "4e3bf40d62c6064e854707475e7ac4f7f2f0996bff9a772130a3747f4e1b9732"
 
 #: Every gate kind at delay 3: a constant delay other than 1.
 TABLE_3 = DelayModel.fixed_table({kind: 3 for kind in GateKind})
@@ -58,6 +89,11 @@ def table_trace_digest() -> str:
     return trace_digest((TABLE_3,))
 
 
+def legacy_trace_digest() -> str:
+    with legacy_draws():
+        return trace_digest()
+
+
 # Pinned on the engine before input-count gate tables and projected levels:
 # n = 8 under every adder, both protocols, unit and random delays, plus
 # bursts through a fork skewed by a chain of tied-input OR2s, stopped at
@@ -65,7 +101,10 @@ def table_trace_digest() -> str:
 # shorter than a gate delay, so events are scheduled on nets with one
 # already pending.  Re-pinned once when burst reports began to count their
 # transitions; with those counts set to 0 it is the earlier digest.
-GOLDEN_TRACE_WIDE_SHA256 = "f4bace9333db78e0f111fb56a3057f9c2b9d571d1f6ee5a86146e4f4d441989f"
+# Re-pinned with GOLDEN_TRACE_SHA256 for the one-stream draws; under
+# legacy_draws() it is LEGACY_DRAW_TRACE_WIDE_SHA256.
+GOLDEN_TRACE_WIDE_SHA256 = "99631d2b018b7781142a268b7f21cab2e96c77cd975260dccdae64f3dd0a6445"
+LEGACY_DRAW_TRACE_WIDE_SHA256 = "f4bace9333db78e0f111fb56a3057f9c2b9d571d1f6ee5a86146e4f4d441989f"
 
 
 def _hash_burst(h, netlist, dm, pairs) -> None:
@@ -96,6 +135,11 @@ def wide_trace_digest() -> str:
             for dm in models:
                 _hash_burst(h, skewed, dm, [(1, 0), (0, 1)] * 2 + pairs[:4] * (n == 8))
     return h.hexdigest()
+
+
+def legacy_wide_trace_digest() -> str:
+    with legacy_draws():
+        return wide_trace_digest()
 
 
 # -- the writer ----------------------------------------------------------------

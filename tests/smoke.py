@@ -4,8 +4,9 @@
 
 Checks the golden trace digests (unit and random delays, and a uniform
 delay table, at n = 2 and 4; 8x8 sequences and bursts and fork-skew pulses,
-which run unequal delays on the per-timestamp batch loop), the golden
-serialize digest and the reader's error for each corruption in the
+which run unequal delays on the per-timestamp batch loop), both again
+with random delays drawn as before one seeded stream per model (so the
+engine is pinned apart from the draws), the golden serialize digest and the reader's error for each corruption in the
 parse-error corpus, all from ``tests/golden.py``.  Prints one line per
 check and exits 1 if any differs.
 """
@@ -24,6 +25,10 @@ def main() -> int:
         ("trace digest", golden.trace_digest, golden.GOLDEN_TRACE_SHA256),
         ("table trace digest", golden.table_trace_digest, golden.GOLDEN_TRACE_TABLE_SHA256),
         ("wide trace digest", golden.wide_trace_digest, golden.GOLDEN_TRACE_WIDE_SHA256),
+        ("trace digest, legacy draws", golden.legacy_trace_digest,
+         golden.LEGACY_DRAW_TRACE_SHA256),
+        ("wide trace digest, legacy draws", golden.legacy_wide_trace_digest,
+         golden.LEGACY_DRAW_TRACE_WIDE_SHA256),
         ("serialize digest", golden.serialize_digest, golden.GOLDEN_SERIALIZE_SHA256),
         ("parse-error corpus", golden.parse_errors, golden.GOLDEN_PARSE_ERRORS),
     )

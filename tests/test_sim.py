@@ -3,6 +3,7 @@
 import inspect
 import io
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -107,6 +108,52 @@ def test_random_delay_varies_across_gates():
     dm = DelayModel.random_per_gate(1, 20, seed=0)
     delays = {dm.delay_of(g, GateKind.C2) for g in range(64)}
     assert len(delays) > 1
+
+
+#: Gates of the largest stage the tests simulate (weak 16x16).
+GATES_16 = 4767
+
+
+def stream_delays(lo, hi, seed, count):
+    """The documented mapping: gate k gets the k-th draw of one seeded stream."""
+    u = random.Random(f"{seed}").random
+    return [lo + int(u() * (hi - lo + 1)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("lo, hi, seed", [(1, 20, 0), (1, 20, 7), (3, 9, -5), (1, 1, 2)])
+def test_random_delay_of_gate_k_is_the_kth_draw_of_one_stream(lo, hi, seed):
+    want = stream_delays(lo, hi, seed, GATES_16)
+    dm = DelayModel.random_per_gate(lo, hi, seed)
+    assert [dm.delay_of(g, GateKind.C2) for g in range(GATES_16)] == want
+    assert DelayModel.random_per_gate(lo, hi, seed)._random_prefix(GATES_16) == want
+
+
+def test_random_prefix_drawn_in_pieces_equals_one_drawn_at_once():
+    pieces = DelayModel.random_per_gate(1, 20, seed=7)
+    assert pieces._random_prefix(1167) == stream_delays(1, 20, 7, 1167)
+    assert pieces._random_prefix(GATES_16) == stream_delays(1, 20, 7, GATES_16)
+    assert pieces._random_prefix(5) == stream_delays(1, 20, 7, 5)
+    # delay_of reads the memo: a late gate id extends it, an early one reads it
+    late = DelayModel.random_per_gate(1, 20, seed=7)
+    assert late.delay_of(GATES_16 - 1, GateKind.C2) == pieces._random_prefix(GATES_16)[-1]
+    assert late.delay_of(0, GateKind.C2) == pieces.delay_of(0, GateKind.C2)
+    assert late._drawn == pieces._drawn
+
+
+def test_random_delay_refuses_a_negative_gate_id():
+    with pytest.raises(ValueError, match="non-negative"):
+        DelayModel.random_per_gate(1, 20, seed=7).delay_of(-1, GateKind.C2)
+
+
+def test_negative_seed_names_other_delays_than_its_absolute_value():
+    assert (DelayModel.random_per_gate(1, 20, seed=-5)._random_prefix(64)
+            != DelayModel.random_per_gate(1, 20, seed=5)._random_prefix(64))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 13])
+def test_random_delays_cover_the_whole_range_within_a_16x16_stage(seed):
+    assert set(DelayModel.random_per_gate(1, 20, seed)._random_prefix(GATES_16)) == set(
+        range(1, 21))
 
 
 # -- propagation ----------------------------------------------------------
@@ -337,6 +384,9 @@ def test_random_draws_are_shared_across_netlists_of_any_size(sizes, protocol):
         assert state._step is None
         # every gate drawing the same delay still selects the tick loop
         assert reset(nl, uniform)._step == 4
+    # drawn in pieces, in either order, the prefix is the one-go stream
+    assert dm._drawn == stream_delays(1, 20, 11, len(dm._drawn))
+    assert uniform._drawn == [4] * len(uniform._drawn)
     # the draws kept on a model are invisible to its value
     fresh = DelayModel.random_per_gate(1, 20, seed=11)
     assert dm == fresh and hash(dm) == hash(fresh)
@@ -411,6 +461,12 @@ def test_sim_state_provides_every_member_of_the_engine_contract():
 
 def test_golden_trace_hash_wide():
     assert golden.wide_trace_digest() == golden.GOLDEN_TRACE_WIDE_SHA256
+
+
+def test_legacy_draws_reproduce_the_engine_digests():
+    # the engine is unchanged: only which delays a seed names moved
+    assert golden.legacy_trace_digest() == golden.LEGACY_DRAW_TRACE_SHA256
+    assert golden.legacy_wide_trace_digest() == golden.LEGACY_DRAW_TRACE_WIDE_SHA256
 
 
 @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
