@@ -228,7 +228,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     dm = parse_delay_model(args.delay_model, args.seed)
     adders = args.adders.split(",")
     rows: list[StageMetrics] = []
-    pairs = verify_mod.default_pairs(args.n, args.samples, args.seed)[: args.samples]
+    pairs = verify_mod.sample_pairs(args.n, args.samples, args.seed)
     for adder in adders:
         spec = MultiplierSpec(n=args.n, fa_kind=FullAdderKind(adder),
                               protocol=Protocol(args.protocol))

@@ -116,6 +116,10 @@ def _require_counts(samples: int, seeds: Iterable[int] | int = 0) -> None:
         raise ValueError(f"seeds must be at least 0, got {seeds}")
 
 
+def _corners(limit: int) -> list[tuple[int, int]]:
+    return [(0, 0), (limit - 1, limit - 1), (1, limit - 1), (limit - 1, 1)]
+
+
 def default_pairs(n: int, samples: int = 64, seed: int = 0) -> list[tuple[int, int]]:
     """Stimulus set: exhaustive up to 4-bit operands, ``samples`` pairs beyond.
 
@@ -126,10 +130,26 @@ def default_pairs(n: int, samples: int = 64, seed: int = 0) -> list[tuple[int, i
     if n <= 4:
         return [(a, b) for a in range(limit) for b in range(limit)]
     rng = random.Random(seed)
-    pairs = [(0, 0), (limit - 1, limit - 1), (1, limit - 1), (limit - 1, 1)][:samples]
+    pairs = _corners(limit)[:samples]
     while len(pairs) < samples:
         pairs.append((rng.randrange(limit), rng.randrange(limit)))
     return pairs
+
+
+def sample_pairs(n: int, samples: int, seed: int = 0) -> list[tuple[int, int]]:
+    """At most ``samples`` pairs of :func:`default_pairs`, spread over its range.
+
+    Above 4 bits, and whenever ``samples`` covers the exhaustive set, this is
+    :func:`default_pairs`.  Otherwise a slice of its ``a``-major order would
+    keep only the smallest ``a``, so the distinct corner pairs come first,
+    then a seeded sample of the other pairs without replacement.
+    """
+    pairs = default_pairs(n, samples, seed)
+    if len(pairs) <= samples:
+        return pairs
+    corners = list(dict.fromkeys(_corners(1 << n)))[:samples]
+    rest = [p for p in pairs if p not in corners]
+    return corners + random.Random(seed).sample(rest, samples - len(corners))
 
 
 # -- functional correctness ----------------------------------------------------
@@ -509,7 +529,7 @@ def check_delay_insensitivity(
     name = "delay_insensitivity"
     _require_counts(samples, seeds)
     if pairs is None:
-        pairs = default_pairs(len(stage_ports(netlist)[0]), samples, seed)[:samples]
+        pairs = sample_pairs(len(stage_ports(netlist)[0]), samples, seed)
     else:
         pairs = list(pairs)
     if isinstance(seeds, int):
@@ -574,7 +594,7 @@ def check_duality(
         return _fail(name, netlist, {}, None, "double flip changed the netlist",
                      "polarity flip is an involution", 0)
     if pairs is None:
-        pairs = default_pairs(len(stage_ports(netlist)[0]), samples, seed)[:samples]
+        pairs = sample_pairs(len(stage_ports(netlist)[0]), samples, seed)
     else:
         pairs = list(pairs)
     h1 = Harness(netlist)
@@ -629,7 +649,7 @@ def check_race_immunity(
     name = "race_immunity"
     _require_counts(samples)
     harness = Harness(netlist)
-    pairs = default_pairs(harness.n, samples, seed)[:samples] if pairs is None else list(pairs)
+    pairs = sample_pairs(harness.n, samples, seed) if pairs is None else list(pairs)
     stim = {"pairs": pairs, "gap": _RACE_GAP}
     try:
         result = harness.run_burst(pairs, gap=_RACE_GAP)

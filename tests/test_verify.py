@@ -33,6 +33,7 @@ from qdimul.verify import (
     inject_fork_skew,
     narrow_completion,
     run_all_checks,
+    sample_pairs,
     swap_port_rails,
 )
 
@@ -75,6 +76,52 @@ def test_default_pairs_gives_exactly_samples_pairs_when_wide(samples):
     assert pairs == default_pairs(8, samples=9, seed=3)[:samples]
     # exhaustive at 4 bits and below, whatever the count
     assert len(default_pairs(4, samples=samples)) == 256
+
+
+@pytest.mark.parametrize("n, samples", [(1, 3), (2, 5), (4, 8), (4, 255), (4, 256), (8, 9)])
+def test_sample_pairs_spread_a_small_count_over_the_exhaustive_set(n, samples):
+    pairs = sample_pairs(n, samples, seed=3)
+    full = default_pairs(n, samples, seed=3)
+    assert len(pairs) == min(samples, len(full)) == len(set(pairs))
+    assert set(pairs) <= set(full) and pairs == sample_pairs(n, samples, seed=3)
+    if samples >= len(full):
+        assert pairs == full
+    else:
+        limit = 1 << n
+        assert pairs[:2] == [(0, 0), (limit - 1, limit - 1)]
+
+
+def _recorded_pairs(monkeypatch):
+    """Operand pairs the harness runs, recorded through its three entry points."""
+    seen = set()
+
+    def recorder(real, one_pair):
+        def record(self, *args, **kwargs):
+            seen.update([args[:2]] if one_pair else args[0])
+            return real(self, *args, **kwargs)
+        return record
+
+    monkeypatch.setattr(Harness, "run_cycle", recorder(Harness.run_cycle, True))
+    for name in ("run_burst", "run_sequence"):
+        monkeypatch.setattr(Harness, name, recorder(getattr(Harness, name), False))
+    return seen
+
+
+SMALL_STAGE_SAMPLERS = {
+    "duality": lambda nl: check_duality(nl, samples=8),
+    "race_immunity": lambda nl: check_race_immunity(nl, samples=8),
+    "delay_insensitivity": lambda nl: check_delay_insensitivity(nl, seeds=1, samples=8),
+    "bench": lambda nl: main(["bench", "--n", "4", "--samples", "8", "--json"]) == 0,
+}
+
+
+@pytest.mark.parametrize("caller", list(SMALL_STAGE_SAMPLERS))
+def test_a_4x4_sample_is_not_the_first_rows_of_the_exhaustive_set(caller, monkeypatch, capsys):
+    nl = generate(MultiplierSpec(n=4))
+    seen = _recorded_pairs(monkeypatch)
+    assert SMALL_STAGE_SAMPLERS[caller](nl)
+    assert seen == set(sample_pairs(4, 8))
+    assert any(a * b for a, b in seen)
 
 
 def test_functional_runs_exactly_samples_cycles_when_wide():
@@ -421,9 +468,12 @@ def test_mutants_keep_their_tags(mult2):
 # drivers were merged and re-pinned when the cell checks began to drive
 # ack_in (only the register banks' weak verdicts changed), and again when a
 # random model began to draw from one seeded stream (under
-# golden.legacy_draws() it is the digest before); any change to a verdict,
-# detail, scenario count, counterexample or trace tail changes it.
-GOLDEN_OUTCOME_SHA256 = "4d91f427fd2cb557f68b90e225098efbb2cd49a3dae11f1bbe82e1f4b9c5a69a"
+# golden.legacy_draws() it is the digest before), and again when small
+# stages began to sample their pairs through sample_pairs (with the old
+# default_pairs(...)[:samples] slice it is the digest before); any change
+# to a verdict, detail, scenario count, counterexample or trace tail
+# changes it.
+GOLDEN_OUTCOME_SHA256 = "b1b0215844d98cf657060c00d843061e520b40f87383b7210fa0be4141b64789"
 
 
 def _cells(protocol):
