@@ -4,11 +4,12 @@
 
 Checks the golden trace digests (unit and random delays, and a uniform
 delay table, at n = 2 and 4; 8x8 sequences and bursts and fork-skew pulses,
-which run unequal delays on the per-timestamp batch loop), both again
-with random delays drawn as before one seeded stream per model (so the
-engine is pinned apart from the draws), the golden serialize digest and the reader's error for each corruption in the
-parse-error corpus, all from ``tests/golden.py``.  Prints one line per
-check and exits 1 if any differs.
+which run unequal delays on the per-timestamp batch loop), the two random
+ones again with delays drawn as before one seeded stream per model (so the
+engine is pinned apart from the draws), the golden serialize digest and
+the reader's error for each corruption in the parse-error corpus, all
+from ``tests/golden.py``.  Prints one line per check and exits 1 if any
+differs.
 """
 
 from __future__ import annotations
