@@ -26,12 +26,14 @@ product ports only to name a failure.
 
 Observation costs what the caller needs.  The acknowledge edges come from
 the engine's record of ``ack_out`` transitions (``SimState.ack_edges``),
-not from a search of the trace.  The ILLEGAL check first collects the port
-rails that moved in the trace: a port that starts at SPACER can only decode
-ILLEGAL once both of its rails have moved, so the full port scan
-(:func:`scan_port_changes`) runs only when such a port moved both rails or a
-port that starts elsewhere moved at all.  A healthy handshake cycle moves
-one rail per port and is never scanned.
+not from a search of the trace.  The ILLEGAL check reads the engine's
+record of port-rail transitions (``SimState.port_events``), a few events
+per port rather than the whole trace.  It first collects the rails that
+moved: a port that starts at SPACER can only decode ILLEGAL once both of its
+rails have moved, so the port scan (:func:`scan_port_changes`, over those
+same events) runs only when such a port moved both rails or a port that
+starts elsewhere moved at all.  A healthy handshake cycle moves one rail per
+port and is never scanned.
 """
 
 from __future__ import annotations
@@ -275,9 +277,8 @@ class _Stage:
         self.decode = table = netlist.decode_table
         self.bit_of = [v.bit for v in table]
         self.out_rails = [(p.rail1, p.rail0) for p in out_ports]
-        # the ILLEGAL screen: every port rail, the (rail1, rail0) pairs of
-        # ports at SPACER in the reset state, and the rails of all others
-        self.rails = frozenset(r for p in netlist.ports for r in (p.rail1, p.rail0))
+        # the ILLEGAL screen: the (rail1, rail0) pairs of ports at SPACER in
+        # the reset state, and the rails of all others
         at_spacer = [table[2 * lv[p.rail1] + lv[p.rail0]] is DualRailValue.SPACER
                      for p in netlist.ports]
         self.spacer_pairs = [frozenset((p.rail1, p.rail0))
@@ -359,18 +360,20 @@ class Harness:
         if levels != stage.reset_levels:
             raise StuckPhaseError("cycle ended away from the reset state")
 
-    def _illegal_points(self, trace: Trace) -> list[tuple[int, str]]:
-        """(time, port) of every ILLEGAL decode in ``trace``, port by port.
+    def _illegal_points(self, events: Trace) -> list[tuple[int, str]]:
+        """(time, port) of every ILLEGAL decode in ``events``, port by port.
 
-        Runs the full port scan only when the rails that moved could have
-        formed ILLEGAL (see the module docstring); one moving rail cannot.
+        ``events`` is a trace from the reset state, or its port-rail events
+        (``SimState.port_events``); the two give the same points.  The port
+        scan runs only when the rails that moved could have formed ILLEGAL
+        (see the module docstring); one moving rail cannot.
         """
         stage = self._stage
-        moved = stage.rails.intersection(map(itemgetter(1), trace))
+        moved = set(map(itemgetter(1), events))
         if moved.isdisjoint(stage.hot_rails) and not any(
                 map(moved.issuperset, stage.spacer_pairs)):
             return []
-        changes = scan_port_changes(self.netlist, stage.reset_levels, trace)
+        changes = scan_port_changes(self.netlist, stage.reset_levels, events)
         return [(t, name) for name, points in changes.items()
                 for t, val in points if val is DualRailValue.ILLEGAL]
 
@@ -404,8 +407,8 @@ class Harness:
         tb = self._ack_edge(data_edges, self._spacer, "released")
         self._check_reset()
 
+        illegal = self._illegal_points(st.port_events)
         trace = st.take_trace()
-        illegal = self._illegal_points(trace)
         if illegal:
             t, name = illegal[0]
             raise IllegalOutputError(f"port {name} decodes ILLEGAL at t={t}")
@@ -449,7 +452,7 @@ class Harness:
             raise StuckPhaseError("burst started with events still pending")
         cycles: list[tuple[int, int, int, int]] = []  # (a, b, product, ack edge)
         windows: list[tuple[int, int, int]] = []
-        origin = len(st.trace)
+        origin, port_origin = len(st.trace), len(st.port_events)
         for a, b in pairs:
             t0 = st.clock if not windows else st.clock + gap
             self._apply_operands(a, b, t0)
@@ -467,7 +470,7 @@ class Harness:
             windows.append((t0, t1, st.clock))
         st.run_until_quiescent()
         trace = st.trace[origin:]
-        illegal = sorted(self._illegal_points(trace))
+        illegal = sorted(self._illegal_points(st.port_events[port_origin:]))
         st.take_trace()
         cuts = [bisect_left(trace, t0, key=itemgetter(0)) for t0, _, _ in windows]
         cuts.append(len(trace))

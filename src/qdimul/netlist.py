@@ -440,7 +440,16 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
     the absence of combinational cycles.  A cycle is legal only if it passes
     through a C-element, which is the one place feedback is allowed to hold
     state.
+
+    A netlist that :func:`_passes_every_check` clears gets the empty list at
+    once; any other is checked item by item, which builds the diagnostics.
     """
+    try:
+        clean = _passes_every_check(netlist)
+    except (TypeError, KeyError, ValueError):  # a malformed field: the checks below tell
+        clean = False
+    if clean:
+        return []
     diags = _check_ids(netlist)
 
     claimed: dict[int, int] = {}
@@ -518,6 +527,41 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
 
     diags.extend(_find_combinational_loop(netlist))
     return diags
+
+
+def _passes_every_check(netlist: Netlist) -> bool:
+    """True only when :func:`validate` finds nothing, decided in whole-netlist passes.
+
+    False means "check item by item", not "invalid": combinational cycles
+    are ruled out only when every Boolean gate's inputs are lower net ids
+    than its output (so net ids rise along every Boolean path), which holds
+    for every netlist :class:`NetlistBuilder` makes.
+    """
+    gates = netlist.gates
+    if {g.id for g in gates} != set(range(len(gates))):
+        return False
+    if [len(g.inputs) for g in gates] != [ARITY[g.kind] for g in gates]:
+        return False
+    outputs = [g.output for g in gates]
+    pins = list(chain.from_iterable([g.inputs for g in gates]))
+    rails = [r for p in netlist.ports for r in (p.rail1, p.rail0)]
+    consts = [n for n, _ in netlist.const_nets]
+    ack_out, ack_in = netlist.ack_out, netlist.ack_in
+    named = [n for n in (ack_out, ack_in, netlist.phase_net) if n is not None]
+    if min(chain(pins, outputs, rails, consts, named, netlist.extra_inputs), default=0) < 0:
+        return False
+    drivers = [*netlist.primary_inputs, *consts, *outputs]
+    claimed = set(drivers)
+    if (len(claimed) != len(drivers)
+            or netlist.net_count > NET_IDS_PER_DRIVEN_NET * (len(drivers) + 1)
+            or not claimed.issuperset(pins) or not claimed.issuperset(rails)
+            or any(p.rail1 == p.rail0 for p in netlist.ports)
+            or (ack_out is not None and (ack_out not in claimed or ack_out == ack_in))):
+        return False
+    for g in gates:
+        if g.kind not in STATEFUL and max(g.inputs) >= g.output:
+            return False
+    return True
 
 
 def _check_ids(netlist: Netlist) -> list[Diagnostic]:
@@ -628,10 +672,8 @@ def dualize(netlist: Netlist) -> Netlist:
     involution: ``dualize(dualize(n)) == n``.
     """
     netlist.require_valid()
-    gates = tuple(
-        Gate(g.id, DUAL_KIND[g.kind], g.inputs, g.output, 1 - g.reset)
-        for g in netlist.gates
-    )
+    gates = [Gate(g.id, DUAL_KIND[g.kind], g.inputs, g.output, 1 - g.reset)
+             for g in netlist.gates]
     meta = dict(netlist.meta)
     if "protocol" in meta:
         meta["protocol"] = netlist.protocol.flipped.value

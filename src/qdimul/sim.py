@@ -8,9 +8,9 @@ nets that changed at that timestamp.
 
 The engine contract is :class:`Engine`: what the harness and the checkers
 use of a simulation state, namely ``netlist``, ``clock``, ``levels``,
-``trace``, ``ack_edges``, ``quiescent``, ``set_primary``,
-``set_primaries``, ``run_until_quiescent``, ``read_port`` and
-``take_trace``.  Every queue discipline runs inside
+``trace``, ``ack_edges``, ``port_events``, ``quiescent``,
+``set_primary``, ``set_primaries``, ``run_until_quiescent``, ``read_port``
+and ``take_trace``.  Every queue discipline runs inside
 :meth:`SimState.run_until_quiescent`, so wrapping that one method sees all
 simulated work.
 
@@ -46,9 +46,10 @@ Pending events are kept under one of three disciplines, picked once per
   ``random_per_gate(1, 20)``, is recorded in ROADMAP.md).
 
 All three apply the same events in the same order, so the trace,
-:attr:`SimState.ack_edges`, the clock, the return value and the
-``max_time`` error are the same; ``tests/test_tick_queue.py`` and
-``tests/test_batch_queue.py`` compare them with the heap call by call.
+:attr:`SimState.ack_edges`, :attr:`SimState.port_events`, the clock, the
+return value and the ``max_time`` error are the same;
+``tests/test_tick_queue.py`` and ``tests/test_batch_queue.py`` compare them
+with the heap call by call.
 
 Gates are evaluated by count: each gate keeps the number of its input pins
 at level 1 (a net tied to two pins counts twice), and its output is the
@@ -76,8 +77,13 @@ change onto ``ack_in`` complemented at the same timestamp.  That models the
 zero-delay acknowledge inverter the surrounding stage would provide, and it
 keeps a closed handshake loop runnable without a cooperating testbench.
 The same branch records each such ``ack_out`` transition as ``(time,
-level)`` in :attr:`SimState.ack_edges`, so the harness finds its handshake
-edges without searching the trace; :meth:`SimState.take_trace` clears both.
+level)`` in :attr:`SimState.ack_edges`, and appends every transition on a
+port rail (``ack_in`` included, when a port uses it) to
+:attr:`SimState.port_events` as its trace tuple, so the harness finds its
+handshake edges and screens its ports without searching the trace.  One
+per-net flag, built once in the plan, selects that branch: 1 for a port
+rail, 2 for ``ack_out``, 3 for both.  :meth:`SimState.take_trace` clears all
+three lists.
 
 Netlists are immutable after construction, so everything the engine derives
 from one is compiled once per netlist object: the first :func:`reset` of a
@@ -107,7 +113,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from heapq import heappop, heappush
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import IO, Iterable, Mapping, Protocol
 
 from .netlist import (
@@ -187,7 +193,32 @@ class DelayModel:
     _stream: random.Random | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.mode is DelayMode.RANDOM_PER_GATE:
+        """Refuse, with ``ValueError``, a model its mode cannot use.
+
+        A table holds ``(GateKind, delay)`` pairs, each kind once, and is
+        kept sorted by kind; a random model's ``lo``, ``hi`` and ``seed`` are
+        ints (not bools) with ``1 <= lo <= hi``.  Delays are ints >= 1.
+        """
+        if not isinstance(self.mode, DelayMode):
+            raise ValueError(f"mode must be a DelayMode, got {self.mode!r}")
+        if self.mode is DelayMode.FIXED_TABLE:
+            if not isinstance(self.table, (tuple, list)) or not all(
+                    isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], GateKind)
+                    for e in self.table):
+                raise ValueError("a delay table holds (GateKind, delay) pairs")
+            for kind, d in self.table:
+                if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+                    raise ValueError(f"delay for {kind.value} must be a positive integer")
+            if len({kind for kind, _ in self.table}) != len(self.table):
+                raise ValueError("a delay table names each gate kind once")
+            object.__setattr__(self, "table",
+                               tuple(sorted(self.table, key=lambda kv: kv[0].value)))
+        elif self.mode is DelayMode.RANDOM_PER_GATE:
+            for what, v in (("lo", self.lo), ("hi", self.hi), ("seed", self.seed)):
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ValueError(f"{what} must be an integer, got {v!r}")
+            if self.lo < 1 or self.hi < self.lo:
+                raise ValueError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
             # a str seed, because Random(int) seeds with abs(int)
             object.__setattr__(self, "_stream", random.Random(str(self.seed)))
 
@@ -199,19 +230,10 @@ class DelayModel:
 
     @classmethod
     def fixed_table(cls, table: Mapping[GateKind, int]) -> "DelayModel":
-        items = tuple(sorted(table.items(), key=lambda kv: kv[0].value))
-        for kind, d in items:
-            if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-                raise ValueError(f"delay for {kind.value} must be a positive integer")
-        return cls(DelayMode.FIXED_TABLE, table=items)
+        return cls(DelayMode.FIXED_TABLE, table=tuple(table.items()))
 
     @classmethod
     def random_per_gate(cls, lo: int = 1, hi: int = 20, seed: int = 0) -> "DelayModel":
-        for what, v in (("lo", lo), ("hi", hi), ("seed", seed)):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"{what} must be an integer, got {v!r}")
-        if lo < 1 or hi < lo:
-            raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
         return cls(DelayMode.RANDOM_PER_GATE, lo=lo, hi=hi, seed=seed)
 
     def delay_of(self, gate_id: int, kind: GateKind) -> int:
@@ -276,19 +298,23 @@ class _Plan:
 
     def __init__(self, netlist: Netlist):
         netlist.require_valid()
-        self._gates = gates = sorted(netlist.gates, key=lambda g: g.id)
+        self._gates = gates = sorted(netlist.gates, key=attrgetter("id"))
         # validate guarantees each gate's arity, so a kind names its row
-        row_of = {k: _gate_row(FAMILY[k], ARITY[k]) for k in {g.kind for g in gates}}
+        row_of = {k: _gate_row(FAMILY[k], ARITY[k]) for k in GateKind}
         self.row = [row_of[g.kind] for g in gates]
         self.output = [g.output for g in gates]
-        fanout: list[list[int]] = [[] for _ in range(netlist.net_count)]
-        for g in gates:
-            for n in g.inputs:
-                fanout[n].append(g.id)
-        self.fanout = [tuple(f) for f in fanout]
-
         lv = netlist.reset_levels()
-        self.reset_ones = [sum(map(lv.__getitem__, g.inputs)) for g in gates]
+        # one pass over the input pins gives the fanout and each gate's count
+        # of inputs at 1; after sorting, a gate's index is its id
+        fanout: list[list[int]] = [[] for _ in range(netlist.net_count)]
+        self.reset_ones = []
+        for gid, g in enumerate(gates):
+            ones = 0
+            for n in g.inputs:
+                fanout[n].append(gid)
+                ones += lv[n]
+            self.reset_ones.append(ones)
+        self.fanout = [tuple(f) for f in fanout]
         for g, row, ones in zip(gates, self.row, self.reset_ones):
             settled = row[ones]
             if settled != HOLD and settled != lv[g.output]:  # HOLD keeps the reset level
@@ -299,6 +325,12 @@ class _Plan:
         self.reset_levels = tuple(lv)
         self.ack_out = netlist.ack_out if netlist.ack_in is not None else None
         self.ack_in = netlist.ack_in
+        # per net: 1 for a port rail, 2 for the mirrored ack_out, 3 for both
+        self.watch = [0] * netlist.net_count
+        for p in netlist.ports:
+            self.watch[p.rail1] = self.watch[p.rail0] = 1
+        if self.ack_out is not None:
+            self.watch[self.ack_out] |= 2
         self.decode = netlist.decode_table
         self.port_by_name: dict[str, DualRailPort] = {}
         for p in netlist.ports:  # the first of ports sharing a name wins
@@ -336,6 +368,7 @@ class Engine(Protocol):
     levels: list[int]
     trace: Trace
     ack_edges: list[tuple[int, int]]
+    port_events: Trace
 
     @property
     def quiescent(self) -> bool: ...
@@ -393,6 +426,8 @@ class SimState:
         self._ones = list(plan.reset_ones)
         #: ``(time, level)`` of every ``ack_out`` transition in :attr:`trace`.
         self.ack_edges: list[tuple[int, int]] = []
+        #: The events of :attr:`trace` on port rails, in trace order.
+        self.port_events: Trace = []
 
     # -- stimulus ----------------------------------------------------------
 
@@ -491,6 +526,8 @@ class SimState:
         gouts = plan.output
         trace = self.trace
         ack_edges = self.ack_edges
+        port_event = self.port_events.append
+        watch = plan.watch
         ack_out, ack_in = plan.ack_out, plan.ack_in
         start = self.clock
         deadline = start + max_time
@@ -526,23 +563,27 @@ class SimState:
                         for gid in gates:
                             ones[gid] -= 1
                     touched += gates
-                    if net == ack_out:
-                        ack_edges.append((t, level))
-                        # environment acknowledge inverter, zero delay
-                        v = 1 - level
-                        if projected[ack_in] != v:
-                            # where the heap pops it: after every unprocessed
-                            # event of this tick on a net up to ack_in.  The
-                            # environment may put several ack_out events in
-                            # one tick, so find this one by identity among
-                            # the batch's ack_out run.
-                            after = bisect_left(batch, ack_out, key=_NET)
-                            while batch[after] is not event:
-                                after += 1
-                            batch.insert(bisect_right(batch, ack_in, after + 1, key=_NET),
-                                         (t, ack_in, v, ENV))
-                            projected[ack_in] = v
-                            self._pending_time[ack_in] = t
+                    flag = watch[net]
+                    if flag:
+                        if flag & 1:
+                            port_event(event)
+                        if flag & 2:
+                            ack_edges.append((t, level))
+                            # environment acknowledge inverter, zero delay
+                            v = 1 - level
+                            if projected[ack_in] != v:
+                                # where the heap pops it: after every unprocessed
+                                # event of this tick on a net up to ack_in.  The
+                                # environment may put several ack_out events in
+                                # one tick, so find this one by identity among
+                                # the batch's ack_out run.
+                                after = bisect_left(batch, ack_out, key=_NET)
+                                while batch[after] is not event:
+                                    after += 1
+                                batch.insert(bisect_right(batch, ack_in, after + 1, key=_NET),
+                                             (t, ack_in, v, ENV))
+                                projected[ack_in] = v
+                                self._pending_time[ack_in] = t
                     if net == stop_net and level == stop_level:
                         stop_hit = True
                 self.clock = t
@@ -589,7 +630,8 @@ class SimState:
                     if levels[net] == level:
                         continue
                     levels[net] = level
-                    trace.append((t, net, level, cause))
+                    event = (t, net, level, cause)
+                    trace.append(event)
                     gates = fanout[net]
                     if level:
                         for gid in gates:
@@ -598,15 +640,19 @@ class SimState:
                         for gid in gates:
                             ones[gid] -= 1
                     touched += gates
-                    if net == ack_out:
-                        ack_edges.append((t, level))
-                        # environment acknowledge inverter, zero delay
-                        v = 1 - level
-                        if projected[ack_in] != v:
-                            seq += 1
-                            push(heap, (t, ack_in, seq, v, ENV))
-                            projected[ack_in] = v
-                            self._pending_time[ack_in] = t
+                    flag = watch[net]
+                    if flag:
+                        if flag & 1:
+                            port_event(event)
+                        if flag & 2:
+                            ack_edges.append((t, level))
+                            # environment acknowledge inverter, zero delay
+                            v = 1 - level
+                            if projected[ack_in] != v:
+                                seq += 1
+                                push(heap, (t, ack_in, seq, v, ENV))
+                                projected[ack_in] = v
+                                self._pending_time[ack_in] = t
                     if net == stop_net and level == stop_level:
                         stop_hit = True
                 self.clock = t
@@ -645,6 +691,8 @@ class SimState:
         gdelay = self._gate_delay
         append = self.trace.append
         ack_edges = self.ack_edges
+        port_event = self.port_events.append
+        watch = plan.watch
         ack_out, ack_in = plan.ack_out, plan.ack_in
         start = self.clock
         deadline = start + max_time
@@ -677,19 +725,23 @@ class SimState:
                     for gid in gates:
                         ones[gid] -= 1
                 touched += gates
-                if net == ack_out:
-                    ack_edges.append((t, level))
-                    # environment acknowledge inverter, zero delay, inserted
-                    # where the tick loop inserts it
-                    v = 1 - level
-                    if projected[ack_in] != v:
-                        after = bisect_left(batch, ack_out, key=_NET)
-                        while batch[after] is not event:
-                            after += 1
-                        batch.insert(bisect_right(batch, ack_in, after + 1, key=_NET),
-                                     (t, ack_in, v, ENV))
-                        projected[ack_in] = v
-                        self._pending_time[ack_in] = t
+                flag = watch[net]
+                if flag:
+                    if flag & 1:
+                        port_event(event)
+                    if flag & 2:
+                        ack_edges.append((t, level))
+                        # environment acknowledge inverter, zero delay, inserted
+                        # where the tick loop inserts it
+                        v = 1 - level
+                        if projected[ack_in] != v:
+                            after = bisect_left(batch, ack_out, key=_NET)
+                            while batch[after] is not event:
+                                after += 1
+                            batch.insert(bisect_right(batch, ack_in, after + 1, key=_NET),
+                                         (t, ack_in, v, ENV))
+                            projected[ack_in] = v
+                            self._pending_time[ack_in] = t
                 if net == stop_net and level == stop_level:
                     stop_hit = True
             self.clock = t
@@ -723,9 +775,10 @@ class SimState:
         return self._plan.decode[2 * levels[port.rail1] + levels[port.rail0]]
 
     def take_trace(self) -> Trace:
-        """Hand over and clear the accumulated trace and its ack edges."""
+        """Hand over and clear the accumulated trace, its ack edges and port events."""
         out, self.trace = self.trace, []
         self.ack_edges = []
+        self.port_events = []
         return out
 
 

@@ -24,7 +24,7 @@ import json
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .harness import (
@@ -401,34 +401,43 @@ def check_stage_indication(
 # -- monotonicity / hazards ------------------------------------------------
 
 
-_TIME, _NET, _NET_LEVEL = itemgetter(0), itemgetter(1), itemgetter(1, 2)
+_TIME, _NET, _LEVEL = itemgetter(0), itemgetter(1), itemgetter(2)
 
 #: The input level that fires a merge gate, by family.
 _FIRING_LEVEL = {F_OR: 1, F_AND: 0}
 
 
-def _merge_watchers(netlist: Netlist) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Map (net, level) -> merge gates for which that transition is a firing input.
+#: The merge-gate entry of a net that feeds no AND or OR gate.
+_NO_MERGE: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
 
-    OR gates fire on a rising input, AND gates on a falling one; a gate is
-    listed once per input pin it has on the net.
+
+def _merge_gates(netlist: Netlist) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Per net and level, the merge gates a transition of the net to that level fires.
+
+    ``merge[net][level]``: OR gates fire on a rising input, AND gates on a
+    falling one, and a gate is listed once per input pin it has on the net.
+    Nets that feed no merge gate share one empty entry.
     """
-    watch: dict[tuple[int, int], list[int]] = {}
+    fired: dict[int, tuple[list[int], list[int]]] = {}
     for g in netlist.gates:
         level = _FIRING_LEVEL.get(FAMILY[g.kind])
         if level is None:
             continue
         for n in g.inputs:
-            watch.setdefault((n, level), []).append(g.id)
-    return {key: tuple(gids) for key, gids in watch.items()}
+            fired.setdefault(n, ([], []))[level].append(g.id)
+    merge = [_NO_MERGE] * netlist.net_count
+    for n, (fall, rise) in fired.items():
+        merge[n] = (tuple(fall), tuple(rise))
+    return merge
 
 
-def _acts_once(trace: Sequence[tuple], spacer_start: int, merge: dict) -> bool:
+def _acts_once(trace: Sequence[tuple], spacer_start: int, merge: list) -> bool:
     """True when ``trace`` keeps both rules of :func:`check_monotonicity`.
 
-    Set and length passes over each phase window: no net changes twice and no
-    merge gate is fired twice.  False also for a trace whose events are not
-    split in time order at ``spacer_start``, which is left to the event loop.
+    Per phase window, one set pass over its nets and one over the merge
+    gates its transitions fire (looked up by net, then level).  False also
+    for a trace whose events are not split in time order at
+    ``spacer_start``, which is left to the event loop.
     """
     k = bisect_left(trace, spacer_start, key=_TIME)
     data, spacer = trace[:k], trace[k:]
@@ -436,10 +445,11 @@ def _acts_once(trace: Sequence[tuple], spacer_start: int, merge: dict) -> bool:
             spacer and min(map(_TIME, spacer)) < spacer_start):
         return False
     for window in (data, spacer):
-        if len(set(map(_NET, window))) != len(window):
+        nets = list(map(_NET, window))
+        if len(set(nets)) != len(nets):
             return False
         fired = list(itertools.chain.from_iterable(
-            map(merge.get, map(_NET_LEVEL, window), itertools.repeat(()))))
+            map(getitem, map(merge.__getitem__, nets), map(_LEVEL, window))))
         if len(set(fired)) != len(fired):
             return False
     return True
@@ -455,12 +465,12 @@ def check_monotonicity(netlist: Netlist, reports: Sequence[CycleReport]) -> Chec
     non-disjoint merges.  C-elements are exempt, they absorb and sequence
     multiple arrivals by design.
 
-    Each cycle is first screened with set passes over its trace; only a cycle
-    that fails the screen is walked event by event, to report its first
-    violation.
+    Each cycle is first screened with set passes over each phase window's
+    nets and the merge gates they fire; only a cycle that fails the screen
+    is walked event by event, to report its first violation.
     """
     name = "monotonicity"
-    merge = netlist._derived("verify.merge_watchers", _merge_watchers)
+    merge = netlist._derived("verify.merge_gates", _merge_gates)
     scenarios = 0
     for idx, r in enumerate(reports):
         if r.trace is None:
@@ -479,7 +489,7 @@ def check_monotonicity(netlist: Netlist, reports: Sequence[CycleReport]) -> Chec
                 return _fail(name, netlist, stim, None,
                              f"net {net} changed twice in one phase (t={t})",
                              "one transition per net per phase", scenarios, r.trace)
-            for gid in merge.get((net, level), ()):
+            for gid in merge[net][level]:
                 gkey = (gid, w)
                 merge_seen[gkey] = merge_seen.get(gkey, 0) + 1
                 if merge_seen[gkey] > 1:
@@ -536,11 +546,11 @@ def check_delay_insensitivity(
         seeds = range(seeds)
     models = [DelayModel.unit()]
     models += [DelayModel.random_per_gate(1, 20, s) for s in seeds]
+    reset_levels = netlist.reset_levels()
     cycle_times = set()
     scenarios = 0
     for dm in models:
         harness = Harness(netlist, dm)
-        reset_levels = netlist.reset_levels()
         for idx, (a, b) in enumerate(pairs):
             stim = {"a": a, "b": b, "cycle": idx}
             try:

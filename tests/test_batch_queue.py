@@ -4,8 +4,8 @@ When gate delays differ and the stage has at least ``_BATCH_MIN_GATES``
 gates, ``SimState`` keeps its pending events as one batch per timestamp.
 Each test here runs the same stimulus on a state forced onto the batches
 (small netlists included) and on a fresh state forced onto the heap loop,
-and requires the same trace, ``ack_edges``, clock, return values, pending
-state and errors after every engine call.
+and requires the same trace, ``ack_edges``, ``port_events``, clock, return
+values, pending state and errors after every engine call.
 """
 
 import pytest

@@ -351,7 +351,7 @@ def _full_scan_illegal(netlist, trace):
 
 
 def _observed(harness, run):
-    """Each (ack edges, trace) the state holds when its trace is taken.
+    """Each (ack edges, port events, trace) the state holds when its trace is taken.
 
     The state left over at the end (after a raise mid-cycle or mid-burst)
     is the last entry.
@@ -361,12 +361,12 @@ def _observed(harness, run):
     take = st.take_trace
 
     def spy():
-        seen.append((list(st.ack_edges), list(st.trace)))
+        seen.append((list(st.ack_edges), list(st.port_events), list(st.trace)))
         return take()
 
     st.take_trace = spy
     run(harness)
-    seen.append((list(st.ack_edges), list(st.trace)))
+    seen.append((list(st.ack_edges), list(st.port_events), list(st.trace)))
     return seen
 
 
@@ -386,9 +386,10 @@ def _odd_cycles(harness):
 
 def _bursts(harness):
     try:
-        harness.run_burst([(1, 0), (0, 1), (1, 0), (0, 1), (3, 3), (2, 1)])
+        result = harness.run_burst([(1, 0), (0, 1), (1, 0), (0, 1), (3, 3), (2, 1)])
     except (IllegalOutputError, StuckPhaseError):
-        pass
+        return
+    assert result.illegal == sorted(_full_scan_illegal(harness.netlist, result.trace))
 
 
 def _skewed(stage):
@@ -405,6 +406,14 @@ def _active_at_reset(stage):
     return _with_output_ports(stage, stage.output_ports + (extra,))
 
 
+def _ack_out_port(stage):
+    # an extra port whose true rail is ack_out, so one net is both a port
+    # rail and the acknowledge; its false rail is P0's
+    p0 = next(p for p in stage.output_ports if p.name == "P0")
+    extra = DualRailPort("K", stage.ack_out, p0.rail0, "out")
+    return _with_output_ports(stage, stage.output_ports + (extra,))
+
+
 UNIT, RANDOM = DelayModel.unit(), DelayModel.random_per_gate(1, 20, seed=3)
 SCENARIOS = {
     "healthy": (lambda s: s, (UNIT, RANDOM), (_cycles, _bursts), False),
@@ -412,6 +421,7 @@ SCENARIOS = {
     "fork_skew": (_skewed, (UNIT, RANDOM, DelayModel.random_per_gate(1, 20, seed=13)),
                   (_bursts,), True),
     "active_at_reset": (_active_at_reset, (UNIT, RANDOM), (_cycles, _bursts), True),
+    "ack_out_port": (_ack_out_port, (UNIT, RANDOM), (_cycles, _bursts), True),
 }
 
 
@@ -420,18 +430,26 @@ SCENARIOS = {
 def test_ack_edges_and_illegal_screen_match_the_trace(scenario, protocol):
     build, models, runs, expect_illegal = SCENARIOS[scenario]
     stage = build(generate(MultiplierSpec(n=2, protocol=protocol)))
-    traces = illegal = 0
+    rails = {r for p in stage.ports for r in (p.rail1, p.rail0)}
+    traces = illegal = on_ack_in = on_ack_out = 0
     for dm in models:
         for run in runs:
             harness = Harness(stage, dm)
-            for edges, trace in _observed(harness, run):
+            for edges, events, trace in _observed(harness, run):
                 assert edges == [(t, lv) for t, net, lv, _ in trace if net == stage.ack_out]
+                assert events == [e for e in trace if e[1] in rails]
                 want = _full_scan_illegal(stage, trace)
                 assert harness._illegal_points(trace) == want
+                assert harness._illegal_points(events) == want
                 traces += bool(trace)
                 illegal += bool(want)
+                on_ack_in += any(e[1] == stage.ack_in for e in events)
+                on_ack_out += any(e[1] == stage.ack_out for e in events)
     assert traces
     assert bool(illegal) == expect_illegal
+    # the extra ports of these two have ack_in and ack_out for a true rail
+    assert bool(on_ack_in) == (scenario == "active_at_reset")
+    assert bool(on_ack_out) == (scenario == "ack_out_port")
 
 
 def test_measure_latencies_summary(mult2):

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import golden
+from qdimul.harness import Harness, drive
 from qdimul.multiplier import MultiplierSpec, generate
 from qdimul.netlist import (
     ARITY,
+    DualRailPort,
     Gate,
     GateKind,
     InvalidNetlistError,
@@ -21,6 +23,7 @@ from qdimul.netlist import (
     eval_kind,
 )
 from qdimul.sim import (
+    DelayMode,
     DelayModel,
     Engine,
     NonQuiescentError,
@@ -94,6 +97,47 @@ def test_random_model_rejects_bad_bounds():
 def test_random_model_rejects_non_integer_arguments(lo, hi, seed):
     with pytest.raises(ValueError, match="must be an integer"):
         DelayModel.random_per_gate(lo, hi, seed)
+
+
+ZEROS = tuple((k, 0) for k in GateKind)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(mode=DelayMode.RANDOM_PER_GATE, lo=0, hi=0),
+    dict(mode=DelayMode.RANDOM_PER_GATE, lo=-3),
+    dict(mode=DelayMode.RANDOM_PER_GATE, lo=1.5, hi=3.5),
+    dict(mode=DelayMode.RANDOM_PER_GATE, lo=True, hi=True),
+    dict(mode=DelayMode.RANDOM_PER_GATE, seed=None),
+    dict(mode=DelayMode.RANDOM_PER_GATE, lo=5, hi=4),
+    dict(mode=DelayMode.FIXED_TABLE, table=ZEROS),
+    dict(mode=DelayMode.FIXED_TABLE, table=((GateKind.OR2, True),)),
+    dict(mode=DelayMode.FIXED_TABLE, table=((GateKind.OR2, 2.0),)),
+    dict(mode=DelayMode.FIXED_TABLE, table=(("or2", 3),)),
+    dict(mode=DelayMode.FIXED_TABLE, table=((GateKind.OR2, 3), (GateKind.OR2, 4))),
+    dict(mode=DelayMode.FIXED_TABLE, table=((GateKind.OR2, 3, 4),)),
+    dict(mode=DelayMode.FIXED_TABLE, table={GateKind.OR2: 3}),
+    dict(mode="unit"),
+], ids=["lo-0-hi-0", "lo-minus-3", "float-bounds", "bool-bounds", "seed-none", "hi-below-lo",
+        "table-of-zeros", "bool-delay", "float-delay", "str-kind", "kind-twice", "triple",
+        "dict-table", "str-mode"])
+def test_direct_construction_refuses_what_the_mode_cannot_use(fields):
+    # each of these once built a model: the first ran cycles with forward =
+    # reverse = 0, lo=-3 failed mid-cycle and 1.5..3.5 gave latencies of 27.0
+    with pytest.raises(ValueError):
+        DelayModel(**fields)
+
+
+def test_direct_construction_accepts_what_the_factories_build():
+    table = {GateKind.C2: 7, GateKind.OR2: 3}
+    assert DelayModel(DelayMode.FIXED_TABLE, tuple(table.items())) == DelayModel.fixed_table(table)
+    assert DelayModel(DelayMode.RANDOM_PER_GATE, lo=2, hi=2, seed=-4) == \
+        DelayModel.random_per_gate(2, 2, -4)
+    # a unit model ignores the fields it does not use
+    assert DelayModel(DelayMode.UNIT, lo=0, hi=0, seed=None).delay_of(3, GateKind.C2) == 1
+    nl = generate(MultiplierSpec(2))
+    reports = Harness(nl, DelayModel(DelayMode.FIXED_TABLE, tuple((k, 2) for k in GateKind))
+                      ).run_sequence([(3, 2)])
+    assert reports[0].forward == 2 * Harness(nl).run_cycle(3, 2).forward
 
 
 @given(st.integers(0, 2**31), st.integers(0, 500))
@@ -298,6 +342,60 @@ def test_take_trace_drains():
     assert events and st_.trace == []
 
 
+def loop_state(netlist, loop):
+    """A fresh state on the heap, tick or batch loop (the private selectors)."""
+    if loop == "tick":
+        state = reset(netlist)
+        assert state._step == 1
+    else:
+        state = reset(netlist, DelayModel.random_per_gate(1, 20, seed=3))
+        state._step, state._batched = None, loop == "batch"
+    return state
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+@pytest.mark.parametrize("shared", [None, "ack_out", "ack_in"])
+@pytest.mark.parametrize("loop", ["heap", "tick", "batch"])
+def test_port_events_are_the_trace_on_port_rails(loop, shared, protocol):
+    nl = generate(MultiplierSpec(2, protocol=protocol))
+    if shared is not None:  # an extra port whose true rail is an acknowledge net
+        extra = DualRailPort("K", getattr(nl, shared), nl.output_ports[0].rail0, "out")
+        nl = Netlist(nl.protocol, nl.gates, nl.input_ports, nl.output_ports + (extra,),
+                     ack_out=nl.ack_out, ack_in=nl.ack_in, const_nets=nl.const_nets,
+                     phase_net=nl.phase_net, extra_inputs=nl.extra_inputs, meta=nl.meta)
+    rails = {r for p in nl.ports for r in (p.rail1, p.rail0)}
+    active, spacer = protocol.active_level, protocol.spacer_level
+    st_ = loop_state(nl, loop)
+
+    def on_rails():
+        return [e for e in st_.trace if e[1] in rails]
+
+    st_.set_primary(nl.phase_net, active)
+    drive(st_, nl.input_ports, [1, 0, 1, 1])
+    # an early return at the acknowledge edge, then the rest of the phase
+    st_.run_until_quiescent(stop_net=nl.ack_out, stop_level=active)
+    assert st_.levels[nl.ack_out] == active
+    assert st_.port_events and st_.port_events == on_rails()
+    st_.run_until_quiescent()
+    assert st_.port_events == on_rails()
+    assert st_.ack_edges == [(t, lv) for t, n, lv, _ in st_.trace if n == nl.ack_out]
+    assert any(e[1] == nl.ack_out for e in st_.port_events) == (shared == "ack_out")
+    # re-asserted levels schedule nothing and record nothing
+    recorded = list(st_.port_events)
+    drive(st_, nl.input_ports, [1, 0, 1, 1])
+    st_.set_primary(nl.phase_net, active)
+    assert st_.quiescent
+    st_.run_until_quiescent()
+    assert st_.port_events == recorded
+    # take_trace clears the record with the trace
+    assert st_.take_trace() and st_.port_events == [] and st_.ack_edges == []
+    st_.set_primary(nl.phase_net, spacer)
+    drive(st_, nl.input_ports, [None] * 4)
+    st_.run_until_quiescent()
+    assert st_.port_events and st_.port_events == on_rails()
+    assert st_.levels == nl.reset_levels()
+
+
 def test_replay_reaches_the_same_final_levels():
     nl, x, _ = chain_netlist(length=4)
     st_ = reset(nl, DelayModel.random_per_gate(1, 7, seed=11))
@@ -441,8 +539,8 @@ def test_golden_trace_table_hash():
     assert golden.table_trace_digest() == golden.GOLDEN_TRACE_TABLE_SHA256
 
 
-CONTRACT = {"netlist", "clock", "levels", "trace", "ack_edges", "quiescent", "set_primary",
-            "set_primaries", "run_until_quiescent", "read_port", "take_trace"}
+CONTRACT = {"netlist", "clock", "levels", "trace", "ack_edges", "port_events", "quiescent",
+            "set_primary", "set_primaries", "run_until_quiescent", "read_port", "take_trace"}
 
 
 def test_sim_state_provides_every_member_of_the_engine_contract():

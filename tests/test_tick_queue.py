@@ -3,8 +3,8 @@
 When every gate shares one delay, ``SimState`` keeps its pending events as
 per-tick batches.  Each test here runs the same stimulus on a state that
 uses the batches and on a fresh state forced onto the heap loop, and
-requires the same trace, ``ack_edges``, clock, return values, pending state
-and errors after every engine call.
+requires the same trace, ``ack_edges``, ``port_events``, clock, return
+values, pending state and errors after every engine call.
 """
 
 import copy
@@ -36,7 +36,7 @@ class Recording(SimState):
             return elapsed
         finally:
             self.log.append((elapsed, self.clock, self.quiescent, tuple(self.levels),
-                             len(self.trace), tuple(self.ack_edges)))
+                             len(self.trace), tuple(self.ack_edges), tuple(self.port_events)))
 
 
 def pair_of_states(netlist, dm, cls=SimState):

@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qdimul.cells import (
     FullAdderKind,
@@ -20,7 +21,9 @@ from qdimul.netlist import GateKind, Netlist, NetlistBuilder, Protocol, serializ
 from qdimul.sim import ENV, DelayModel
 from qdimul.verify import (
     CheckOutcome,
+    _acts_once,
     _fail,
+    _merge_gates,
     check_delay_insensitivity,
     check_duality,
     check_functional,
@@ -315,6 +318,34 @@ def test_monotonicity_screen_agrees_on_hand_built_traces(case, kind, tied):
     healthy = _report([(1, y, 1, ENV), (12, y, 0, ENV)], 10)
     _assert_same_monotonicity(nl, [report])
     _assert_same_monotonicity(nl, [healthy, report])
+
+
+SCREENED = [generate(MultiplierSpec(2, kind, protocol))
+            for kind in FullAdderKind for protocol in Protocol]
+SCREENED += [_two_input_netlist(kind, tied)[0] for kind in (GateKind.OR2, GateKind.AND2)
+             for tied in (True, False)]
+
+
+EVENTS = st.tuples(st.integers(0, 12), st.integers(0, 40), st.integers(0, 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, len(SCREENED) - 1), st.lists(EVENTS, max_size=24, unique_by=lambda e: e[1]),
+       st.lists(EVENTS, max_size=2), st.booleans(), st.integers(0, 13))
+# in time order up to the split, then a late event on a data-phase net
+@example(len(SCREENED) - 1, [(1, 0, 1), (12, 1, 1), (3, 0, 0)], [], False, 10)
+def test_monotonicity_screen_never_passes_a_trace_the_walk_fails(which, distinct, extra,
+                                                                 in_time_order, spacer_start):
+    nl = SCREENED[which]
+    # mostly distinct nets, so that the screen passes often enough to matter
+    trace = [(t, net % nl.net_count, level, ENV) for t, net, level in distinct + extra]
+    if in_time_order:
+        trace.sort(key=lambda e: e[0])
+    report = _report(trace, spacer_start)
+    merge = nl._derived("verify.merge_gates", _merge_gates)
+    if _acts_once(report.trace, report.spacer_start, merge):
+        assert _reference_monotonicity(nl, [report]).passed
+    _assert_same_monotonicity(nl, [report])
 
 
 @pytest.mark.parametrize("kind, case", [(GateKind.OR2, "rise"), (GateKind.AND2, "rise_fall")])
