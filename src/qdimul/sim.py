@@ -307,13 +307,13 @@ class _Plan:
         # one pass over the input pins gives the fanout and each gate's count
         # of inputs at 1; after sorting, a gate's index is its id
         fanout: list[list[int]] = [[] for _ in range(netlist.net_count)]
-        self.reset_ones = []
+        self.reset_ones = reset_ones = []
         for gid, g in enumerate(gates):
             ones = 0
             for n in g.inputs:
                 fanout[n].append(gid)
                 ones += lv[n]
-            self.reset_ones.append(ones)
+            reset_ones.append(ones)
         self.fanout = [tuple(f) for f in fanout]
         for g, row, ones in zip(gates, self.row, self.reset_ones):
             settled = row[ones]
@@ -526,7 +526,7 @@ class SimState:
         gouts = plan.output
         trace = self.trace
         ack_edges = self.ack_edges
-        port_event = self.port_events.append
+        port_events = self.port_events
         watch = plan.watch
         ack_out, ack_in = plan.ack_out, plan.ack_in
         start = self.clock
@@ -563,11 +563,10 @@ class SimState:
                         for gid in gates:
                             ones[gid] -= 1
                     touched += gates
-                    flag = watch[net]
-                    if flag:
-                        if flag & 1:
-                            port_event(event)
-                        if flag & 2:
+                    if watch[net]:
+                        if watch[net] & 1:
+                            port_events.append(event)
+                        if net == ack_out:
                             ack_edges.append((t, level))
                             # environment acknowledge inverter, zero delay
                             v = 1 - level
@@ -630,8 +629,7 @@ class SimState:
                     if levels[net] == level:
                         continue
                     levels[net] = level
-                    event = (t, net, level, cause)
-                    trace.append(event)
+                    trace.append((t, net, level, cause))
                     gates = fanout[net]
                     if level:
                         for gid in gates:
@@ -640,11 +638,10 @@ class SimState:
                         for gid in gates:
                             ones[gid] -= 1
                     touched += gates
-                    flag = watch[net]
-                    if flag:
-                        if flag & 1:
-                            port_event(event)
-                        if flag & 2:
+                    if watch[net]:
+                        if watch[net] & 1:
+                            port_events.append(trace[-1])
+                        if net == ack_out:
                             ack_edges.append((t, level))
                             # environment acknowledge inverter, zero delay
                             v = 1 - level
@@ -691,7 +688,7 @@ class SimState:
         gdelay = self._gate_delay
         append = self.trace.append
         ack_edges = self.ack_edges
-        port_event = self.port_events.append
+        port_events = self.port_events
         watch = plan.watch
         ack_out, ack_in = plan.ack_out, plan.ack_in
         start = self.clock
@@ -725,11 +722,10 @@ class SimState:
                     for gid in gates:
                         ones[gid] -= 1
                 touched += gates
-                flag = watch[net]
-                if flag:
-                    if flag & 1:
-                        port_event(event)
-                    if flag & 2:
+                if watch[net]:
+                    if watch[net] & 1:
+                        port_events.append(event)
+                    if net == ack_out:
                         ack_edges.append((t, level))
                         # environment acknowledge inverter, zero delay, inserted
                         # where the tick loop inserts it
