@@ -305,11 +305,11 @@ class _Plan:
         self.output = [g.output for g in gates]
         lv = netlist.reset_levels()
         # one pass over the input pins gives the fanout and each gate's count
-        # of inputs at 1; after sorting, a gate's index is its id
+        # of inputs at 1
         fanout: list[list[int]] = [[] for _ in range(netlist.net_count)]
         self.reset_ones = reset_ones = []
-        for gid, g in enumerate(gates):
-            ones = 0
+        for g in gates:
+            gid, ones = g.id, 0
             for n in g.inputs:
                 fanout[n].append(gid)
                 ones += lv[n]

@@ -407,26 +407,29 @@ _TIME, _NET, _LEVEL = itemgetter(0), itemgetter(1), itemgetter(2)
 _FIRING_LEVEL = {k: int(f == F_OR) for k, f in FAMILY.items() if f in (F_OR, F_AND)}
 
 #: The merge-gate entry of a net that feeds no AND or OR gate.
-_NO_MERGE: tuple[Sequence[int], Sequence[int]] = ((), ())
+_NO_MERGE: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
 
 
-def _merge_gates(netlist: Netlist) -> list[tuple[Sequence[int], Sequence[int]]]:
+def _merge_gates(netlist: Netlist) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Per net and level, the merge gates a transition of the net to that level fires.
 
     ``merge[net][level]``: OR gates fire on a rising input, AND gates on a
     falling one, and a gate is listed once per input pin it has on the net.
-    Nets that feed no merge gate share one empty entry.  Read-only.
+    Nets that feed no merge gate share one empty entry.
     """
-    merge = [_NO_MERGE] * netlist.net_count
+    fired: dict[int, tuple[list[int], list[int]]] = {}
     for g in netlist.gates:
         level = _FIRING_LEVEL.get(g.kind)
         if level is None:
             continue
         for n in g.inputs:
-            entry = merge[n]
-            if entry is _NO_MERGE:
-                entry = merge[n] = ([], [])
+            entry = fired.get(n)
+            if entry is None:
+                entry = fired[n] = ([], [])
             entry[level].append(g.id)
+    merge = [_NO_MERGE] * netlist.net_count
+    for n, (fall, rise) in fired.items():
+        merge[n] = (tuple(fall), tuple(rise))
     return merge
 
 
