@@ -672,8 +672,10 @@ def dualize(netlist: Netlist) -> Netlist:
     involution: ``dualize(dualize(n)) == n``.
     """
     netlist.require_valid()
-    gates = [Gate(g.id, DUAL_KIND[g.kind], g.inputs, g.output, 1 - g.reset)
-             for g in netlist.gates]
+    gates = tuple(
+        Gate(g.id, DUAL_KIND[g.kind], g.inputs, g.output, 1 - g.reset)
+        for g in netlist.gates
+    )
     meta = dict(netlist.meta)
     if "protocol" in meta:
         meta["protocol"] = netlist.protocol.flipped.value
