@@ -222,6 +222,7 @@ class DiagnosticCode(Enum):
     NET_ID_TOO_LARGE = "NET_ID_TOO_LARGE"
     ALIASED_RAILS = "ALIASED_RAILS"
     ALIASED_ACK = "ALIASED_ACK"
+    BAD_GATE_FIELD = "BAD_GATE_FIELD"
 
 
 @dataclass(frozen=True)
@@ -431,15 +432,19 @@ NET_IDS_PER_DRIVEN_NET = 16
 def validate(netlist: Netlist) -> list[Diagnostic]:
     """Structural checks; an empty result means the simulator accepts it.
 
-    Checks that gate ids are exactly ``0..len(gates)-1`` and net ids are
-    non-negative and below :data:`NET_IDS_PER_DRIVEN_NET` times the count of
-    driven nets (the simulator indexes its tables by them), single
-    drivership, gate arity, port connectivity with two distinct rails per
-    port, a driven ``ack_out`` on a net other than ``ack_in`` (the
-    acknowledge would otherwise feed itself back at the same instant), and
-    the absence of combinational cycles.  A cycle is legal only if it passes
-    through a C-element, which is the one place feedback is allowed to hold
-    state.
+    First checks each gate's fields: id, input and output nets are ints (not
+    bools), the kind is a :class:`GateKind` and the reset is 0 or 1.  A
+    netlist with a bad field gets only those diagnostics, whose subject is
+    the gate's position in ``netlist.gates``, since the other checks compare
+    and index by these fields.  Then checks that gate ids are exactly
+    ``0..len(gates)-1`` and net ids are non-negative and below
+    :data:`NET_IDS_PER_DRIVEN_NET` times the count of driven nets (the
+    simulator indexes its tables by them), single drivership, gate arity,
+    port connectivity with two distinct rails per port, a driven
+    ``ack_out`` on a net other than ``ack_in`` (the acknowledge would
+    otherwise feed itself back at the same instant), and the absence of
+    combinational cycles.  A cycle is legal only if it passes through a
+    C-element, which is the one place feedback is allowed to hold state.
 
     A netlist that :func:`_passes_every_check` clears gets the empty list at
     once; any other is checked item by item, which builds the diagnostics.
@@ -450,6 +455,9 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
         clean = False
     if clean:
         return []
+    diags = _check_gate_fields(netlist)
+    if diags:
+        return diags
     diags = _check_ids(netlist)
 
     claimed: dict[int, int] = {}
@@ -538,12 +546,16 @@ def _passes_every_check(netlist: Netlist) -> bool:
     for every netlist :class:`NetlistBuilder` makes.
     """
     gates = netlist.gates
-    if {g.id for g in gates} != set(range(len(gates))):
-        return False
-    if [len(g.inputs) for g in gates] != [ARITY[g.kind] for g in gates]:
-        return False
+    ids = [g.id for g in gates]
     outputs = [g.output for g in gates]
     pins = list(chain.from_iterable([g.inputs for g in gates]))
+    if not _typed(ids, outputs, pins, [g.reset for g in gates]):
+        return False
+    if sorted(ids) != [*range(len(gates))]:
+        return False
+    # a kind that is not a GateKind fails the lookup (GateKind hashes by identity)
+    if [len(g.inputs) for g in gates] != [ARITY[g.kind] for g in gates]:
+        return False
     rails = [r for p in netlist.ports for r in (p.rail1, p.rail0)]
     consts = [n for n, _ in netlist.const_nets]
     ack_out, ack_in = netlist.ack_out, netlist.ack_in
@@ -562,6 +574,43 @@ def _passes_every_check(netlist: Netlist) -> bool:
         if g.kind not in STATEFUL and max(g.inputs) >= g.output:
             return False
     return True
+
+
+def _typed(ids: list, outputs: list, pins: list, resets: list) -> bool:
+    """Gate ids and nets are ints and resets are the int 0 or 1.
+
+    Checked by type: a bool, or a float equal to an int, passes every
+    comparison the other checks make.
+    """
+    return ({*map(type, ids), *map(type, outputs), *map(type, pins), *map(type, resets)} <= {int}
+            and {*resets} <= {0, 1})
+
+
+def _check_gate_fields(netlist: Netlist) -> list[Diagnostic]:
+    gates = netlist.gates
+    # whole-netlist passes first: the walk below builds a list per gate
+    if {g.kind.__class__ for g in gates} <= {GateKind} and _typed(
+            [g.id for g in gates], [g.output for g in gates],
+            list(chain.from_iterable([g.inputs for g in gates])), [g.reset for g in gates]):
+        return []
+    diags: list[Diagnostic] = []
+    for i, g in enumerate(gates):
+        fields = [("id", g.id, g.id.__class__ is int, "an int"),
+                  ("kind", g.kind, g.kind.__class__ is GateKind, "a GateKind")]
+        fields += [(f"inputs[{slot}]", n, n.__class__ is int, "an int")
+                   for slot, n in enumerate(g.inputs)]
+        fields += [("output", g.output, g.output.__class__ is int, "an int"),
+                   ("reset", g.reset, g.reset.__class__ is int and g.reset in (0, 1), "0 or 1")]
+        for name, value, ok, want in fields:
+            if not ok:
+                diags.append(
+                    Diagnostic(
+                        DiagnosticCode.BAD_GATE_FIELD,
+                        f"gates[{i}].{name} is {value!r}, expected {want}",
+                        (i,),
+                    )
+                )
+    return diags
 
 
 def _check_ids(netlist: Netlist) -> list[Diagnostic]:
@@ -691,8 +740,9 @@ def dualize(netlist: Netlist) -> Netlist:
         extra_inputs=netlist.extra_inputs,
         meta=meta,
     )
-    # Ids, wiring, arity and the set of stateful gates are unchanged, and
-    # validation reads nothing else, so the twin inherits the verdict.
+    # Ids, wiring, arity, field types and the set of stateful gates are
+    # unchanged and resets stay 0 or 1, and validation reads nothing else,
+    # so the twin inherits the verdict.
     twin._memo["validate"] = netlist._derived("validate", validate)
     return twin
 

@@ -14,42 +14,38 @@ and ``take_trace``.  Every queue discipline runs inside
 :meth:`SimState.run_until_quiescent`, so wrapping that one method sees all
 simulated work.
 
-Pending events are kept under one of three disciplines, picked once per
+Pending events are kept under one of two disciplines, picked once per
 :class:`SimState` from what the netlist's plan already knows:
-
-- every gate of the netlist has the same delay d (always under ``unit``;
-  under a table or a random model when the delays the netlist's gates get
-  are all equal): the tick queue;
-- delays differ and the netlist has at least :data:`_BATCH_MIN_GATES`
-  gates: per-timestamp batches;
-- otherwise: the heap.
 
 - The heap holds ``(time, net, seq, level, cause)``; ``seq`` counts
   scheduling calls, so events on one net at one time pop in call order.
-  It is the reference, and the path for small stages with unequal delays.
-- The tick queue holds ``(time, batch)`` pairs in time order.  A batch is
-  a list of trace tuples ``(time, net, level, cause)`` in scheduling order,
-  appended to the trace as they are.  Every event scheduled while
-  processing tick t lands in the batch for t + d, so it is found without a
-  per-event time lookup, usually at the tail.  A batch is stably sorted by
-  net when its tick starts, which gives the heap's (net, seq) order: the
-  batch receives events in seq order.  Environment events join the batch
-  for their time, and the acknowledge inverter (below) inserts its event
-  into the current tick where the heap would pop it: after every
-  unprocessed event on a net up to ``ack_in``.
-- Per-timestamp batches are the tick queue's discipline with each
-  successor filed in the batch for ``t + delay(g)``: a dict from time to
-  batch plus a heap of the pending times.  A heap push costs log(depth)
-  tuple comparisons per event, a batch one dict lookup per event and one
-  sort per timestamp, so batches win once timestamps hold several events
-  each, which needs a large stage (the crossover, about 600 gates under
+  It is the reference, and the path for stages of fewer than
+  :data:`_BATCH_MIN_GATES` gates whose delays differ.
+- Per-timestamp batches serve the rest: every gate of the netlist has the
+  same delay d (always under ``unit``; under a table or a random model when
+  the delays the netlist's gates get are all equal), or the stage has at
+  least :data:`_BATCH_MIN_GATES` gates.  ``_batches`` maps each pending
+  time to its batch and ``_queue`` is a heap of the pending times.  A batch
+  is a list of trace tuples ``(time, net, level, cause)`` in scheduling
+  order, appended to the trace as they are.  It is stably sorted by net
+  when its timestamp starts, which gives the heap's (net, seq) order: the
+  batch receives events in seq order.  With equal delays every successor
+  of timestamp t goes into one list, filed at t + d with one dict
+  operation; otherwise each successor is filed in the batch for
+  ``t + delay(g)``.  Environment events join the batch for their time, and
+  the acknowledge inverter (below) inserts its event into the current batch
+  where the heap would pop it: after every unprocessed event on a net up to
+  ``ack_in``.  Under unequal delays a heap push costs log(depth) tuple
+  comparisons per event, a batch one dict lookup per event and one sort per
+  timestamp, so batches win once timestamps hold several events each,
+  which needs a large stage (the crossover, about 600 gates under
   ``random_per_gate(1, 20)``, is recorded in ROADMAP.md).
 
-All three apply the same events in the same order, so the trace,
+Both apply the same events in the same order, so the trace,
 :attr:`SimState.ack_edges`, :attr:`SimState.port_events`, the clock, the
 return value and the ``max_time`` error are the same;
-``tests/test_tick_queue.py`` and ``tests/test_batch_queue.py`` compare them
-with the heap call by call.
+``tests/test_tick_queue.py`` (equal delays) and ``tests/test_batch_queue.py``
+(unequal delays) compare the batches with the heap call by call.
 
 Gates are evaluated by count: each gate keeps the number of its input pins
 at level 1 (a net tied to two pins counts twice), and its output is the
@@ -141,9 +137,8 @@ _BATCH_MIN_GATES = 600
 
 Trace = list  # list of (time, net, level, cause) tuples
 
-# sort keys of trace tuples and of the tick queue's (time, batch) pairs
+# sort key of trace tuples
 _NET = itemgetter(1)
-_TIME = itemgetter(0)
 
 
 class NotPrimaryError(ValueError):
@@ -407,14 +402,13 @@ class SimState:
         self.trace: Trace = []
         self._seq = 0
         self._plan = plan
-        # the queue discipline: the delay every gate shares (the tick queue),
-        # else per-timestamp batches on a large stage, else the heap
+        # the queue discipline: per-timestamp batches when every gate shares
+        # one delay (_step) or the stage is large, else the heap
         self._gate_delay, self._step = plan.timing(delay_model)
-        self._batched = self._step is None and len(plan.output) >= _BATCH_MIN_GATES
+        self._batched = self._step is not None or len(plan.output) >= _BATCH_MIN_GATES
         # pending events: with _batched, a heap of the pending times, each time's
-        # batch in _batches; else a heap of (time, net, seq, level, cause) when
-        # _step is None, else (time, batch) pairs in time order.  A batch is a
-        # list of (time, net, level, cause) trace tuples in scheduling order.
+        # batch (a list of (time, net, level, cause) trace tuples in scheduling
+        # order) in _batches; else a heap of (time, net, seq, level, cause)
         self._queue: list = []
         self._batches: dict[int, list] = {}
 
@@ -486,18 +480,12 @@ class SimState:
                         heappush(queue, t)
                     else:
                         batch.extend(scheduled)
-                elif self._step is None:
+                else:
                     seq = self._seq
                     for _, net, level, cause in scheduled:
                         seq += 1
                         heappush(queue, (t, net, seq, level, cause))
                     self._seq = seq
-                elif queue and queue[-1][0] == t:
-                    queue[-1][1].extend(scheduled)
-                elif not queue or queue[-1][0] < t:
-                    queue.append((t, scheduled))
-                else:
-                    _file(queue, t, scheduled)
 
     # -- engine ------------------------------------------------------------
 
@@ -514,9 +502,121 @@ class SimState:
         given, the run returns early right after that net reaches
         ``stop_level`` (the surrounding timestamp batch still completes).
         """
-        if self._batched:
-            return self._run_batches(max_time, stop_net, stop_level)
-        queue = self._queue
+        if not self._batched:
+            return self._run_heap(max_time, stop_net, stop_level)
+        # Per-timestamp batches: _queue is a heap of the pending times and
+        # _batches maps each of them to its batch.  Sorting a batch by net
+        # (stably, so events on one net keep their scheduling order) gives
+        # the heap's (net, seq) order.  With equal delays a timestamp's
+        # successors form one list, filed at t + step; otherwise each one is
+        # filed at t + delay(g).
+        times = self._queue
+        batches = self._batches
+        levels = self.levels
+        projected = self._projected
+        ones = self._ones
+        plan = self._plan
+        fanout = plan.fanout
+        rows = plan.row
+        gouts = plan.output
+        gdelay, step = self._gate_delay, self._step
+        append = self.trace.append
+        ack_edges = self.ack_edges
+        port_events = self.port_events
+        watch = plan.watch
+        ack_out, ack_in = plan.ack_out, plan.ack_in
+        start = self.clock
+        deadline = start + max_time
+        push, pop = heappush, heappop
+
+        while times:
+            t = pop(times)
+            if t > deadline:
+                push(times, t)  # the error leaves the pending events as they were
+                raise NonQuiescentError(
+                    f"no quiescence within {max_time} units (next event at t={t})"
+                )
+            batch = batches.pop(t)
+            if len(batch) > 1:
+                batch.sort(key=_NET)
+            touched: list[int] = []
+            stop_hit = False
+            for event in batch:  # the loop also visits events inserted ahead
+                _, net, level, _ = event
+                if levels[net] == level:
+                    continue
+                levels[net] = level
+                append(event)
+                gates = fanout[net]
+                if level:
+                    for gid in gates:
+                        ones[gid] += 1
+                else:
+                    for gid in gates:
+                        ones[gid] -= 1
+                touched += gates
+                if watch[net]:
+                    if watch[net] & 1:
+                        port_events.append(event)
+                    if net == ack_out:
+                        ack_edges.append((t, level))
+                        # environment acknowledge inverter, zero delay
+                        v = 1 - level
+                        if projected[ack_in] != v:
+                            # where the heap pops it: after every unprocessed
+                            # event of this batch on a net up to ack_in.  The
+                            # environment may put several ack_out events in one
+                            # batch, so find this one by identity among the
+                            # batch's ack_out run.
+                            after = bisect_left(batch, ack_out, key=_NET)
+                            while batch[after] is not event:
+                                after += 1
+                            batch.insert(bisect_right(batch, ack_in, after + 1, key=_NET),
+                                         (t, ack_in, v, ENV))
+                            projected[ack_in] = v
+                            self._pending_time[ack_in] = t
+                if net == stop_net and level == stop_level:
+                    stop_hit = True
+            self.clock = t
+            if step is None:
+                for gid in touched:
+                    v = rows[gid][ones[gid]]
+                    out = gouts[gid]
+                    if v == HOLD:
+                        v = levels[out]
+                    if v != projected[out]:
+                        at = t + gdelay[gid]
+                        later = batches.get(at)
+                        if later is None:
+                            batches[at] = [(at, out, v, gid)]
+                            push(times, at)
+                        else:
+                            later.append((at, out, v, gid))
+                        projected[out] = v
+            else:
+                at = t + step
+                successors = []
+                for gid in touched:
+                    v = rows[gid][ones[gid]]
+                    out = gouts[gid]
+                    if v == HOLD:
+                        v = levels[out]
+                    if v != projected[out]:
+                        successors.append((at, out, v, gid))
+                        projected[out] = v
+                if successors:
+                    later = batches.setdefault(at, successors)
+                    if later is successors:
+                        push(times, at)
+                    else:
+                        later.extend(successors)
+            if stop_hit:
+                break
+        return self.clock - start
+
+    def _run_heap(self, max_time: int, stop_net: int | None,
+                  stop_level: int | None) -> int:
+        """:meth:`run_until_quiescent` on the heap of events, the reference."""
         levels = self.levels
         projected = self._projected
         ones = self._ones
@@ -531,81 +631,7 @@ class SimState:
         ack_out, ack_in = plan.ack_out, plan.ack_in
         start = self.clock
         deadline = start + max_time
-        step = self._step
-
-        if step is not None:
-            # Tick by tick: every event of one tick lands in the batch at
-            # t + step.  Sorting a batch by net (stably, so events on one net
-            # keep their scheduling order) gives the heap's (net, seq) order.
-            append = trace.append
-            while queue:
-                t, batch = queue[0]
-                if t > deadline:
-                    raise NonQuiescentError(
-                        f"no quiescence within {max_time} units (next event at t={t})"
-                    )
-                del queue[0]
-                if len(batch) > 1:
-                    batch.sort(key=_NET)
-                touched: list[int] = []
-                stop_hit = False
-                for event in batch:  # the loop also visits events inserted ahead
-                    _, net, level, _ = event
-                    if levels[net] == level:
-                        continue
-                    levels[net] = level
-                    append(event)
-                    gates = fanout[net]
-                    if level:
-                        for gid in gates:
-                            ones[gid] += 1
-                    else:
-                        for gid in gates:
-                            ones[gid] -= 1
-                    touched += gates
-                    if watch[net]:
-                        if watch[net] & 1:
-                            port_events.append(event)
-                        if net == ack_out:
-                            ack_edges.append((t, level))
-                            # environment acknowledge inverter, zero delay
-                            v = 1 - level
-                            if projected[ack_in] != v:
-                                # where the heap pops it: after every unprocessed
-                                # event of this tick on a net up to ack_in.  The
-                                # environment may put several ack_out events in
-                                # one tick, so find this one by identity among
-                                # the batch's ack_out run.
-                                after = bisect_left(batch, ack_out, key=_NET)
-                                while batch[after] is not event:
-                                    after += 1
-                                batch.insert(bisect_right(batch, ack_in, after + 1, key=_NET),
-                                             (t, ack_in, v, ENV))
-                                projected[ack_in] = v
-                                self._pending_time[ack_in] = t
-                    if net == stop_net and level == stop_level:
-                        stop_hit = True
-                self.clock = t
-                at = t + step
-                successors = []
-                for gid in touched:
-                    v = rows[gid][ones[gid]]
-                    out = gouts[gid]
-                    if v == HOLD:
-                        v = levels[out]
-                    if v != projected[out]:
-                        successors.append((at, out, v, gid))
-                        projected[out] = v
-                if successors:
-                    if not queue or queue[-1][0] < at:
-                        queue.append((at, successors))
-                    else:
-                        _file(queue, at, successors)
-                if stop_hit:
-                    break
-            return self.clock - start
-
-        heap = queue
+        heap = self._queue
         gdelay = self._gate_delay
         push, pop = heappush, heappop
         seq = self._seq
@@ -668,97 +694,6 @@ class SimState:
             self._seq = seq
         return self.clock - start
 
-    def _run_batches(self, max_time: int, stop_net: int | None,
-                     stop_level: int | None) -> int:
-        """:meth:`run_until_quiescent` on per-timestamp batches (unequal delays).
-
-        The tick loop's discipline with each successor filed in the batch
-        for ``t + delay(g)``: ``_queue`` is a heap of the pending times and
-        ``_batches`` maps each of them to its batch.
-        """
-        times = self._queue
-        batches = self._batches
-        levels = self.levels
-        projected = self._projected
-        ones = self._ones
-        plan = self._plan
-        fanout = plan.fanout
-        rows = plan.row
-        gouts = plan.output
-        gdelay = self._gate_delay
-        append = self.trace.append
-        ack_edges = self.ack_edges
-        port_events = self.port_events
-        watch = plan.watch
-        ack_out, ack_in = plan.ack_out, plan.ack_in
-        start = self.clock
-        deadline = start + max_time
-        get = batches.get
-        push, pop = heappush, heappop
-
-        while times:
-            t = times[0]
-            if t > deadline:
-                raise NonQuiescentError(
-                    f"no quiescence within {max_time} units (next event at t={t})"
-                )
-            pop(times)
-            batch = batches.pop(t)
-            if len(batch) > 1:
-                batch.sort(key=_NET)
-            touched: list[int] = []
-            stop_hit = False
-            for event in batch:  # the loop also visits events inserted ahead
-                _, net, level, _ = event
-                if levels[net] == level:
-                    continue
-                levels[net] = level
-                append(event)
-                gates = fanout[net]
-                if level:
-                    for gid in gates:
-                        ones[gid] += 1
-                else:
-                    for gid in gates:
-                        ones[gid] -= 1
-                touched += gates
-                if watch[net]:
-                    if watch[net] & 1:
-                        port_events.append(event)
-                    if net == ack_out:
-                        ack_edges.append((t, level))
-                        # environment acknowledge inverter, zero delay, inserted
-                        # where the tick loop inserts it
-                        v = 1 - level
-                        if projected[ack_in] != v:
-                            after = bisect_left(batch, ack_out, key=_NET)
-                            while batch[after] is not event:
-                                after += 1
-                            batch.insert(bisect_right(batch, ack_in, after + 1, key=_NET),
-                                         (t, ack_in, v, ENV))
-                            projected[ack_in] = v
-                            self._pending_time[ack_in] = t
-                if net == stop_net and level == stop_level:
-                    stop_hit = True
-            self.clock = t
-            for gid in touched:
-                v = rows[gid][ones[gid]]
-                out = gouts[gid]
-                if v == HOLD:
-                    v = levels[out]
-                if v != projected[out]:
-                    at = t + gdelay[gid]
-                    later = get(at)
-                    if later is None:
-                        batches[at] = [(at, out, v, gid)]
-                        push(times, at)
-                    else:
-                        later.append((at, out, v, gid))
-                    projected[out] = v
-            if stop_hit:
-                break
-        return self.clock - start
-
     # -- observation -------------------------------------------------------
 
     def read_port(self, port: DualRailPort | str) -> DualRailValue:
@@ -776,15 +711,6 @@ class SimState:
         self.ack_edges = []
         self.port_events = []
         return out
-
-
-def _file(queue: list, t: int, events: list) -> None:
-    """Add ``events``, all at time ``t``, to the batch for ``t`` in ``queue``."""
-    i = bisect_left(queue, t, key=_TIME)
-    if i < len(queue) and queue[i][0] == t:
-        queue[i][1].extend(events)
-    else:
-        queue.insert(i, (t, events))
 
 
 def reset(netlist: Netlist, delay_model: DelayModel | None = None) -> SimState:

@@ -18,8 +18,8 @@ from qdimul.multiplier import MultiplierSpec, generate
 from qdimul.netlist import Gate, GateKind, Netlist, Protocol
 from qdimul.sim import _BATCH_MIN_GATES, DelayModel, NonQuiescentError, SimState, reset
 from qdimul.verify import default_pairs
-from test_tick_queue import (BATCHES, INPUTS, LEVELS, STAGE, Recording, chain, observe,
-                             outcome, schedule_both)
+from test_tick_queue import (BATCHES, INPUTS, LEVELS, STAGE, Recording, chain, force_heap,
+                             observe, outcome, schedule_both)
 
 #: Unequal delays: eight random seeds and a table that gives each family its own.
 UNEQUAL = {f"random{s}": DelayModel.random_per_gate(1, 20, seed=s) for s in range(3, 11)}
@@ -28,9 +28,10 @@ UNEQUAL["table"] = DelayModel.fixed_table(
 
 
 def force(state, batched):
-    """The private selector: put ``state`` on the batches or on the heap."""
-    state._step = None
-    state._batched = batched
+    """The private selectors: put ``state`` on the unequal-delay batches or on the heap."""
+    if not batched:
+        return force_heap(state)
+    state._step, state._batched = None, True
     return state
 
 
@@ -63,7 +64,7 @@ def test_selection_follows_gate_count_and_delays():
         for dm, step in ((DelayModel.unit(), 1), (golden.TABLE_3, 3),
                          (DelayModel.random_per_gate(4, 4, seed=1), 4)):
             state = reset(nl, dm)
-            assert state._step == step and not state._batched
+            assert state._step == step and state._batched
 
 
 @pytest.mark.parametrize("model", ["random3", "random4", "table"])

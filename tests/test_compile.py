@@ -197,6 +197,19 @@ def test_most_corruptions_make_a_netlist():
     assert sum(isinstance(outcome(build), Netlist) for build in CORRUPTED.values()) >= 20
 
 
+def test_no_corruption_makes_validate_raise():
+    checked = 0
+    for name, build in CORRUPTED.items():
+        try:
+            nl = build()
+        except TypeError:  # the constructor takes the largest net id
+            continue
+        assert validate(nl), name
+        assert reference_validate(build()), name
+        checked += 1
+    assert checked >= 20
+
+
 @pytest.mark.parametrize("name", list(CORRUPTED))
 def test_corrupted_gates_compile_as_the_oracles(name):
     build = CORRUPTED[name]

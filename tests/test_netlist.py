@@ -284,6 +284,19 @@ def test_validate_bounds_net_ids_by_the_count_of_driven_nets():
             reset(nl)
 
 
+@pytest.mark.parametrize("field, value", [("id", 0.0), ("id", False), ("kind", "c2"),
+                                          ("inputs", (0, True)), ("output", 4.0), ("reset", 2)])
+def test_validate_flags_a_gate_field_of_the_wrong_type(field, value):
+    nl = small_and_netlist()
+    gates = (dataclasses.replace(nl.gates[0], **{field: value}), *nl.gates[1:])
+    bad = Netlist(nl.protocol, gates, nl.input_ports, nl.output_ports)
+    diags = validate(bad)
+    assert [d.code.value for d in diags] == ["BAD_GATE_FIELD"]
+    assert diags[0].subjects == (0,) and f"gates[0].{field}" in diags[0].message
+    with pytest.raises(InvalidNetlistError, match="BAD_GATE_FIELD"):
+        reset(bad)
+
+
 def test_validate_method_returns_a_fresh_list_each_call():
     g = Gate(0, GateKind.AND2, (0, 1, 2), 3, 0)
     nl = Netlist(Protocol.RTZ, [g], extra_inputs=[0, 1, 2])

@@ -34,6 +34,7 @@ from qdimul.sim import (
     write_trace_csv,
     write_trace_vcd,
 )
+from test_tick_queue import force_heap
 
 
 def chain_netlist(length=3, kind=GateKind.OR2):
@@ -343,13 +344,16 @@ def test_take_trace_drains():
 
 
 def loop_state(netlist, loop):
-    """A fresh state on the heap, tick or batch loop (the private selectors)."""
+    """A fresh state on the heap or on the batches, under equal delays ("tick")
+    or unequal ones ("batch"), through the private selectors."""
     if loop == "tick":
         state = reset(netlist)
-        assert state._step == 1
-    else:
-        state = reset(netlist, DelayModel.random_per_gate(1, 20, seed=3))
-        state._step, state._batched = None, loop == "batch"
+        assert state._step == 1 and state._batched
+        return state
+    state = reset(netlist, DelayModel.random_per_gate(1, 20, seed=3))
+    if loop == "heap":
+        return force_heap(state)
+    state._step, state._batched = None, True
     return state
 
 
@@ -480,7 +484,7 @@ def test_random_draws_are_shared_across_netlists_of_any_size(sizes, protocol):
         state = reset(nl, dm)
         assert state._gate_delay == [dm.delay_of(g.id, g.kind) for g in nl.gates]
         assert state._step is None
-        # every gate drawing the same delay still selects the tick loop
+        # every gate drawing the same delay still selects the equal-delay batches
         assert reset(nl, uniform)._step == 4
     # drawn in pieces, in either order, the prefix is the one-go stream
     assert dm._drawn == stream_delays(1, 20, 11, len(dm._drawn))

@@ -1,10 +1,11 @@
-"""The constant-delay tick loop against the reference heap loop.
+"""Equal-delay batches against the reference heap loop.
 
 When every gate shares one delay, ``SimState`` keeps its pending events as
-per-tick batches.  Each test here runs the same stimulus on a state that
-uses the batches and on a fresh state forced onto the heap loop, and
-requires the same trace, ``ack_edges``, ``port_events``, clock, return
-values, pending state and errors after every engine call.
+per-timestamp batches and files each timestamp's successors as one list.
+Each test here runs the same stimulus on a state that uses the batches and
+on a fresh state forced onto the heap loop, and requires the same trace,
+``ack_edges``, ``port_events``, clock, return values, pending state and
+errors after every engine call.
 """
 
 import copy
@@ -17,7 +18,7 @@ from qdimul.cells import FullAdderKind
 from qdimul.harness import Harness
 from qdimul.multiplier import MultiplierSpec, generate
 from qdimul.netlist import Gate, GateKind, Netlist, NetlistBuilder, Protocol
-from qdimul.sim import DEFAULT_GUARD, DelayModel, NonQuiescentError, SimState, reset
+from qdimul.sim import DEFAULT_GUARD, ENV, DelayModel, NonQuiescentError, SimState, reset
 from qdimul.verify import default_pairs
 
 CONSTANT = {
@@ -39,10 +40,24 @@ class Recording(SimState):
                              len(self.trace), tuple(self.ack_edges), tuple(self.port_events)))
 
 
+def force_heap(state):
+    """The private selectors: put a fresh ``state`` on the reference heap loop.
+
+    A copy of the forced state must queue a heap tuple
+    ``(time, net, seq, level, cause)``, not a batch.
+    """
+    state._step, state._batched = None, False
+    probe = copy.deepcopy(state, {id(state.netlist): state.netlist, id(state._plan): state._plan})
+    net = min(probe.netlist.primary_inputs)
+    level = 1 - probe._projected[net]
+    probe.set_primary(net, level)
+    assert probe._queue == [(probe.clock, net, probe._seq, level, ENV)] and not probe._batches
+    return state
+
+
 def pair_of_states(netlist, dm, cls=SimState):
-    """``(tick, heap)``: fresh states on the two loops."""
-    tick, heap = cls(netlist, dm), cls(netlist, dm)
-    heap._step = None  # the private selector: force the reference loop
+    """``(tick, heap)``: fresh states on the equal-delay batches and on the heap."""
+    tick, heap = cls(netlist, dm), force_heap(cls(netlist, dm))
     for state in (tick, heap):
         state.log = []
     return tick, heap
@@ -277,7 +292,7 @@ def batched_and_called(netlist, queue, dm=DelayModel.unit()):
     states = SimState(netlist, dm), SimState(netlist, dm)
     if QUEUES[queue]:
         for state in states:
-            state._step = None
+            force_heap(state)
     return states
 
 
