@@ -271,7 +271,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     rows: list[StageMetrics] = []
     for path in args.inputs:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except RecursionError:
+                raise UsageError(f"{path}: nested too deeply") from None
         raws = payload.get("rows", []) if isinstance(payload, dict) else None
         if not isinstance(raws, list):
             raise UsageError(f"{path}: not a bench artifact (expected an object with a rows list)")
@@ -358,7 +361,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ParseError, FileNotFoundError, ValueError) as exc:
+    except (UsageError, ParseError, OSError, ValueError) as exc:
         parser.exit(2, f"qdimul: error: {exc}\n")
     except HANDSHAKE_ERRORS as exc:
         sys.stderr.write(f"qdimul: {exc.code}: {exc}\n")

@@ -25,15 +25,15 @@ table and compare the net levels with the reset state first, walking the
 product ports only to name a failure.
 
 Observation costs what the caller needs.  The acknowledge edges come from
-the engine's record of ``ack_out`` transitions (``SimState.ack_edges``),
-not from a search of the trace.  The ILLEGAL check reads the engine's
-record of port-rail transitions (``SimState.port_events``), a few events
-per port rather than the whole trace.  It first collects the rails that
-moved: a port that starts at SPACER can only decode ILLEGAL once both of its
-rails have moved, so the port scan (:func:`scan_port_changes`, over those
-same events) runs only when such a port moved both rails or a port that
-starts elsewhere moved at all.  A healthy handshake cycle moves one rail per
-port and is never scanned.
+the engine's record of ``ack_out`` transitions (``SimState.ack_edges``).
+The port rule (each port shows one data codeword, then the spacer) is
+judged once per cycle from its record of port-rail transitions
+(``SimState.port_events``).  After the end-of-cycle check every rail has
+moved an even number of times, so a stage whose ports all start at SPACER,
+each on two rails of its own, keeps the rule exactly when the events number
+twice the rails that moved, those number the ports and no port moved both
+rails.  Any other cycle or stage is scanned (:func:`scan_port_changes`):
+an ILLEGAL decode raises, and any other break is the report's ``port_fault``.
 """
 
 from __future__ import annotations
@@ -92,10 +92,13 @@ class CycleReport:
     spacer_start: int
     end: int
     trace: Trace | None = None
+    #: How the cycle broke the port rule, or None (see the module docstring).
+    #: Out of ``repr``, equality and hashing: ``tests/golden.py`` digests reprs.
+    port_fault: str | None = field(default=None, repr=False, compare=False)
 
     def __init__(self, a: int, b: int, product: int, forward: int, reverse: int, cycle: int,
                  transitions: int, data_start: int, spacer_start: int, end: int,
-                 trace: Trace | None = None) -> None:
+                 trace: Trace | None = None, port_fault: str | None = None) -> None:
         # Each slot's own setter, as for netlist.Gate: the generated frozen
         # __init__ calls object.__setattr__ per field.
         _SET_A(self, a)
@@ -109,10 +112,11 @@ class CycleReport:
         _SET_SPACER_START(self, spacer_start)
         _SET_END(self, end)
         _SET_TRACE(self, trace)
+        _SET_PORT_FAULT(self, port_fault)
 
 
 (_SET_A, _SET_B, _SET_PRODUCT, _SET_FORWARD, _SET_REVERSE, _SET_CYCLE, _SET_TRANSITIONS,
- _SET_DATA_START, _SET_SPACER_START, _SET_END, _SET_TRACE) = (
+ _SET_DATA_START, _SET_SPACER_START, _SET_END, _SET_TRACE, _SET_PORT_FAULT) = (
     CycleReport.__dict__[f.name].__set__ for f in fields(CycleReport))
 
 
@@ -249,12 +253,18 @@ def scan_port_changes(
     return changes
 
 
+def _illegal_points(changes: dict[str, list[tuple[int, DualRailValue]]]) -> list[tuple[int, str]]:
+    """(time, port) of every ILLEGAL decode in a port scan, port by port."""
+    return [(t, name) for name, points in changes.items()
+            for t, val in points if val is DualRailValue.ILLEGAL]
+
+
 class _Stage:
     """What a :class:`Harness` needs from one stage, built once per netlist.
 
     The environment's events per operand port and bit (``(net, level)``
     pairs, rail1 then rail0), the spacer phase's events, and the tables of
-    the end-of-cycle checks and the ILLEGAL screen.  Nothing here is mutated
+    the end-of-cycle checks and the port rule.  Nothing here is mutated
     after construction.
     """
 
@@ -277,17 +287,30 @@ class _Stage:
         self.decode = table = netlist.decode_table
         self.bit_of = [v.bit for v in table]
         self.out_rails = [(p.rail1, p.rail0) for p in out_ports]
-        # the ILLEGAL screen: the (rail1, rail0) pairs of ports at SPACER in
-        # the reset state, and the rails of all others
-        at_spacer = [table[2 * lv[p.rail1] + lv[p.rail0]] is DualRailValue.SPACER
-                     for p in netlist.ports]
-        self.spacer_pairs = [frozenset((p.rail1, p.rail0))
-                             for p, sp in zip(netlist.ports, at_spacer) if sp]
-        self.hot_rails = frozenset(r for p, sp in zip(netlist.ports, at_spacer) if not sp
-                                   for r in (p.rail1, p.rail0))
+        # each rail's port for the port rule's count, or None (scan every
+        # cycle) unless all ports start at SPACER on rails of their own
+        rails = [r for p in netlist.ports for r in (p.rail1, p.rail0)]
+        self.port_count = len(netlist.ports)
+        self.port_of = {r: i // 2 for i, r in enumerate(rails)}
+        if len(self.port_of) != len(rails) or any(
+                table[2 * lv[p.rail1] + lv[p.rail0]] is not DualRailValue.SPACER
+                for p in netlist.ports):
+            self.port_of = None
         # the reset state passes the end-of-cycle port check
         self.outs_reset_spacer = all(table[2 * lv[r1] + lv[r0]] is DualRailValue.SPACER
                                      for r1, r0 in self.out_rails)
+
+    def keeps_port_rule(self, events: Trace) -> bool:
+        """Whether a cycle's port events, from the reset state back to it, keep the port rule.
+
+        The count of the module docstring: exact where ``port_of`` is set, else False.
+        """
+        port_of = self.port_of
+        if port_of is None:
+            return False
+        moved = set(map(itemgetter(1), events))
+        return (len(events) == 2 * len(moved) == 2 * self.port_count
+                and len(set(map(port_of.__getitem__, moved))) == self.port_count)
 
 
 class Harness:
@@ -360,22 +383,26 @@ class Harness:
         if levels != stage.reset_levels:
             raise StuckPhaseError("cycle ended away from the reset state")
 
-    def _illegal_points(self, events: Trace) -> list[tuple[int, str]]:
-        """(time, port) of every ILLEGAL decode in ``events``, port by port.
+    def _port_fault(self, events: Trace) -> str | None:
+        """How a cycle's port events break the port rule, or None if they keep it.
 
-        ``events`` is a trace from the reset state, or its port-rail events
-        (``SimState.port_events``); the two give the same points.  The port
-        scan runs only when the rails that moved could have formed ILLEGAL
-        (see the module docstring); one moving rail cannot.
+        Scans only what :meth:`_Stage.keeps_port_rule` cannot clear, and raises
+        :class:`IllegalOutputError` for the first ILLEGAL decode, port by port.
         """
         stage = self._stage
-        moved = set(map(itemgetter(1), events))
-        if moved.isdisjoint(stage.hot_rails) and not any(
-                map(moved.issuperset, stage.spacer_pairs)):
-            return []
+        if stage.keeps_port_rule(events):
+            return None
         changes = scan_port_changes(self.netlist, stage.reset_levels, events)
-        return [(t, name) for name, points in changes.items()
-                for t, val in points if val is DualRailValue.ILLEGAL]
+        illegal = _illegal_points(changes)
+        if illegal:
+            t, name = illegal[0]
+            raise IllegalOutputError(f"port {name} decodes ILLEGAL at t={t}")
+        for name, points in changes.items():
+            if (len(points) != 2 or points[0][1].bit is None
+                    or points[1][1] is not DualRailValue.SPACER):
+                seq = ",".join(v.name for _, v in points) or "none"
+                return f"port {name} codeword sequence [{seq}]"
+        return None
 
     # -- cycles ----------------------------------------------------------------
 
@@ -385,7 +412,8 @@ class Harness:
         Raises :class:`StuckPhaseError` if completion never asserts or
         releases, :class:`IllegalOutputError` if any port ever decodes to the
         forbidden rail pair, and propagates ``NonQuiescentError`` from the
-        engine on oscillation (together, :data:`HANDSHAKE_ERRORS`).
+        engine on oscillation (together, :data:`HANDSHAKE_ERRORS`).  Any
+        other break of the port rule is the report's ``port_fault``.
         """
         limit = 1 << self.n
         if not (0 <= a < limit and 0 <= b < limit):
@@ -407,11 +435,10 @@ class Harness:
         tb = self._ack_edge(data_edges, self._spacer, "released")
         self._check_reset()
 
-        illegal = self._illegal_points(st.port_events)
-        trace = st.take_trace()
-        if illegal:
-            t, name = illegal[0]
-            raise IllegalOutputError(f"port {name} decodes ILLEGAL at t={t}")
+        try:
+            port_fault = self._port_fault(st.port_events)
+        finally:
+            trace = st.take_trace()
         forward = ta - t0
         reverse = tb - t1
         return CycleReport(
@@ -426,6 +453,7 @@ class Harness:
             spacer_start=t1,
             end=st.clock,
             trace=trace if want_trace else None,
+            port_fault=port_fault,
         )
 
     def run_sequence(
@@ -441,11 +469,13 @@ class Harness:
         entire point of the discipline.  Netlists with broken isochronic
         forks or unacknowledged transitions can be caught mid-flight here,
         which the fully patient :meth:`run_cycle` would mask by waiting for
-        global quiescence.  Port codeword violations are collected rather
-        than raised.  Cycles overlap in time, so a report's ``transitions``
-        counts the trace's events from its data start up to the next
-        cycle's; the last cycle takes the rest, and the counts sum to the
-        length of the returned trace.
+        global quiescence.  Cycles overlap in time, so the burst's port
+        events are scanned as one: ILLEGAL decodes are collected in
+        ``BurstResult.illegal`` rather than raised, and every report's
+        ``port_fault`` stays None.  A report's ``transitions`` counts the
+        trace's events from its data start up to the next cycle's; the last
+        cycle takes the rest, and the counts sum to the length of the
+        returned trace.
         """
         st = self.state
         if not st.quiescent:
@@ -470,7 +500,8 @@ class Harness:
             windows.append((t0, t1, st.clock))
         st.run_until_quiescent()
         trace = st.trace[origin:]
-        illegal = sorted(self._illegal_points(st.port_events[port_origin:]))
+        illegal = sorted(_illegal_points(scan_port_changes(
+            self.netlist, self._stage.reset_levels, st.port_events[port_origin:])))
         st.take_trace()
         cuts = [bisect_left(trace, t0, key=itemgetter(0)) for t0, _, _ in windows]
         cuts.append(len(trace))

@@ -587,14 +587,8 @@ def _typed(ids: list, outputs: list, pins: list, resets: list) -> bool:
 
 
 def _check_gate_fields(netlist: Netlist) -> list[Diagnostic]:
-    gates = netlist.gates
-    # whole-netlist passes first: the walk below builds a list per gate
-    if {g.kind.__class__ for g in gates} <= {GateKind} and _typed(
-            [g.id for g in gates], [g.output for g in gates],
-            list(chain.from_iterable([g.inputs for g in gates])), [g.reset for g in gates]):
-        return []
     diags: list[Diagnostic] = []
-    for i, g in enumerate(gates):
+    for i, g in enumerate(netlist.gates):
         fields = [("id", g.id, g.id.__class__ is int, "an int"),
                   ("kind", g.kind, g.kind.__class__ is GateKind, "a GateKind")]
         fields += [(f"inputs[{slot}]", n, n.__class__ is int, "an int")

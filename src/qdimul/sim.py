@@ -76,7 +76,7 @@ The same branch records each such ``ack_out`` transition as ``(time,
 level)`` in :attr:`SimState.ack_edges`, and appends every transition on a
 port rail (``ack_in`` included, when a port uses it) to
 :attr:`SimState.port_events` as its trace tuple, so the harness finds its
-handshake edges and screens its ports without searching the trace.  One
+handshake edges and judges its ports without searching the trace.  One
 per-net flag, built once in the plan, selects that branch: 1 for a port
 rail, 2 for ``ack_out``, 3 for both.  :meth:`SimState.take_trace` clears all
 three lists.
@@ -94,10 +94,7 @@ netlist's vector is the first ``len(gates)`` of them, so designs of
 different sizes under one model draw only the ids no earlier design had.
 The draws are one stream per model: gate k gets the k-th value ``u`` of
 ``random.Random(str(seed)).random()`` as ``lo + int(u * (hi - lo + 1))``,
-one cheap step of the generator per gate instead of a reseeded generator
-per gate.  A seed therefore names other delays than it did before this
-mapping (each gate got ``random.Random(f"{seed}:{gate id}").randint(lo,
-hi)``).
+one cheap step of the generator per gate.
 """
 
 from __future__ import annotations
@@ -169,12 +166,10 @@ class DelayModel:
     in which netlists are simulated, and a netlist edit cannot reshuffle
     delays of untouched gates; the seed is hashed as a string, so ``-s``
     and ``s`` name different delays.  ``random()`` is the one sequence
-    whose reproducibility Python documents across versions.  This mapping
-    replaced one ``random.Random(f"{seed}:{gate id}").randint(lo, hi)`` per
-    gate, so a seed names other delays than it did in earlier versions.  A
-    random model draws each gate id once and shares the draws with every
-    netlist simulated under that model object; the draws take no part in
-    equality, hashing, ``repr`` or :meth:`describe`.
+    whose reproducibility Python documents across versions.  A random model
+    draws each gate id once and shares the draws with every netlist
+    simulated under that model object; the draws take no part in equality,
+    hashing, ``repr`` or :meth:`describe`.
     """
 
     mode: DelayMode = DelayMode.UNIT

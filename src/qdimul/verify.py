@@ -14,6 +14,17 @@ The module also ships three netlist mutators used as negative controls:
 (completion stops indicating all inputs) and :func:`inject_fork_skew`
 (delays one branch of a forking wire, breaking the matched-fork assumption).
 A healthy checker suite must fail on each of them.
+
+A handshake cycle is clean when it keeps three rules.  Port rule: each port
+shows one data codeword, then the spacer; the harness judges it from the
+cycle's port-rail events and keeps a break as ``CycleReport.port_fault``
+(an ILLEGAL decode raises instead).  Net rule: a net changes at most once
+per phase window (data, then spacer from the report's ``spacer_start``).
+Merge rule: an AND or OR gate receives at most one input transition toward
+its firing level (rising for OR, falling for AND) per window; a second one
+is a transition the output cannot acknowledge, the classic hazard of
+non-disjoint merges.  C-elements are exempt: they absorb and sequence
+multiple arrivals by design.  :func:`_acts_once` defines the last two.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from .harness import (
     Harness,
     CycleReport,
     drive,
-    scan_port_changes,
+    scan_port_changes,  # unused here; bench/tracing.py wraps this module's copy
     stage_ports,
 )
 from .metrics import design_label
@@ -434,7 +445,7 @@ def _merge_gates(netlist: Netlist) -> list[tuple[tuple[int, ...], tuple[int, ...
 
 
 def _acts_once(trace: Sequence[tuple], spacer_start: int, merge: list) -> bool:
-    """True when ``trace`` keeps both rules of :func:`check_monotonicity`.
+    """True when ``trace`` keeps the net and merge rules (module docstring).
 
     Per phase window, one set pass over its nets and one over the merge
     gates its transitions fire (looked up by net, then level).  False also
@@ -460,13 +471,7 @@ def _acts_once(trace: Sequence[tuple], spacer_start: int, merge: list) -> bool:
 def check_monotonicity(netlist: Netlist, reports: Sequence[CycleReport]) -> CheckOutcome:
     """Every net and every merge gate must act once per handshake phase.
 
-    Two rules over traced cycles.  Net rule: a net changes at most once per
-    phase window.  Merge rule: an AND or OR gate receives at most one input
-    transition toward its firing level per window; a second one is a
-    transition the output cannot acknowledge, the classic hazard of
-    non-disjoint merges.  C-elements are exempt, they absorb and sequence
-    multiple arrivals by design.
-
+    The net and merge rules of the module docstring, over traced cycles.
     Each cycle is first screened with set passes over each phase window's
     nets and the merge gates they fire; only a cycle that fails the screen
     is walked event by event, to report its first violation.
@@ -509,21 +514,6 @@ def check_monotonicity(netlist: Netlist, reports: Sequence[CycleReport]) -> Chec
 # -- delay insensitivity -----------------------------------------------------
 
 
-def _port_conformance(netlist: Netlist, reset_levels: list[int], trace) -> str | None:
-    changes = scan_port_changes(netlist, reset_levels, trace)
-    for pname, points in changes.items():
-        vals = [v for _, v in points]
-        ok = (
-            len(vals) == 2
-            and vals[0].bit is not None
-            and vals[1] is DualRailValue.SPACER
-        )
-        if not ok:
-            seq = ",".join(v.name for v in vals) or "none"
-            return f"port {pname} codeword sequence [{seq}]"
-    return None
-
-
 def check_delay_insensitivity(
     netlist: Netlist,
     pairs: Sequence[tuple[int, int]] | None = None,
@@ -540,15 +530,12 @@ def check_delay_insensitivity(
     """
     name = "delay_insensitivity"
     _require_counts(samples, seeds)
-    if pairs is None:
-        pairs = sample_pairs(len(stage_ports(netlist)[0]), samples, seed)
-    else:
-        pairs = list(pairs)
+    pairs = (sample_pairs(len(stage_ports(netlist)[0]), samples, seed) if pairs is None
+             else list(pairs))
     if isinstance(seeds, int):
         seeds = range(seeds)
     models = [DelayModel.unit()]
     models += [DelayModel.random_per_gate(1, 20, s) for s in seeds]
-    reset_levels = netlist.reset_levels()
     cycle_times = set()
     scenarios = 0
     for dm in models:
@@ -563,9 +550,8 @@ def check_delay_insensitivity(
             if r.product != a * b:
                 return _fail(name, netlist, stim, dm, f"product {r.product}",
                              f"product {a * b}", scenarios, r.trace or ())
-            bad = _port_conformance(netlist, reset_levels, r.trace)
-            if bad:
-                return _fail(name, netlist, stim, dm, bad,
+            if r.port_fault:
+                return _fail(name, netlist, stim, dm, r.port_fault,
                              "each port: one codeword, one spacer per cycle",
                              scenarios, r.trace or ())
             mono = check_monotonicity(netlist, [r])
@@ -605,10 +591,8 @@ def check_duality(
     if dualize(dual) != netlist:
         return _fail(name, netlist, {}, None, "double flip changed the netlist",
                      "polarity flip is an involution", 0)
-    if pairs is None:
-        pairs = sample_pairs(len(stage_ports(netlist)[0]), samples, seed)
-    else:
-        pairs = list(pairs)
+    pairs = (sample_pairs(len(stage_ports(netlist)[0]), samples, seed) if pairs is None
+             else list(pairs))
     h1 = Harness(netlist)
     h2 = Harness(dual)
     scenarios = 0
@@ -712,22 +696,11 @@ def run_all_checks(
 
 
 def _mutated(netlist: Netlist, tag: str, **overrides) -> Netlist:
-    meta = dict(netlist.meta)
-    meta["mutation"] = tag
-    fields = dict(
-        protocol=netlist.protocol,
-        gates=netlist.gates,
-        input_ports=netlist.input_ports,
-        output_ports=netlist.output_ports,
-        ack_out=netlist.ack_out,
-        ack_in=netlist.ack_in,
-        const_nets=netlist.const_nets,
-        phase_net=netlist.phase_net,
-        extra_inputs=netlist.extra_inputs,
-        meta=meta,
-    )
-    fields.update(overrides)
-    return Netlist(**fields)
+    fields = {k: getattr(netlist, k) for k in (
+        "protocol", "gates", "input_ports", "output_ports", "ack_out", "ack_in",
+        "const_nets", "phase_net", "extra_inputs")}
+    fields["meta"] = {**netlist.meta, "mutation": tag}
+    return Netlist(**{**fields, **overrides})
 
 
 def swap_port_rails(netlist: Netlist, port_name: str | None = None) -> Netlist:

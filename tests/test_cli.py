@@ -155,6 +155,26 @@ def test_sim_missing_netlist_is_an_io_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sim", "--netlist", "DIR", "--a", "1", "--b", "1"],
+    ["verify", "--netlist", "DIR"],
+    ["report", "DIR"],
+    ["gen", "--n", "2", "--out", "DIR"],
+    ["sim", "--netlist", "NETLIST", "--a", "1", "--b", "1", "--trace", "DIR"],
+    ["report", "DEEP"],
+], ids=["sim_netlist_dir", "verify_netlist_dir", "report_dir", "gen_out_dir",
+        "sim_trace_dir", "report_deep_json"])
+def test_unusable_file_is_a_usage_error(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    paths = {"DIR": str(tmp_path), "NETLIST": str(gen_netlist(tmp_path)), "DEEP": str(deep)}
+    with pytest.raises(SystemExit) as exc:
+        main([paths.get(arg, arg) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qdimul: error: ") and err.count("\n") == 1
+
+
 def test_sim_stalled_stage_is_a_property_failure(tmp_path, capsys):
     nl = deserialize(gen_netlist(tmp_path).read_text())
     const_net = nl.const_nets[0][0]

@@ -4,16 +4,21 @@ import dataclasses
 import io
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qdimul.harness as harness_mod
 from qdimul.harness import (
+    HANDSHAKE_ERRORS,
     CycleReport,
     EmptyReportsError,
     Harness,
     IllegalOutputError,
     NotAStageError,
     StuckPhaseError,
+    _illegal_points,
     cycle_reports_json,
     drive,
     measure_latencies,
@@ -34,7 +39,14 @@ from qdimul.netlist import (
     encode,
 )
 from qdimul.sim import ENV, DelayModel, reset
-from qdimul.verify import default_pairs, inject_fork_skew
+from qdimul.verify import (
+    default_pairs,
+    inject_fork_skew,
+    narrow_completion,
+    sample_pairs,
+    swap_port_rails,
+)
+from test_acceptance import port_rule_ok
 
 
 def test_cycle_report_is_a_frozen_value():
@@ -48,7 +60,7 @@ def test_cycle_report_is_a_frozen_value():
                        "transitions=30, data_start=0, spacer_start=6, end=11, trace=None)")
     traced = dataclasses.replace(r, trace=[(0, 1, 1, -1)])
     assert traced.trace == [(0, 1, 1, -1)] and dataclasses.replace(traced, trace=None) == r
-    assert dataclasses.astuple(r) == (*fields.values(), None)
+    assert dataclasses.astuple(r) == (*fields.values(), None, None)
     assert not hasattr(r, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         r.product = 3
@@ -439,8 +451,8 @@ def test_ack_edges_and_illegal_screen_match_the_trace(scenario, protocol):
                 assert edges == [(t, lv) for t, net, lv, _ in trace if net == stage.ack_out]
                 assert events == [e for e in trace if e[1] in rails]
                 want = _full_scan_illegal(stage, trace)
-                assert harness._illegal_points(trace) == want
-                assert harness._illegal_points(events) == want
+                scan = scan_port_changes(stage, stage.reset_levels(), events)
+                assert _illegal_points(scan) == want
                 traces += bool(trace)
                 illegal += bool(want)
                 on_ack_in += any(e[1] == stage.ack_in for e in events)
@@ -450,6 +462,116 @@ def test_ack_edges_and_illegal_screen_match_the_trace(scenario, protocol):
     # the extra ports of these two have ack_in and ack_out for a true rail
     assert bool(on_ack_in) == (scenario == "active_at_reset")
     assert bool(on_ack_out) == (scenario == "ack_out_port")
+
+
+# -- the port rule against the acceptance oracle ---------------------------------
+
+
+def _port_verdicts(stage, models, pairs):
+    """(report, oracle verdict) of each cycle that ``run_cycle`` completes."""
+    levels = stage.reset_levels()
+    for dm in models:
+        harness = Harness(stage, dm)
+        for a, b in pairs:
+            try:
+                r = harness.run_cycle(a, b, want_trace=True)
+            except HANDSHAKE_ERRORS:
+                harness = Harness(stage, dm)  # the failed cycle may have left events
+                continue
+            yield r, port_rule_ok(stage, levels, r)
+
+
+@pytest.fixture
+def port_scans(monkeypatch):
+    """The calls ``run_cycle`` makes to the port scan, counted."""
+    calls = []
+    scan = harness_mod.scan_port_changes
+    monkeypatch.setattr(harness_mod, "scan_port_changes",
+                        lambda *args: calls.append(1) or scan(*args))
+    return calls
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", list(FullAdderKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_port_fault_matches_the_oracle_on_generated_stages(n, kind, protocol, port_scans):
+    stage = generate(MultiplierSpec(n, kind, protocol))
+    models = [UNIT] + [DelayModel.random_per_gate(1, 20, seed) for seed in range(8)]
+    pairs = sample_pairs(n, {2: 16, 4: 6, 8: 3}[n], seed=n)
+    verdicts = list(_port_verdicts(stage, models, pairs))
+    assert len(verdicts) == len(models) * len(pairs)
+    assert all((r.port_fault is None) == ok for r, ok in verdicts)
+    # every cycle is cleared by the count, never scanned
+    assert all(ok for _, ok in verdicts) and not port_scans
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+@pytest.mark.parametrize("n", [2, 4])
+def test_port_fault_matches_the_oracle_on_negative_controls(n, protocol):
+    stage = generate(MultiplierSpec(n, protocol=protocol))
+    controls = (swap_port_rails(stage), narrow_completion(stage), _skewed(stage),
+                generate(MultiplierSpec(n, FullAdderKind.MAJORITY_CONTROL, protocol)))
+    for control in controls:
+        verdicts = list(_port_verdicts(control, (UNIT, RANDOM), sample_pairs(n, 8)))
+        assert verdicts
+        assert all((r.port_fault is None) == ok for r, ok in verdicts)
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+@pytest.mark.parametrize("build", [_active_at_reset, _ack_out_port])
+def test_port_fault_falls_back_to_the_scan(build, protocol, port_scans):
+    stage = build(generate(MultiplierSpec(n=2, protocol=protocol)))
+    pairs = default_pairs(2)
+    verdicts = list(_port_verdicts(stage, (UNIT, RANDOM), pairs))
+    # every cycle reaches the port check, and none is cleared by the count
+    assert len(port_scans) == 2 * len(pairs) > len(verdicts) > 0
+    assert all((r.port_fault is None) == ok for r, ok in verdicts)
+    # an odd product passes the extra port of one, and breaks the other's
+    faults = {r.port_fault for r, _ in verdicts}
+    assert (None in faults) == (build is _ack_out_port)
+    assert (faults != {None}) == (build is _active_at_reset)
+
+
+N2_STAGES = {p: generate(MultiplierSpec(n=2, protocol=p)) for p in Protocol}
+
+
+@settings(max_examples=300, deadline=None)
+@given(protocol=st.sampled_from(list(Protocol)), data=st.data())
+def test_port_rule_count_matches_the_scan(protocol, data):
+    """Port-event histories from the reset state back to it, judged both ways."""
+    stage = N2_STAGES[protocol]
+    harness = Harness(stage)
+    levels = stage.reset_levels()
+    ports = stage.ports
+    # most ports move one rail up and down; the drawn ones move their rails at
+    # will (nothing, ILLEGAL, a codeword twice), each rail an even number of times
+    free = data.draw(st.sets(st.sampled_from(range(len(ports))), max_size=3))
+    moves = []
+    for i, p in enumerate(ports):
+        rails = st.sampled_from((p.rail1, p.rail0))
+        if i in free:
+            m = data.draw(st.lists(rails, max_size=6))
+            m += [r for r in (p.rail1, p.rail0) if m.count(r) % 2]
+        else:
+            m = [data.draw(rails)] * 2
+        moves.append(m)
+    order = data.draw(st.permutations([i for i, m in enumerate(moves) for _ in m]))
+    pending = [iter(m) for m in moves]
+    now, events = list(levels), []
+    for t, i in enumerate(order):
+        net = next(pending[i])
+        now[net] ^= 1
+        events.append((t, net, now[net], ENV))
+    assert now == levels
+    ok = port_rule_ok(stage, levels, SimpleNamespace(trace=events))
+    assert harness._stage.keeps_port_rule(events) == ok
+    illegal = _illegal_points(scan_port_changes(stage, levels, events))
+    if illegal:
+        t, name = illegal[0]
+        with pytest.raises(IllegalOutputError, match=f"^port {name} decodes ILLEGAL at t={t}$"):
+            harness._port_fault(events)
+    else:
+        assert (harness._port_fault(events) is None) == ok
 
 
 def test_measure_latencies_summary(mult2):
