@@ -107,7 +107,7 @@ class StageMetrics:
 def design_label(netlist: Netlist) -> str:
     meta = netlist.meta
     if "fa_kind" in meta and "n" in meta:
-        label = f"{meta['fa_kind']}-{meta['protocol']}-{meta['n']}x{meta['n']}"
+        label = f"{meta['fa_kind']}-{netlist.protocol.value}-{meta['n']}x{meta['n']}"
     else:
         label = str(meta.get("cell", "netlist"))
     if "mutation" in meta:

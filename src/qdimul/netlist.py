@@ -27,6 +27,7 @@ simulator's plan are computed on first use and kept on the object.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -223,6 +224,7 @@ class DiagnosticCode(Enum):
     ALIASED_RAILS = "ALIASED_RAILS"
     ALIASED_ACK = "ALIASED_ACK"
     BAD_GATE_FIELD = "BAD_GATE_FIELD"
+    BAD_NET_FIELD = "BAD_NET_FIELD"
 
 
 @dataclass(frozen=True)
@@ -432,161 +434,129 @@ NET_IDS_PER_DRIVEN_NET = 16
 def validate(netlist: Netlist) -> list[Diagnostic]:
     """Structural checks; an empty result means the simulator accepts it.
 
-    First checks each gate's fields: id, input and output nets are ints (not
-    bools), the kind is a :class:`GateKind` and the reset is 0 or 1.  A
-    netlist with a bad field gets only those diagnostics, whose subject is
-    the gate's position in ``netlist.gates``, since the other checks compare
-    and index by these fields.  Then checks that gate ids are exactly
-    ``0..len(gates)-1`` and net ids are non-negative and below
-    :data:`NET_IDS_PER_DRIVEN_NET` times the count of driven nets (the
-    simulator indexes its tables by them), single drivership, gate arity,
-    port connectivity with two distinct rails per port, a driven
-    ``ack_out`` on a net other than ``ack_in`` (the acknowledge would
-    otherwise feed itself back at the same instant), and the absence of
-    combinational cycles.  A cycle is legal only if it passes through a
-    C-element, which is the one place feedback is allowed to hold state.
+    First checks the fields: each gate's id, input and output nets are ints
+    (not bools), its kind is a :class:`GateKind` and its reset is 0 or 1, and
+    every port rail, ``ack_out``, ``ack_in``, ``phase_net`` and extra input
+    is an int and every constant level is 0 or 1.  A netlist with a bad field
+    gets only those diagnostics (``BAD_GATE_FIELD``, whose subject is the
+    gate's position in ``netlist.gates``, and ``BAD_NET_FIELD``, which names
+    the field), since the other checks compare and index by these fields.
+    Then checks that gate ids are exactly ``0..len(gates)-1`` and net ids are
+    non-negative and below :data:`NET_IDS_PER_DRIVEN_NET` times the count of
+    driven nets (the simulator indexes its tables by them), single
+    drivership, gate arity, port connectivity with two distinct rails per
+    port, a driven ``ack_out`` on a net other than ``ack_in`` (the
+    acknowledge would otherwise feed itself back at the same instant), and
+    the absence of combinational cycles.  A cycle is legal only if it passes
+    through a C-element, which is the one place feedback is allowed to hold
+    state.
 
-    A netlist that :func:`_passes_every_check` clears gets the empty list at
-    once; any other is checked item by item, which builds the diagnostics.
+    Each rule is first decided by one test over the whole netlist; only a
+    rule whose test fails walks its gates, nets or ports to build its
+    diagnostics.
     """
+    gates, ports = netlist.gates, netlist.ports
+    ids = [g.id for g in gates]
+    outputs = [g.output for g in gates]
+    pins = list(chain.from_iterable([g.inputs for g in gates]))
+    resets = [g.reset for g in gates]
+    rails = [r for p in ports for r in (p.rail1, p.rail0)]
+    ack_out, ack_in = netlist.ack_out, netlist.ack_in
+    named = [n for n in (ack_out, ack_in, netlist.phase_net) if n is not None]
     try:
-        clean = _passes_every_check(netlist)
-    except (TypeError, KeyError, ValueError):  # a malformed field: the checks below tell
-        clean = False
-    if clean:
-        return []
-    diags = _check_gate_fields(netlist)
-    if diags:
-        return diags
-    diags = _check_ids(netlist)
+        # a kind that is not a GateKind fails the lookup (GateKind hashes by identity)
+        arities = [ARITY[g.kind] for g in gates]
+    except (KeyError, TypeError):
+        return _check_fields(netlist)
+    # Checked by type: a bool, or a float equal to an int, passes every
+    # comparison the other checks make.
+    if not ({*map(type, ids), *map(type, outputs), *map(type, pins), *map(type, resets),
+             *map(type, rails), *map(type, named), *map(type, netlist.extra_inputs)} <= {int}
+            and {*resets, *map(itemgetter(1), netlist.const_nets)} <= {0, 1}):
+        return _check_fields(netlist)
 
-    claimed: dict[int, int] = {}
-    for n in netlist.primary_inputs:
-        claimed[n] = claimed.get(n, 0) + 1
-    for n, _ in netlist.const_nets:
-        claimed[n] = claimed.get(n, 0) + 1
-    for g in netlist.gates:
-        claimed[g.output] = claimed.get(g.output, 0) + 1
-    for n, count in sorted(claimed.items()):
-        if count > 1:
-            diags.append(
-                Diagnostic(
-                    DiagnosticCode.MULTIPLE_DRIVERS,
-                    f"net {n} has {count} drivers",
-                    (n,),
-                )
-            )
+    diags: list[Diagnostic] = []
+    n_gates = len(gates)
+    if sorted(ids) != [*range(n_gates)]:
+        for gid, count in sorted(Counter(ids).items()):
+            if not 0 <= gid < n_gates:
+                diags.append(Diagnostic(DiagnosticCode.GATE_ID_OUT_OF_RANGE,
+                                        f"gate id {gid} is outside 0..{n_gates - 1}", (gid,)))
+            if count > 1:
+                diags.append(Diagnostic(DiagnosticCode.DUPLICATE_GATE_ID,
+                                        f"gate id {gid} is used by {count} gates", (gid,)))
 
-    for g in netlist.gates:
-        want = ARITY[g.kind]
-        if len(g.inputs) != want:
-            diags.append(
-                Diagnostic(
+    consts = [n for n, _ in netlist.const_nets]
+    nets = (pins, outputs, rails, consts, named, netlist.extra_inputs)
+    if min(chain(*nets), default=0) < 0:
+        for n in sorted({n for n in chain(*nets) if n < 0}):
+            diags.append(Diagnostic(DiagnosticCode.NEGATIVE_NET_ID, f"net id {n} is negative",
+                                    (n,)))
+
+    drivers = [*netlist.primary_inputs, *consts, *outputs]
+    bound = NET_IDS_PER_DRIVEN_NET * (len(drivers) + 1)
+    if netlist.net_count > bound:
+        top = netlist.net_count - 1
+        diags.append(Diagnostic(
+            DiagnosticCode.NET_ID_TOO_LARGE,
+            f"net id {top} is past {bound - 1}, the bound for {len(drivers)} driven nets",
+            (top,)))
+
+    claimed = set(drivers)
+    if len(claimed) != len(drivers):
+        for n, count in sorted(Counter(drivers).items()):
+            if count > 1:
+                diags.append(Diagnostic(DiagnosticCode.MULTIPLE_DRIVERS,
+                                        f"net {n} has {count} drivers", (n,)))
+
+    arities_match = [len(g.inputs) for g in gates] == arities
+    if not (arities_match and claimed.issuperset(pins)):
+        for g, want in zip(gates, arities):
+            if len(g.inputs) != want:
+                diags.append(Diagnostic(
                     DiagnosticCode.ARITY_MISMATCH,
                     f"gate {g.id} ({g.kind.value}) has {len(g.inputs)} inputs, expects {want}",
-                    (g.id,),
-                )
-            )
-        for slot, n in enumerate(g.inputs):
-            if n not in claimed:
-                diags.append(
-                    Diagnostic(
+                    (g.id,)))
+            for slot, n in enumerate(g.inputs):
+                if n not in claimed:
+                    diags.append(Diagnostic(DiagnosticCode.UNCONNECTED_INPUT,
+                                            f"gate {g.id} input {slot} reads undriven net {n}",
+                                            (g.id, n)))
+
+    if any(p.rail1 == p.rail0 for p in ports) or not claimed.issuperset(rails):
+        for p in ports:
+            if p.rail1 == p.rail0:
+                diags.append(Diagnostic(DiagnosticCode.ALIASED_RAILS,
+                                        f"port {p.name!r} uses net {p.rail1} for both rails",
+                                        (p.rail1,)))
+            for rail_name, n in (("rail1", p.rail1), ("rail0", p.rail0)):
+                if n not in claimed:
+                    diags.append(Diagnostic(
                         DiagnosticCode.UNCONNECTED_INPUT,
-                        f"gate {g.id} input {slot} reads undriven net {n}",
-                        (g.id, n),
-                    )
-                )
+                        f"port {p.name!r} {rail_name} dangles on undriven net {n}", (n,)))
 
-    for p in netlist.ports:
-        if p.rail1 == p.rail0:
-            diags.append(
-                Diagnostic(
-                    DiagnosticCode.ALIASED_RAILS,
-                    f"port {p.name!r} uses net {p.rail1} for both rails",
-                    (p.rail1,),
-                )
-            )
-        for rail_name, n in (("rail1", p.rail1), ("rail0", p.rail0)):
-            if n not in claimed:
-                diags.append(
-                    Diagnostic(
-                        DiagnosticCode.UNCONNECTED_INPUT,
-                        f"port {p.name!r} {rail_name} dangles on undriven net {n}",
-                        (n,),
-                    )
-                )
+    if ack_out is not None and ack_out not in claimed:
+        diags.append(Diagnostic(DiagnosticCode.UNCONNECTED_INPUT,
+                                f"ack_out dangles on undriven net {ack_out}", (ack_out,)))
+    if ack_out is not None and ack_out == ack_in:
+        diags.append(Diagnostic(DiagnosticCode.ALIASED_ACK,
+                                f"ack_out and ack_in share net {ack_out}", (ack_out,)))
 
-    if netlist.ack_out is not None and netlist.ack_out not in claimed:
-        diags.append(
-            Diagnostic(
-                DiagnosticCode.UNCONNECTED_INPUT,
-                f"ack_out dangles on undriven net {netlist.ack_out}",
-                (netlist.ack_out,),
-            )
-        )
-    if netlist.ack_out is not None and netlist.ack_out == netlist.ack_in:
-        diags.append(
-            Diagnostic(
-                DiagnosticCode.ALIASED_ACK,
-                f"ack_out and ack_in share net {netlist.ack_out}",
-                (netlist.ack_out,),
-            )
-        )
-
+    # No cycle when net ids rise along every Boolean path, as they do in
+    # every netlist NetlistBuilder makes; matching arities keep max() off
+    # empty inputs.
+    if arities_match:
+        for g in gates:
+            if g.kind not in STATEFUL and max(g.inputs) >= g.output:
+                break
+        else:
+            return diags
     diags.extend(_find_combinational_loop(netlist))
     return diags
 
 
-def _passes_every_check(netlist: Netlist) -> bool:
-    """True only when :func:`validate` finds nothing, decided in whole-netlist passes.
-
-    False means "check item by item", not "invalid": combinational cycles
-    are ruled out only when every Boolean gate's inputs are lower net ids
-    than its output (so net ids rise along every Boolean path), which holds
-    for every netlist :class:`NetlistBuilder` makes.
-    """
-    gates = netlist.gates
-    ids = [g.id for g in gates]
-    outputs = [g.output for g in gates]
-    pins = list(chain.from_iterable([g.inputs for g in gates]))
-    if not _typed(ids, outputs, pins, [g.reset for g in gates]):
-        return False
-    if sorted(ids) != [*range(len(gates))]:
-        return False
-    # a kind that is not a GateKind fails the lookup (GateKind hashes by identity)
-    if [len(g.inputs) for g in gates] != [ARITY[g.kind] for g in gates]:
-        return False
-    rails = [r for p in netlist.ports for r in (p.rail1, p.rail0)]
-    consts = [n for n, _ in netlist.const_nets]
-    ack_out, ack_in = netlist.ack_out, netlist.ack_in
-    named = [n for n in (ack_out, ack_in, netlist.phase_net) if n is not None]
-    if min(chain(pins, outputs, rails, consts, named, netlist.extra_inputs), default=0) < 0:
-        return False
-    drivers = [*netlist.primary_inputs, *consts, *outputs]
-    claimed = set(drivers)
-    if (len(claimed) != len(drivers)
-            or netlist.net_count > NET_IDS_PER_DRIVEN_NET * (len(drivers) + 1)
-            or not claimed.issuperset(pins) or not claimed.issuperset(rails)
-            or any(p.rail1 == p.rail0 for p in netlist.ports)
-            or (ack_out is not None and (ack_out not in claimed or ack_out == ack_in))):
-        return False
-    for g in gates:
-        if g.kind not in STATEFUL and max(g.inputs) >= g.output:
-            return False
-    return True
-
-
-def _typed(ids: list, outputs: list, pins: list, resets: list) -> bool:
-    """Gate ids and nets are ints and resets are the int 0 or 1.
-
-    Checked by type: a bool, or a float equal to an int, passes every
-    comparison the other checks make.
-    """
-    return ({*map(type, ids), *map(type, outputs), *map(type, pins), *map(type, resets)} <= {int}
-            and {*resets} <= {0, 1})
-
-
-def _check_gate_fields(netlist: Netlist) -> list[Diagnostic]:
+def _check_fields(netlist: Netlist) -> list[Diagnostic]:
+    """One diagnostic per gate or net field of a type :func:`validate` refuses."""
     diags: list[Diagnostic] = []
     for i, g in enumerate(netlist.gates):
         fields = [("id", g.id, g.id.__class__ is int, "an int"),
@@ -597,78 +567,40 @@ def _check_gate_fields(netlist: Netlist) -> list[Diagnostic]:
                    ("reset", g.reset, g.reset.__class__ is int and g.reset in (0, 1), "0 or 1")]
         for name, value, ok, want in fields:
             if not ok:
-                diags.append(
-                    Diagnostic(
-                        DiagnosticCode.BAD_GATE_FIELD,
-                        f"gates[{i}].{name} is {value!r}, expected {want}",
-                        (i,),
-                    )
-                )
-    return diags
-
-
-def _check_ids(netlist: Netlist) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    n_gates = len(netlist.gates)
-    seen: dict[int, int] = {}
-    for g in netlist.gates:
-        seen[g.id] = seen.get(g.id, 0) + 1
-    for gid, count in sorted(seen.items()):
-        if not 0 <= gid < n_gates:
-            diags.append(
-                Diagnostic(
-                    DiagnosticCode.GATE_ID_OUT_OF_RANGE,
-                    f"gate id {gid} is outside 0..{n_gates - 1}",
-                    (gid,),
-                )
-            )
-        if count > 1:
-            diags.append(
-                Diagnostic(
-                    DiagnosticCode.DUPLICATE_GATE_ID,
-                    f"gate id {gid} is used by {count} gates",
-                    (gid,),
-                )
-            )
-
-    nets = [n for g in netlist.gates for n in (*g.inputs, g.output)]
-    nets += [n for p in netlist.ports for n in (p.rail1, p.rail0)]
-    nets += [n for n, _ in netlist.const_nets]
-    nets += [n for n in (netlist.ack_out, netlist.ack_in, netlist.phase_net) if n is not None]
-    nets += netlist.extra_inputs
-    for n in sorted({n for n in nets if n < 0}):
-        diags.append(
-            Diagnostic(DiagnosticCode.NEGATIVE_NET_ID, f"net id {n} is negative", (n,))
-        )
-    driven = len(netlist.primary_inputs) + len(netlist.const_nets) + n_gates
-    bound = NET_IDS_PER_DRIVEN_NET * (driven + 1)
-    if netlist.net_count > bound:
-        top = netlist.net_count - 1
-        diags.append(
-            Diagnostic(
-                DiagnosticCode.NET_ID_TOO_LARGE,
-                f"net id {top} is past {bound - 1}, the bound for {driven} driven nets",
-                (top,),
-            )
-        )
+                diags.append(Diagnostic(DiagnosticCode.BAD_GATE_FIELD,
+                                        f"gates[{i}].{name} is {value!r}, expected {want}", (i,)))
+    nets = [(f"ports[{i}].{rail}", n) for i, p in enumerate(netlist.ports)
+            for rail, n in (("rail1", p.rail1), ("rail0", p.rail0))]
+    nets += [(name, n) for name, n in (("ack_out", netlist.ack_out), ("ack_in", netlist.ack_in),
+                                       ("phase_net", netlist.phase_net)) if n is not None]
+    nets += [(f"extra_inputs[{i}]", n) for i, n in enumerate(netlist.extra_inputs)]
+    fields = [(name, n, n.__class__ is int, "an int") for name, n in nets]
+    fields += [(f"const_nets[{i}]", pair, pair[1] in (0, 1), "a level of 0 or 1")
+               for i, pair in enumerate(netlist.const_nets)]
+    for name, value, ok, want in fields:
+        if not ok:
+            diags.append(Diagnostic(DiagnosticCode.BAD_NET_FIELD,
+                                    f"{name} is {value!r}, expected {want}"))
     return diags
 
 
 def _find_combinational_loop(netlist: Netlist) -> list[Diagnostic]:
-    driver_of = {g.output: g for g in netlist.gates}
-    # Edges between plain Boolean gates only; C-elements break the path.
+    gates = netlist.gates
+    driver_of = {g.output: i for i, g in enumerate(gates)}
+    # Edges between plain Boolean gates only, keyed by gate position (ids may
+    # repeat); C-elements break the path.
     succ: dict[int, list[int]] = {}
-    for g in netlist.gates:
+    for i, g in enumerate(gates):
         if g.kind in STATEFUL:
             continue
         for n in g.inputs:
             d = driver_of.get(n)
-            if d is not None and d.kind not in STATEFUL:
-                succ.setdefault(d.id, []).append(g.id)
+            if d is not None and gates[d].kind not in STATEFUL:
+                succ.setdefault(d, []).append(i)
 
     WHITE, GREY, BLACK = 0, 1, 2
     color: dict[int, int] = {}
-    for start in sorted(succ):
+    for start in sorted(succ, key=lambda i: (gates[i].id, i)):
         if color.get(start, WHITE) != WHITE:
             continue
         stack: list[tuple[int, int]] = [(start, 0)]
@@ -682,7 +614,7 @@ def _find_combinational_loop(netlist: Netlist) -> list[Diagnostic]:
                 child = nexts[idx]
                 c = color.get(child, WHITE)
                 if c == GREY:
-                    cycle = path[path.index(child):] + [child]
+                    cycle = [gates[i].id for i in path[path.index(child):] + [child]]
                     return [
                         Diagnostic(
                             DiagnosticCode.COMBINATIONAL_LOOP,
@@ -735,8 +667,8 @@ def dualize(netlist: Netlist) -> Netlist:
         meta=meta,
     )
     # Ids, wiring, arity, field types and the set of stateful gates are
-    # unchanged and resets stay 0 or 1, and validation reads nothing else,
-    # so the twin inherits the verdict.
+    # unchanged and resets and constant levels stay 0 or 1, and validation
+    # reads nothing else, so the twin inherits the verdict.
     twin._memo["validate"] = netlist._derived("validate", validate)
     return twin
 

@@ -739,7 +739,10 @@ def write_trace_csv(trace: Iterable[tuple], stream: IO[str]) -> None:
 
 def write_trace_vcd(netlist: Netlist, trace: Iterable[tuple], stream: IO[str]) -> None:
     """Minimal VCD dump of a trace (one abstract time unit per VCD tick)."""
-    names = {int(k): v for k, v in netlist.meta.get("net_names", {}).items()}
+    net_names = netlist.meta.get("net_names", {})
+    if not isinstance(net_names, dict):
+        raise ValueError(f"meta.net_names must be an object, got {type(net_names).__name__}")
+    names = {int(k): v for k, v in net_names.items()}
     for p in netlist.ports:
         names.setdefault(p.rail1, f"{p.name}.t")
         names.setdefault(p.rail0, f"{p.name}.f")

@@ -11,6 +11,7 @@ from qdimul.cells import make_and2_strong
 from qdimul.cli import main, parse_delay_model
 from qdimul.netlist import GateKind, Netlist, deserialize, serialize
 from qdimul.sim import DelayModel
+from qdimul.verify import swap_port_rails
 
 
 def run_main(argv, capsys):
@@ -214,6 +215,20 @@ def test_sim_trace_csv_and_vcd(tmp_path, capsys):
     assert "$dumpvars" in vcd_path.read_text()
 
 
+@pytest.mark.parametrize("net_names", [["a0.t"], "a0.t", 5])
+def test_sim_vcd_with_net_names_not_an_object_is_a_usage_error(tmp_path, capsys, net_names):
+    path = gen_netlist(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["meta"]["net_names"] = net_names
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "--netlist", str(path), "--a", "1", "--b", "3",
+              "--trace", str(tmp_path / "t.vcd"), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qdimul: error: meta.net_names ") and err.count("\n") == 1
+
+
 def test_verify_green_exit_zero(tmp_path, capsys):
     path = gen_netlist(tmp_path)
     code, out, _ = run_main(
@@ -225,9 +240,6 @@ def test_verify_green_exit_zero(tmp_path, capsys):
 def test_verify_red_exit_one_with_counterexample(tmp_path, capsys):
     path = gen_netlist(tmp_path)
     netlist = deserialize(path.read_text())
-    from qdimul.verify import swap_port_rails
-    from qdimul.netlist import serialize
-
     broken = tmp_path / "broken.json"
     broken.write_text(serialize(swap_port_rails(netlist)))
     code, out, _ = run_main(
@@ -235,6 +247,17 @@ def test_verify_red_exit_one_with_counterexample(tmp_path, capsys):
     assert code == 1
     assert "FAIL functional" in out
     assert "counterexample" in out
+
+
+def test_verify_labels_a_stage_whose_meta_lacks_the_protocol(tmp_path, capsys):
+    netlist = deserialize(gen_netlist(tmp_path).read_text())
+    del netlist.meta["protocol"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(serialize(swap_port_rails(netlist)))
+    code, out, err = run_main(
+        ["verify", "--netlist", str(broken), "--checks", "functional"], capsys)
+    assert code == 1
+    assert "FAIL functional" in out and err == ""
 
 
 def test_verify_json_artifact(tmp_path, capsys):

@@ -1,12 +1,11 @@
 """Compiling a design: ``validate``, the engine plan and ``dualize`` against oracles.
 
-``validate`` first asks ``_passes_every_check``, a screen over whole-netlist
-passes, and checks item by item only when the screen does not clear the
-netlist.  The item-by-item checks are the validator as it was before the
-screen, so with the screen switched off they are the oracle.  The engine
-plan's tables and ``dualize`` are compared with the per-gate versions they
-replaced, kept here.  Every comparison covers what a call returns and what
-it raises.
+Each is compared with a frozen copy of the code it replaced, kept here:
+``validate`` with the item-by-item checks that ran every rule's walk on
+every netlist (their loop search keys gates by position, as ``validate``'s
+does, so repeated ids make no false cycle), the engine plan's tables with
+the per-gate ``_Plan`` tables, and ``dualize`` with its one-gate-at-a-time
+build.  Every comparison covers what a call returns and what it raises.
 """
 
 import itertools
@@ -16,13 +15,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import golden
-from qdimul import cells, netlist as netlist_module
+from qdimul import cells
 from qdimul.cells import FullAdderKind
 from qdimul.multiplier import MultiplierSpec, generate
 from qdimul.netlist import (
     ARITY,
     DUAL_KIND,
     FAMILY,
+    NET_IDS_PER_DRIVEN_NET,
+    STATEFUL,
+    Diagnostic,
+    DiagnosticCode,
     DualRailPort,
     Gate,
     GateKind,
@@ -51,13 +54,151 @@ def outcome(fn):
 
 
 def reference_validate(nl):
-    """``validate`` with the screen switched off: the item-by-item checks."""
-    screen = netlist_module._passes_every_check
-    netlist_module._passes_every_check = lambda _nl: False
-    try:
-        return validate(nl)
-    finally:
-        netlist_module._passes_every_check = screen
+    """``validate`` as every rule's walk over every item: the checks as they were."""
+    diags = _reference_gate_fields(nl)
+    if diags:
+        return diags
+    diags = _reference_ids(nl)
+
+    claimed: dict[int, int] = {}
+    for n in nl.primary_inputs:
+        claimed[n] = claimed.get(n, 0) + 1
+    for n, _ in nl.const_nets:
+        claimed[n] = claimed.get(n, 0) + 1
+    for g in nl.gates:
+        claimed[g.output] = claimed.get(g.output, 0) + 1
+    for n, count in sorted(claimed.items()):
+        if count > 1:
+            diags.append(Diagnostic(DiagnosticCode.MULTIPLE_DRIVERS,
+                                    f"net {n} has {count} drivers", (n,)))
+
+    for g in nl.gates:
+        want = ARITY[g.kind]
+        if len(g.inputs) != want:
+            diags.append(Diagnostic(
+                DiagnosticCode.ARITY_MISMATCH,
+                f"gate {g.id} ({g.kind.value}) has {len(g.inputs)} inputs, expects {want}",
+                (g.id,)))
+        for slot, n in enumerate(g.inputs):
+            if n not in claimed:
+                diags.append(Diagnostic(DiagnosticCode.UNCONNECTED_INPUT,
+                                        f"gate {g.id} input {slot} reads undriven net {n}",
+                                        (g.id, n)))
+
+    for p in nl.ports:
+        if p.rail1 == p.rail0:
+            diags.append(Diagnostic(DiagnosticCode.ALIASED_RAILS,
+                                    f"port {p.name!r} uses net {p.rail1} for both rails",
+                                    (p.rail1,)))
+        for rail_name, n in (("rail1", p.rail1), ("rail0", p.rail0)):
+            if n not in claimed:
+                diags.append(Diagnostic(
+                    DiagnosticCode.UNCONNECTED_INPUT,
+                    f"port {p.name!r} {rail_name} dangles on undriven net {n}", (n,)))
+
+    if nl.ack_out is not None and nl.ack_out not in claimed:
+        diags.append(Diagnostic(DiagnosticCode.UNCONNECTED_INPUT,
+                                f"ack_out dangles on undriven net {nl.ack_out}", (nl.ack_out,)))
+    if nl.ack_out is not None and nl.ack_out == nl.ack_in:
+        diags.append(Diagnostic(DiagnosticCode.ALIASED_ACK,
+                                f"ack_out and ack_in share net {nl.ack_out}", (nl.ack_out,)))
+
+    diags.extend(_reference_loop(nl))
+    return diags
+
+
+def _reference_gate_fields(nl):
+    diags = []
+    for i, g in enumerate(nl.gates):
+        fields = [("id", g.id, g.id.__class__ is int, "an int"),
+                  ("kind", g.kind, g.kind.__class__ is GateKind, "a GateKind")]
+        fields += [(f"inputs[{slot}]", n, n.__class__ is int, "an int")
+                   for slot, n in enumerate(g.inputs)]
+        fields += [("output", g.output, g.output.__class__ is int, "an int"),
+                   ("reset", g.reset, g.reset.__class__ is int and g.reset in (0, 1), "0 or 1")]
+        for name, value, ok, want in fields:
+            if not ok:
+                diags.append(Diagnostic(DiagnosticCode.BAD_GATE_FIELD,
+                                        f"gates[{i}].{name} is {value!r}, expected {want}",
+                                        (i,)))
+    return diags
+
+
+def _reference_ids(nl):
+    diags = []
+    n_gates = len(nl.gates)
+    seen: dict[int, int] = {}
+    for g in nl.gates:
+        seen[g.id] = seen.get(g.id, 0) + 1
+    for gid, count in sorted(seen.items()):
+        if not 0 <= gid < n_gates:
+            diags.append(Diagnostic(DiagnosticCode.GATE_ID_OUT_OF_RANGE,
+                                    f"gate id {gid} is outside 0..{n_gates - 1}", (gid,)))
+        if count > 1:
+            diags.append(Diagnostic(DiagnosticCode.DUPLICATE_GATE_ID,
+                                    f"gate id {gid} is used by {count} gates", (gid,)))
+
+    nets = [n for g in nl.gates for n in (*g.inputs, g.output)]
+    nets += [n for p in nl.ports for n in (p.rail1, p.rail0)]
+    nets += [n for n, _ in nl.const_nets]
+    nets += [n for n in (nl.ack_out, nl.ack_in, nl.phase_net) if n is not None]
+    nets += nl.extra_inputs
+    for n in sorted({n for n in nets if n < 0}):
+        diags.append(Diagnostic(DiagnosticCode.NEGATIVE_NET_ID, f"net id {n} is negative", (n,)))
+    driven = len(nl.primary_inputs) + len(nl.const_nets) + n_gates
+    bound = NET_IDS_PER_DRIVEN_NET * (driven + 1)
+    if nl.net_count > bound:
+        top = nl.net_count - 1
+        diags.append(Diagnostic(
+            DiagnosticCode.NET_ID_TOO_LARGE,
+            f"net id {top} is past {bound - 1}, the bound for {driven} driven nets", (top,)))
+    return diags
+
+
+def _reference_loop(nl):
+    """The loop search, its graph keyed by gate position so repeated ids make no cycle."""
+    gates = nl.gates
+    driver_of = {g.output: i for i, g in enumerate(gates)}
+    # Edges between plain Boolean gates only; C-elements break the path.
+    succ: dict[int, list[int]] = {}
+    for i, g in enumerate(gates):
+        if g.kind in STATEFUL:
+            continue
+        for n in g.inputs:
+            d = driver_of.get(n)
+            if d is not None and gates[d].kind not in STATEFUL:
+                succ.setdefault(d, []).append(i)
+
+    WHITE, GREY, BLACK = 0, 1, 2
+    color: dict[int, int] = {}
+    for start in sorted(succ, key=lambda i: (gates[i].id, i)):
+        if color.get(start, WHITE) != WHITE:
+            continue
+        stack: list[tuple[int, int]] = [(start, 0)]
+        path = [start]
+        color[start] = GREY
+        while stack:
+            node, idx = stack[-1]
+            nexts = succ.get(node, ())
+            if idx < len(nexts):
+                stack[-1] = (node, idx + 1)
+                child = nexts[idx]
+                c = color.get(child, WHITE)
+                if c == GREY:
+                    cycle = [gates[i].id for i in path[path.index(child):] + [child]]
+                    return [Diagnostic(DiagnosticCode.COMBINATIONAL_LOOP,
+                                       "combinational cycle without a C-element: "
+                                       + " -> ".join(str(x) for x in cycle),
+                                       tuple(cycle[:-1]))]
+                if c == WHITE:
+                    color[child] = GREY
+                    stack.append((child, 0))
+                    path.append(child)
+            else:
+                color[node] = BLACK
+                stack.pop()
+                path.pop()
+    return []
 
 
 def reference_plan(nl):
@@ -135,9 +276,7 @@ STAGES = list(itertools.product((2, 4, 8), FullAdderKind, Protocol))
 @pytest.mark.parametrize("n, kind, protocol", STAGES,
                          ids=[f"{n}-{k.value}-{p.value}" for n, k, p in STAGES])
 def test_generated_designs_compile_as_the_oracles(n, kind, protocol):
-    nl = generate(MultiplierSpec(n, kind, protocol))
-    assert netlist_module._passes_every_check(nl)
-    assert_compiles_as_the_oracles(nl)
+    assert_compiles_as_the_oracles(generate(MultiplierSpec(n, kind, protocol)))
 
 
 def _cells():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import golden
+from qdimul import verify
 from qdimul.multiplier import MultiplierSpec, generate
 from qdimul.netlist import (
     ARITY,
@@ -234,6 +235,13 @@ def test_validate_flags_duplicate_gate_id():
         nl.require_valid()
 
 
+def test_repeated_gate_ids_make_no_false_loop():
+    # the NOT reads the AND's output: a path, not a cycle, though both are gate 0
+    gates = [Gate(0, GateKind.AND2, (0, 1), 2, 0), Gate(0, GateKind.NOT, (2,), 3, 1)]
+    nl = Netlist(Protocol.RTZ, gates, [DualRailPort("x", 0, 1, "in")])
+    assert [d.code.value for d in validate(nl)] == ["DUPLICATE_GATE_ID"]
+
+
 def test_validate_flags_sparse_gate_ids():
     gates = [
         Gate(0, GateKind.OR2, (0, 1), 2, 0),
@@ -294,6 +302,32 @@ def test_validate_flags_a_gate_field_of_the_wrong_type(field, value):
     assert [d.code.value for d in diags] == ["BAD_GATE_FIELD"]
     assert diags[0].subjects == (0,) and f"gates[0].{field}" in diags[0].message
     with pytest.raises(InvalidNetlistError, match="BAD_GATE_FIELD"):
+        reset(bad)
+
+
+def _first_output(stage, **rails):
+    outs = stage.output_ports
+    return {"output_ports": (dataclasses.replace(outs[0], **rails), *outs[1:])}
+
+
+@pytest.mark.parametrize("field, change", [
+    ("ack_out", lambda s: {"ack_out": float(s.ack_out)}),
+    ("ack_out", lambda s: {"ack_out": str(s.ack_out)}),
+    ("ack_in", lambda s: {"ack_in": float(s.ack_in)}),
+    ("phase_net", lambda s: {"phase_net": float(s.phase_net)}),
+    ("ports[4].rail0", lambda s: _first_output(s, rail0=float(s.output_ports[0].rail0))),
+    ("ports[4].rail1", lambda s: _first_output(s, rail1=True)),
+    ("extra_inputs[0]", lambda s: {"extra_inputs": (float(s.net_count),)}),
+    ("const_nets[0]", lambda s: {"const_nets": [(s.const_nets[0][0], 2), *s.const_nets[1:]]}),
+], ids=["ack_out-float", "ack_out-str", "ack_in", "phase_net", "rail0", "rail1", "extra_input",
+        "const_level"])
+def test_validate_flags_a_net_field_of_the_wrong_type(field, change):
+    stage = generate(MultiplierSpec(2))
+    bad = verify._mutated(stage, "bad-field", **change(stage))
+    diags = validate(bad)
+    assert [d.code.value for d in diags] == ["BAD_NET_FIELD"]
+    assert diags[0].message.startswith(f"{field} is ")
+    with pytest.raises(InvalidNetlistError, match="BAD_NET_FIELD"):
         reset(bad)
 
 
