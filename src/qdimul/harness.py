@@ -34,6 +34,21 @@ each on two rails of its own, keeps the rule exactly when the events number
 twice the rails that moved, those number the ports and no port moved both
 rails.  Any other cycle or stage is scanned (:func:`scan_port_changes`):
 an ILLEGAL decode raises, and any other break is the report's ``port_fault``.
+
+A handshake is settled once per netlist and delay model.  A cycle that
+starts from the reset state, with nothing pending and an empty trace, is a
+pure function of the netlist, the delays and the operands, up to a shift
+in time: the engine is deterministic and time-invariant (its ``seq``
+counter only orders events within one time and net, and its record of each
+input's last event time only refuses events before the clock).  So the
+cycle record, kept on the netlist per :class:`DelayModel` (equal models
+draw equal delays and share it), holds the first untraced report of each
+operand pair that ran from that state and returned.  Every such cycle ends
+in the reset state again.  An untraced :meth:`Harness.run_cycle` from that
+state with a recorded pair simulates nothing: it moves the clock on by the
+recorded cycle's length and returns the recorded report shifted to the
+current time.  Traced cycles neither read nor write the record, and a cycle
+that raised is never stored.
 """
 
 from __future__ import annotations
@@ -327,6 +342,17 @@ class Harness:
         self._active = netlist.protocol.active_level
         self._spacer = netlist.protocol.spacer_level
         self._stage: _Stage = netlist._derived("harness.stage", _Stage)
+        #: the cycle record (module docstring): model -> (a, b) -> report
+        self._records: dict[DelayModel, dict[tuple[int, int], CycleReport]] = (
+            netlist._derived("harness.cycles", lambda _nl: {}))
+
+    def _require_operands(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Raise ``ValueError`` unless every operand is an int (not a bool) of n bits."""
+        limit = 1 << self.n
+        for a, b in pairs:
+            for x in (a, b):
+                if x.__class__ is not int or not 0 <= x < limit:
+                    raise ValueError(f"operands must be ints in [0, {limit}), got {x!r}")
 
     # -- phase primitives ----------------------------------------------------
 
@@ -413,16 +439,29 @@ class Harness:
         releases, :class:`IllegalOutputError` if any port ever decodes to the
         forbidden rail pair, and propagates ``NonQuiescentError`` from the
         engine on oscillation (together, :data:`HANDSHAKE_ERRORS`).  Any
-        other break of the port rule is the report's ``port_fault``.
+        other break of the port rule is the report's ``port_fault``.  An
+        operand that is not an int (or is a bool), or does not fit in n bits,
+        raises ``ValueError`` before anything is scheduled.  A pair the cycle
+        record holds runs without the engine (module docstring).
         """
-        limit = 1 << self.n
-        if not (0 <= a < limit and 0 <= b < limit):
-            raise ValueError(f"operands must fit in {self.n} bits")
+        self._require_operands(((a, b),))
         st = self.state
         if not st.quiescent:
             raise StuckPhaseError("cycle started with events still pending")
 
         t0 = st.clock
+        record = None
+        if not want_trace and not st.trace and st.levels == self._stage.reset_levels:
+            record = self._records.setdefault(st.delay_model, {})
+            settled = record.get((a, b))
+            if settled is not None:
+                shift = t0 - settled.data_start
+                st.clock = settled.end + shift
+                return CycleReport(a, b, settled.product, settled.forward, settled.reverse,
+                                   settled.cycle, settled.transitions, t0,
+                                   settled.spacer_start + shift, st.clock, None,
+                                   settled.port_fault)
+
         self._apply_operands(a, b, t0)
         st.run_until_quiescent()
         ta = self._ack_edge(0, self._active, "asserted")
@@ -441,7 +480,7 @@ class Harness:
             trace = st.take_trace()
         forward = ta - t0
         reverse = tb - t1
-        return CycleReport(
+        report = CycleReport(
             a=a,
             b=b,
             product=product,
@@ -455,6 +494,9 @@ class Harness:
             trace=trace if want_trace else None,
             port_fault=port_fault,
         )
+        if record is not None:
+            record[a, b] = report
+        return report
 
     def run_sequence(
         self, pairs: Iterable[tuple[int, int]], want_traces: bool = False
@@ -475,8 +517,11 @@ class Harness:
         ``port_fault`` stays None.  A report's ``transitions`` counts the
         trace's events from its data start up to the next cycle's; the last
         cycle takes the rest, and the counts sum to the length of the
-        returned trace.
+        returned trace.  Every pair's operands are checked as in
+        :meth:`run_cycle` before anything is scheduled.
         """
+        pairs = list(pairs)
+        self._require_operands(pairs)
         st = self.state
         if not st.quiescent:
             raise StuckPhaseError("burst started with events still pending")

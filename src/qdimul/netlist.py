@@ -288,7 +288,7 @@ class Netlist:
         self.output_ports = tuple(output_ports)
         self.ack_out = ack_out
         self.ack_in = ack_in
-        self.const_nets = tuple((int(n), int(v)) for n, v in const_nets)
+        self.const_nets = tuple((n, v) for n, v in const_nets)
         self.phase_net = phase_net
         self.extra_inputs = tuple(extra_inputs)
         self.meta = dict(meta or {})
@@ -436,8 +436,9 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
 
     First checks the fields: each gate's id, input and output nets are ints
     (not bools), its kind is a :class:`GateKind` and its reset is 0 or 1, and
-    every port rail, ``ack_out``, ``ack_in``, ``phase_net`` and extra input
-    is an int and every constant level is 0 or 1.  A netlist with a bad field
+    every port rail, ``ack_out``, ``ack_in``, ``phase_net``, extra input and
+    constant net is an int and every constant level is the int 0 or 1
+    (``Netlist`` keeps the constant pairs as given).  A netlist with a bad field
     gets only those diagnostics (``BAD_GATE_FIELD``, whose subject is the
     gate's position in ``netlist.gates``, and ``BAD_NET_FIELD``, which names
     the field), since the other checks compare and index by these fields.
@@ -463,6 +464,8 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
     rails = [r for p in ports for r in (p.rail1, p.rail0)]
     ack_out, ack_in = netlist.ack_out, netlist.ack_in
     named = [n for n in (ack_out, ack_in, netlist.phase_net) if n is not None]
+    consts = [n for n, _ in netlist.const_nets]
+    const_levels = [v for _, v in netlist.const_nets]
     try:
         # a kind that is not a GateKind fails the lookup (GateKind hashes by identity)
         arities = [ARITY[g.kind] for g in gates]
@@ -471,8 +474,9 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
     # Checked by type: a bool, or a float equal to an int, passes every
     # comparison the other checks make.
     if not ({*map(type, ids), *map(type, outputs), *map(type, pins), *map(type, resets),
-             *map(type, rails), *map(type, named), *map(type, netlist.extra_inputs)} <= {int}
-            and {*resets, *map(itemgetter(1), netlist.const_nets)} <= {0, 1}):
+             *map(type, rails), *map(type, named), *map(type, netlist.extra_inputs),
+             *map(type, consts), *map(type, const_levels)} <= {int}
+            and {*resets, *const_levels} <= {0, 1}):
         return _check_fields(netlist)
 
     diags: list[Diagnostic] = []
@@ -486,7 +490,6 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
                 diags.append(Diagnostic(DiagnosticCode.DUPLICATE_GATE_ID,
                                         f"gate id {gid} is used by {count} gates", (gid,)))
 
-    consts = [n for n, _ in netlist.const_nets]
     nets = (pins, outputs, rails, consts, named, netlist.extra_inputs)
     if min(chain(*nets), default=0) < 0:
         for n in sorted({n for n in chain(*nets) if n < 0}):
@@ -574,9 +577,10 @@ def _check_fields(netlist: Netlist) -> list[Diagnostic]:
     nets += [(name, n) for name, n in (("ack_out", netlist.ack_out), ("ack_in", netlist.ack_in),
                                        ("phase_net", netlist.phase_net)) if n is not None]
     nets += [(f"extra_inputs[{i}]", n) for i, n in enumerate(netlist.extra_inputs)]
+    nets += [(f"const_nets[{i}][0]", n) for i, (n, _) in enumerate(netlist.const_nets)]
     fields = [(name, n, n.__class__ is int, "an int") for name, n in nets]
-    fields += [(f"const_nets[{i}]", pair, pair[1] in (0, 1), "a level of 0 or 1")
-               for i, pair in enumerate(netlist.const_nets)]
+    fields += [(f"const_nets[{i}]", pair, pair[1].__class__ is int and pair[1] in (0, 1),
+                "a level of 0 or 1") for i, pair in enumerate(netlist.const_nets)]
     for name, value, ok, want in fields:
         if not ok:
             diags.append(Diagnostic(DiagnosticCode.BAD_NET_FIELD,

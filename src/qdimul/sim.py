@@ -7,12 +7,13 @@ order, applies each level change, then re-evaluates the fanout gates of all
 nets that changed at that timestamp.
 
 The engine contract is :class:`Engine`: what the harness and the checkers
-use of a simulation state, namely ``netlist``, ``clock``, ``levels``,
-``trace``, ``ack_edges``, ``port_events``, ``quiescent``,
-``set_primary``, ``set_primaries``, ``run_until_quiescent``, ``read_port``
-and ``take_trace``.  Every queue discipline runs inside
+use of a simulation state, namely ``netlist``, ``delay_model``,
+``clock``, ``levels``, ``trace``, ``ack_edges``, ``port_events``,
+``quiescent``, ``set_primary``, ``set_primaries``, ``run_until_quiescent``,
+``read_port`` and ``take_trace``.  Every queue discipline runs inside
 :meth:`SimState.run_until_quiescent`, so wrapping that one method sees all
-simulated work.
+simulated work.  A handshake the harness's cycle record already holds
+(:mod:`qdimul.harness`) is not simulated at all: it only moves the clock.
 
 Pending events are kept under one of two disciplines, picked once per
 :class:`SimState` from what the netlist's plan already knows:
@@ -354,6 +355,7 @@ class Engine(Protocol):
     """
 
     netlist: Netlist
+    delay_model: DelayModel
     clock: int
     levels: list[int]
     trace: Trace

@@ -349,6 +349,15 @@ def check_stage_indication(
     under unit delays, with that one dual-rail bit held at spacer; ``ack_out`` must stay
     released.  Supplying the bit must then complete the handshake with the
     correct product, and a full spacer must restore the reset state.
+
+    The scenarios of one operand value usually settle in one and the same
+    state once the withheld bit arrives, and the spacer phase is a pure
+    function of that state (the engine is deterministic and time-invariant).
+    So the spacer phase runs once per settled state: a scenario that settles
+    where an earlier one with its operands did is counted without it.  Only
+    the first scenario to reach a state can fail there, and the check
+    returns at that scenario, so outcomes, counts and counterexamples are
+    those of running every spacer phase.
     """
     name = "stage_indication"
     a_ports, b_ports, out_ports = stage_ports(netlist)
@@ -362,6 +371,8 @@ def check_stage_indication(
     rng = random.Random(seed)
     values = [(limit - 1, limit - 1)]
     values += [(rng.randrange(limit), rng.randrange(limit)) for _ in range(extra_values)]
+    # (a, b) -> the settled states whose spacer phase has restored the reset state
+    settled: dict[tuple[int, int], list[list[int]]] = {}
     scenarios = 0
     for k, withheld in enumerate(ports):
         for a, b in values:
@@ -397,12 +408,16 @@ def check_stage_indication(
             if product != a * b:
                 return _fail(name, netlist, stim, None, f"product {product}",
                              f"product {a * b}", scenarios, st.trace)
-            st.set_primary(netlist.phase_net, spacer)
-            drive(st, ports, [None] * len(ports))
-            st.run_until_quiescent()
-            if st.levels != reset_levels:
-                return _fail(name, netlist, stim, None, "stage did not return to reset",
-                             "exact reset state after a full cycle", scenarios, st.trace)
+            seen = settled.setdefault((a, b), [])
+            if st.levels not in seen:
+                before = st.levels.copy()
+                st.set_primary(netlist.phase_net, spacer)
+                drive(st, ports, [None] * len(ports))
+                st.run_until_quiescent()
+                if st.levels != reset_levels:
+                    return _fail(name, netlist, stim, None, "stage did not return to reset",
+                                 "exact reset state after a full cycle", scenarios, st.trace)
+                seen.append(before)
             scenarios += 1
     return CheckOutcome(name, True,
                         f"ack_out waits for every operand bit ({scenarios} scenarios)",

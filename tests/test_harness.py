@@ -36,9 +36,11 @@ from qdimul.netlist import (
     InvalidNetlistError,
     Netlist,
     Protocol,
+    deserialize,
     encode,
+    serialize,
 )
-from qdimul.sim import ENV, DelayModel, reset
+from qdimul.sim import ENV, DelayModel, SimState, reset
 from qdimul.verify import (
     default_pairs,
     inject_fork_skew,
@@ -47,6 +49,7 @@ from qdimul.verify import (
     swap_port_rails,
 )
 from test_acceptance import port_rule_ok
+from test_batch_queue import force
 
 
 def test_cycle_report_is_a_frozen_value():
@@ -129,6 +132,23 @@ def test_operands_must_fit(mult2):
         h.run_cycle(4, 0)
     with pytest.raises(ValueError):
         h.run_cycle(0, -1)
+
+
+@pytest.mark.parametrize("bad", [4, -1, 1.5, 1.0, True, False, "1", None],
+                         ids=["4", "-1", "1.5", "1.0", "True", "False", "str", "None"])
+def test_an_operand_must_be_an_int_of_n_bits_before_anything_is_scheduled(bad):
+    stage = generate(MultiplierSpec(n=2))
+    h = Harness(stage)
+    h.run_cycle(1, 2)  # recorded: a float equal to 1 must not find it
+    clock = h.state.clock
+    for pair in ((bad, 2), (1, bad)):
+        with pytest.raises(ValueError, match=r"operands must be ints in \[0, 4\), got "):
+            h.run_cycle(*pair)
+        # a burst checks every pair up front
+        with pytest.raises(ValueError, match=r"operands must be ints in \[0, 4\), got "):
+            h.run_burst([(1, 1), pair])
+        assert h.state.quiescent and h.state.trace == [] and h.state.clock == clock
+    assert h.run_cycle(1, 2).product == 2
 
 
 def test_harness_requires_stage_metadata(mult2):
@@ -572,6 +592,140 @@ def test_port_rule_count_matches_the_scan(protocol, data):
             harness._port_fault(events)
     else:
         assert (harness._port_fault(events) is None) == ok
+
+
+# -- the cycle record ----------------------------------------------------------
+
+
+class Counting(SimState):
+    """A state that counts its engine calls."""
+
+    calls = 0
+
+    def run_until_quiescent(self, *args, **kwargs):
+        self.calls += 1
+        return super().run_until_quiescent(*args, **kwargs)
+
+
+def _fields(r):
+    """Every field of a report but the trace, ``port_fault`` included."""
+    return (*dataclasses.astuple(dataclasses.replace(r, trace=None)), r.port_fault)
+
+
+def _outcome(harness, a, b, traced):
+    try:
+        return harness.run_cycle(a, b, want_trace=traced)
+    except HANDSHAKE_ERRORS as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _same_as_a_fresh_copy(netlist, dm, batched, steps):
+    """Run ``steps`` ``(a, b, traced)`` on ``netlist`` and traced on a fresh copy.
+
+    The copy has no cycle record, and traced cycles never read one, so the
+    copy simulates every cycle.  Each outcome must match, field by field,
+    the trace too where one was asked for.  Returns the engine calls made
+    on ``netlist``.
+    """
+    states = []
+
+    def harnesses(copy):
+        h = Harness(netlist, dm)
+        h.state = force(Counting(netlist, dm), batched)
+        states.append(h.state)
+        return h, Harness(copy, dm)
+
+    h, ref = harnesses(deserialize(serialize(netlist)))
+    for a, b, traced in steps:
+        got, want = _outcome(h, a, b, traced), _outcome(ref, a, b, True)
+        if isinstance(want, CycleReport):
+            assert _fields(got) == _fields(want)
+            assert got.trace == (want.trace if traced else None)
+        else:
+            assert got == want
+            # a failed cycle may leave the stage mid-handshake
+            h, ref = harnesses(ref.netlist)
+    return sum(state.calls for state in states)
+
+
+RECORD_MODELS = (DelayModel.unit(), DelayModel.random_per_gate(1, 20, seed=5),
+                 DelayModel.random_per_gate(1, 20, seed=6))
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["heap", "batches"])
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", list(FullAdderKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_recorded_cycles_equal_a_fresh_simulation(n, kind, protocol, batched):
+    stage = generate(MultiplierSpec(n, kind, protocol))
+    p, q, r, s = sample_pairs(n, 4, seed=n)
+    # misses, hits, a traced cycle after hits, a pair first seen traced (not
+    # recorded, so its untraced run is a miss), and hits in a new harness
+    steps = [(*p, False), (*q, False), (*p, False), (*q, True), (*r, False), (*p, False),
+             (*r, True), (*s, True), (*s, False), (*s, False), (*q, False), (*p, True)]
+    for dm in RECORD_MODELS:
+        assert _same_as_a_fresh_copy(stage, dm, batched, steps) == 2 * 8
+        assert _same_as_a_fresh_copy(stage, dm, batched, steps) == 2 * 4
+        # an equal model shares the record
+        twin = DelayModel.random_per_gate(dm.lo, dm.hi, dm.seed) if dm.seed else dm
+        assert _same_as_a_fresh_copy(stage, twin, batched, steps) == 2 * 4
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+def test_recorded_port_faults_and_raised_cycles_equal_a_fresh_simulation(protocol):
+    # (1, 1) and (1, 3) return with a port fault, the others raise at the reset state
+    stage = _active_at_reset(generate(MultiplierSpec(n=2, protocol=protocol)))
+    steps = [(a, b, traced) for traced in (False, True, False)
+             for a, b in ((1, 1), (0, 0), (1, 3), (1, 1), (0, 0), (1, 3))]
+    for dm in RECORD_MODELS[:2]:
+        # simulated: the first untraced (1, 1) and (1, 3), every traced
+        # cycle and every (0, 0), which raises and is never recorded
+        assert _same_as_a_fresh_copy(stage, dm, False, steps) == 2 * (2 + 6 + 4)
+        record = stage._memo["harness.cycles"][dm]
+        assert sorted(record) == [(1, 1), (1, 3)]
+        assert all(rep.port_fault for rep in record.values())
+
+
+def test_traced_cycles_neither_read_nor_write_the_record():
+    stage = generate(MultiplierSpec(n=2))
+    h = Harness(stage)
+    h.state = Counting(stage, DelayModel.unit())
+    h.run_cycle(1, 2, want_trace=True)
+    assert stage._memo["harness.cycles"] == {} and h.state.calls == 2
+    recorded = h.run_cycle(1, 2)
+    assert stage._memo["harness.cycles"][DelayModel.unit()] == {(1, 2): recorded}
+    assert h.state.calls == 4
+    h.run_cycle(1, 2)
+    assert h.state.calls == 4
+    traced = h.run_cycle(1, 2, want_trace=True)
+    assert traced.trace and h.state.calls == 6
+
+
+def test_a_state_off_reset_or_with_a_trace_is_simulated():
+    stage = generate(MultiplierSpec(n=2))
+    copy = deserialize(serialize(stage))
+    recorded = Harness(stage).run_cycle(1, 2)
+    for at_reset in (False, True):
+        got = []
+        for netlist in (stage, copy):
+            h = Harness(netlist)
+            h.state = Counting(netlist, DelayModel.unit())
+            if at_reset:  # a whole handshake by hand, its events left in the trace
+                h._apply_operands(3, 3, 0)
+                h.state.run_until_quiescent()
+                h._apply_spacer(h.state.clock + 1)
+                h.state.run_until_quiescent()
+                assert h.state.levels == stage.reset_levels() and h.state.trace
+            else:  # quiescent with a0 at DATA1, the rest at reset, and no trace
+                drive(h.state, [stage.input_ports[0]], [1])
+                h.state.run_until_quiescent()
+                h.state.take_trace()
+                assert h.state.levels != stage.reset_levels()
+            calls = h.state.calls
+            got.append(h.run_cycle(1, 2))
+            assert h.state.calls == calls + 2
+        assert _fields(got[0]) == _fields(got[1])
+        assert got[0].product == 2 and got[0].transitions != recorded.transitions
 
 
 def test_measure_latencies_summary(mult2):

@@ -319,8 +319,17 @@ def _first_output(stage, **rails):
     ("ports[4].rail1", lambda s: _first_output(s, rail1=True)),
     ("extra_inputs[0]", lambda s: {"extra_inputs": (float(s.net_count),)}),
     ("const_nets[0]", lambda s: {"const_nets": [(s.const_nets[0][0], 2), *s.const_nets[1:]]}),
+    ("const_nets[0]", lambda s: {"const_nets": [(s.const_nets[0][0], s.const_nets[0][1] == 1),
+                                                *s.const_nets[1:]]}),
+    ("const_nets[0]", lambda s: {"const_nets": [(s.const_nets[0][0], float(s.const_nets[0][1])),
+                                                *s.const_nets[1:]]}),
+    ("const_nets[0][0]", lambda s: {"const_nets": [(s.const_nets[0][0] + 0.9, s.const_nets[0][1]),
+                                                   *s.const_nets[1:]]}),
+    ("const_nets[0][0]", lambda s: {"const_nets": [(float(s.const_nets[0][0]), s.const_nets[0][1]),
+                                                   *s.const_nets[1:]]}),
 ], ids=["ack_out-float", "ack_out-str", "ack_in", "phase_net", "rail0", "rail1", "extra_input",
-        "const_level"])
+        "const_level", "const_level-bool", "const_level-float", "const_net-float",
+        "const_net-whole-float"])
 def test_validate_flags_a_net_field_of_the_wrong_type(field, change):
     stage = generate(MultiplierSpec(2))
     bad = verify._mutated(stage, "bad-field", **change(stage))
@@ -329,6 +338,17 @@ def test_validate_flags_a_net_field_of_the_wrong_type(field, change):
     assert diags[0].message.startswith(f"{field} is ")
     with pytest.raises(InvalidNetlistError, match="BAD_NET_FIELD"):
         reset(bad)
+
+
+def test_constant_nets_are_kept_as_given():
+    nl = Netlist(Protocol.RTZ, [Gate(0, GateKind.NOT, (7,), 8, 1)], const_nets=[(7.9, True)])
+    assert nl.const_nets == ((7.9, True),)
+    assert [(d.code.value, d.message) for d in validate(nl)] == [
+        ("BAD_NET_FIELD", "const_nets[0][0] is 7.9, expected an int"),
+        ("BAD_NET_FIELD", "const_nets[0] is (7.9, True), expected a level of 0 or 1"),
+    ]
+    assert validate(Netlist(Protocol.RTZ, [Gate(0, GateKind.NOT, (7,), 8, 1)],
+                            const_nets=[(7, 0)])) == []
 
 
 def test_validate_method_returns_a_fresh_list_each_call():

@@ -543,8 +543,9 @@ def test_golden_trace_table_hash():
     assert golden.table_trace_digest() == golden.GOLDEN_TRACE_TABLE_SHA256
 
 
-CONTRACT = {"netlist", "clock", "levels", "trace", "ack_edges", "port_events", "quiescent",
-            "set_primary", "set_primaries", "run_until_quiescent", "read_port", "take_trace"}
+CONTRACT = {"netlist", "delay_model", "clock", "levels", "trace", "ack_edges", "port_events",
+            "quiescent", "set_primary", "set_primaries", "run_until_quiescent", "read_port",
+            "take_trace"}
 
 
 def test_sim_state_provides_every_member_of_the_engine_contract():

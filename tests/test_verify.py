@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,10 +16,11 @@ from qdimul.cells import (
     make_register_bank,
 )
 from qdimul.cli import main
-from qdimul.harness import CycleReport, Harness
+from qdimul.harness import CycleReport, Harness, drive, stage_ports
 from qdimul.multiplier import MultiplierSpec, generate
-from qdimul.netlist import GateKind, Netlist, NetlistBuilder, Protocol, serialize
-from qdimul.sim import ENV, DelayModel
+from qdimul.netlist import (DualRailValue, Gate, GateKind, Netlist, NetlistBuilder, Protocol,
+                            dualize, serialize)
+from qdimul.sim import ENV, DelayModel, reset
 from qdimul.verify import (
     CheckOutcome,
     _acts_once,
@@ -205,6 +207,130 @@ def test_stage_indication_every_adder_kind(kind):
     assert out, out.detail
 
 
+def _stage_indication_running_every_spacer_phase(netlist, extra_values=2, seed=0):
+    """``check_stage_indication`` as it was when every scenario ran its spacer phase."""
+    name = "stage_indication"
+    a_ports, b_ports, out_ports = stage_ports(netlist)
+    ports = (*a_ports, *b_ports)
+    n = len(a_ports)
+    proto = netlist.protocol
+    active, spacer = proto.active_level, proto.spacer_level
+    ack = netlist.ack_out
+    reset_levels = netlist.reset_levels()
+    limit = 1 << n
+    rng = random.Random(seed)
+    values = [(limit - 1, limit - 1)]
+    values += [(rng.randrange(limit), rng.randrange(limit)) for _ in range(extra_values)]
+    scenarios = 0
+    for k, withheld in enumerate(ports):
+        for a, b in values:
+            stim = {"a": a, "b": b, "withheld": withheld.name}
+            word = a | b << n  # bit i goes to ports[i]
+            st = reset(netlist)
+            st.set_primary(netlist.phase_net, active)
+            drive(st, ports[:k] + ports[k + 1:],
+                  [word >> i & 1 for i in range(len(ports)) if i != k])
+            st.run_until_quiescent()
+            if st.levels[ack] != spacer:
+                return _fail(name, netlist, stim, None,
+                             f"completion asserted with {withheld.name} withheld",
+                             "ack_out released until every input bit arrives",
+                             scenarios, st.trace)
+            if all(st.read_port(p) is not DualRailValue.SPACER for p in out_ports):
+                return _fail(name, netlist, stim, None,
+                             f"every product bit completed with {withheld.name} withheld",
+                             "at least one product bit still at spacer",
+                             scenarios, st.trace)
+            drive(st, (withheld,), (word >> k & 1,))
+            st.run_until_quiescent()
+            if st.levels[ack] != active:
+                return _fail(name, netlist, stim, None, "completion missing with all inputs",
+                             "ack_out asserted", scenarios, st.trace)
+            product = 0
+            for i, p in enumerate(out_ports):
+                v = st.read_port(p).bit
+                if v is None:
+                    return _fail(name, netlist, stim, None, f"port {p.name} incomplete",
+                                 "all products at codewords", scenarios, st.trace)
+                product |= v << i
+            if product != a * b:
+                return _fail(name, netlist, stim, None, f"product {product}",
+                             f"product {a * b}", scenarios, st.trace)
+            st.set_primary(netlist.phase_net, spacer)
+            drive(st, ports, [None] * len(ports))
+            st.run_until_quiescent()
+            if st.levels != reset_levels:
+                return _fail(name, netlist, stim, None, "stage did not return to reset",
+                             "exact reset state after a full cycle", scenarios, st.trace)
+            scenarios += 1
+    return CheckOutcome(name, True,
+                        f"ack_out waits for every operand bit ({scenarios} scenarios)",
+                        scenarios)
+
+
+def _latched(stage, bit):
+    """A stage that stays off reset after any product with bit ``bit`` set.
+
+    An extra C-element and merge gate form a latch on the product port's
+    true rail: set by its data, held through the spacer phase.
+    """
+    rail = stage.output_ports[bit].rail1
+    merge = GateKind.OR2 if stage.protocol is Protocol.RTZ else GateKind.AND2
+    c, w, g = stage.net_count, stage.net_count + 1, len(stage.gates)
+    spacer = stage.protocol.spacer_level
+    latch = [Gate(g, GateKind.C2, (rail, w), c, spacer), Gate(g + 1, merge, (rail, c), w, spacer)]
+    return Netlist(stage.protocol, [*stage.gates, *latch], stage.input_ports,
+                   stage.output_ports, ack_out=stage.ack_out, ack_in=stage.ack_in,
+                   const_nets=stage.const_nets, phase_net=stage.phase_net,
+                   extra_inputs=stage.extra_inputs, meta=stage.meta)
+
+
+def _order_latch(stage):
+    """A stage whose settled state depends on the order its operand bits arrive.
+
+    A latch is set when ``a0`` rises no later than ``b0`` (through two
+    buffers and an inverter), and held through the spacer phase.  So one
+    operand pair settles in two states: withholding ``a0`` leaves the latch
+    clear, withholding another bit sets it.
+    """
+    if stage.protocol is Protocol.RTO:
+        return dualize(_order_latch(dualize(stage)))
+    a0 = stage.input_ports[0]
+    b0 = stage.input_ports[len(stage.input_ports) // 2]
+    b1, b2, nb, d, c, w = range(stage.net_count, stage.net_count + 6)
+    g = len(stage.gates)
+    latch = [Gate(g, GateKind.OR2, (b0.rail1, b0.rail1), b1, 0),
+             Gate(g + 1, GateKind.OR2, (b1, b1), b2, 0),
+             Gate(g + 2, GateKind.NOT, (b2,), nb, 1),
+             Gate(g + 3, GateKind.AND2, (a0.rail1, nb), d, 0),
+             Gate(g + 4, GateKind.C2, (d, w), c, 0),
+             Gate(g + 5, GateKind.OR2, (d, c), w, 0)]
+    return Netlist(stage.protocol, [*stage.gates, *latch], stage.input_ports,
+                   stage.output_ports, ack_out=stage.ack_out, ack_in=stage.ack_in,
+                   const_nets=stage.const_nets, phase_net=stage.phase_net,
+                   extra_inputs=stage.extra_inputs, meta=stage.meta)
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", list(FullAdderKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_stage_indication_equals_running_every_spacer_phase(n, kind, protocol):
+    stage = generate(MultiplierSpec(n, kind, protocol))
+    designs = [stage, narrow_completion(stage), swap_port_rails(stage),
+               _latched(stage, 1), _latched(stage, 2), _order_latch(stage)]
+    late_failures = 0
+    for nl in designs:
+        for extra_values, seed in ((2, 0), (1, n)):
+            want = _stage_indication_running_every_spacer_phase(nl, extra_values, seed)
+            assert check_stage_indication(nl, extra_values, seed) == want
+            late_failures += not want and want.scenarios > 0
+    assert check_stage_indication(stage)
+    assert not check_stage_indication(designs[1])
+    # the order latch, and from 4 bits on the product latches, fail a
+    # scenario after one that passed
+    assert late_failures >= 2 + (n > 2)
+
+
 def test_weak_indication_dispatches_to_stage_check(mult2):
     out = check_weak_indication(mult2)
     assert out
@@ -386,6 +512,17 @@ def test_duality_fails_on_a_stalled_stage(mult2):
 
 def test_race_immunity_clean_on_healthy_design(mult2):
     assert check_race_immunity(mult2, pairs=BURST_PAIRS)
+
+
+@pytest.mark.parametrize("pair", [(4, 1), (1, -1), (1.5, 2), (1.0, 2), (True, 1)],
+                         ids=["wide", "negative", "float", "whole-float", "bool"])
+@pytest.mark.parametrize("check", [check_functional, check_duality, check_race_immunity,
+                                   check_delay_insensitivity])
+def test_checkers_refuse_operands_the_stage_cannot_take(mult2, check, pair):
+    # after the same pairs as ints have run, so a record could be found
+    assert check(mult2, pairs=[(1, 2), (1, 1)])
+    with pytest.raises(ValueError, match=r"operands must be ints in \[0, 4\)"):
+        check(mult2, pairs=[(1, 2), pair])
 
 
 def _three_pairs():
