@@ -293,23 +293,26 @@ class Netlist:
         self.extra_inputs = tuple(extra_inputs)
         self.meta = dict(meta or {})
         self._memo: dict[str, object] = {}
-        inputs = {p.rail1 for p in self.input_ports}
-        inputs |= {p.rail0 for p in self.input_ports}
-        inputs.update(self.extra_inputs)
-        inputs.update(n for n in (ack_in, phase_net) if n is not None)
-        self.primary_inputs = frozenset(inputs)
+        inputs = [p.rail1 for p in self.input_ports]
+        inputs += [p.rail0 for p in self.input_ports]
+        inputs += self.extra_inputs
+        inputs += [n for n in (ack_in, phase_net) if n is not None]
         gates = self.gates
-        self.net_count = 1 + max(
-            chain(
-                inputs,
-                map(itemgetter(0), self.const_nets),
-                map(attrgetter("output"), gates),
-                chain.from_iterable(map(attrgetter("inputs"), gates)),
-                map(attrgetter("rail1"), self.output_ports),
-                map(attrgetter("rail0"), self.output_ports),
-            ),
-            default=-1,
-        )
+        try:
+            self.primary_inputs = frozenset(inputs)
+            self.net_count = 1 + max(
+                chain(
+                    self.primary_inputs,
+                    map(itemgetter(0), self.const_nets),
+                    map(attrgetter("output"), gates),
+                    chain.from_iterable(map(attrgetter("inputs"), gates)),
+                    map(attrgetter("rail1"), self.output_ports),
+                    map(attrgetter("rail0"), self.output_ports),
+                ),
+                default=-1,
+            )
+        except TypeError:
+            self.primary_inputs, self.net_count = _int_nets(self, inputs)
 
     @property
     def ports(self) -> tuple[DualRailPort, ...]:
@@ -431,17 +434,35 @@ def _net_index(netlist: Netlist) -> tuple[dict[int, list[tuple]], dict[int, list
 NET_IDS_PER_DRIVEN_NET = 16
 
 
+def _int_nets(netlist: Netlist, inputs: list) -> tuple[frozenset, int]:
+    """``(primary_inputs, net_count)`` of ``netlist`` over its int net ids alone.
+
+    For a netlist with a net id of another type, which may fail to hash or to
+    compare, or with gate inputs that do not iterate; :func:`validate` names
+    each such field.
+    """
+    nets = [*inputs, *map(itemgetter(0), netlist.const_nets)]
+    for g in netlist.gates:
+        nets.append(g.output)
+        if isinstance(g.inputs, Iterable):
+            nets += g.inputs
+    nets += [r for p in netlist.output_ports for r in (p.rail1, p.rail0)]
+    return (frozenset(n for n in inputs if n.__class__ is int),
+            1 + max((n for n in nets if n.__class__ is int), default=-1))
+
+
 def validate(netlist: Netlist) -> list[Diagnostic]:
     """Structural checks; an empty result means the simulator accepts it.
 
-    First checks the fields: each gate's id, input and output nets are ints
-    (not bools), its kind is a :class:`GateKind` and its reset is 0 or 1, and
-    every port rail, ``ack_out``, ``ack_in``, ``phase_net``, extra input and
-    constant net is an int and every constant level is the int 0 or 1
-    (``Netlist`` keeps the constant pairs as given).  A netlist with a bad field
-    gets only those diagnostics (``BAD_GATE_FIELD``, whose subject is the
-    gate's position in ``netlist.gates``, and ``BAD_NET_FIELD``, which names
-    the field), since the other checks compare and index by these fields.
+    First checks the fields: each gate's inputs are a sequence, its id, input
+    and output nets are ints (not bools), its kind is a :class:`GateKind` and
+    its reset is 0 or 1, and every port rail, ``ack_out``, ``ack_in``,
+    ``phase_net``, extra input and constant net is an int and every constant
+    level is the int 0 or 1 (``Netlist`` keeps the constant pairs as given).
+    A netlist with a bad field gets only those diagnostics
+    (``BAD_GATE_FIELD``, whose subject is the gate's position in
+    ``netlist.gates``, and ``BAD_NET_FIELD``, which names the field), since
+    the other checks compare and index by these fields.
     Then checks that gate ids are exactly ``0..len(gates)-1`` and net ids are
     non-negative and below :data:`NET_IDS_PER_DRIVEN_NET` times the count of
     driven nets (the simulator indexes its tables by them), single
@@ -459,7 +480,6 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
     gates, ports = netlist.gates, netlist.ports
     ids = [g.id for g in gates]
     outputs = [g.output for g in gates]
-    pins = list(chain.from_iterable([g.inputs for g in gates]))
     resets = [g.reset for g in gates]
     rails = [r for p in ports for r in (p.rail1, p.rail0)]
     ack_out, ack_in = netlist.ack_out, netlist.ack_in
@@ -467,8 +487,10 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
     consts = [n for n, _ in netlist.const_nets]
     const_levels = [v for _, v in netlist.const_nets]
     try:
-        # a kind that is not a GateKind fails the lookup (GateKind hashes by identity)
+        # a kind that is not a GateKind fails the lookup (GateKind hashes by
+        # identity), and inputs that are not a sequence fail to iterate
         arities = [ARITY[g.kind] for g in gates]
+        pins = list(chain.from_iterable([g.inputs for g in gates]))
     except (KeyError, TypeError):
         return _check_fields(netlist)
     # Checked by type: a bool, or a float equal to an int, passes every
@@ -564,8 +586,11 @@ def _check_fields(netlist: Netlist) -> list[Diagnostic]:
     for i, g in enumerate(netlist.gates):
         fields = [("id", g.id, g.id.__class__ is int, "an int"),
                   ("kind", g.kind, g.kind.__class__ is GateKind, "a GateKind")]
-        fields += [(f"inputs[{slot}]", n, n.__class__ is int, "an int")
-                   for slot, n in enumerate(g.inputs)]
+        if isinstance(g.inputs, Iterable):
+            fields += [(f"inputs[{slot}]", n, n.__class__ is int, "an int")
+                       for slot, n in enumerate(g.inputs)]
+        else:
+            fields.append(("inputs", g.inputs, False, "a sequence of ints"))
         fields += [("output", g.output, g.output.__class__ is int, "an int"),
                    ("reset", g.reset, g.reset.__class__ is int and g.reset in (0, 1), "0 or 1")]
         for name, value, ok, want in fields:

@@ -45,8 +45,8 @@ Pending events are kept under one of two disciplines, picked once per
 Both apply the same events in the same order, so the trace,
 :attr:`SimState.ack_edges`, :attr:`SimState.port_events`, the clock, the
 return value and the ``max_time`` error are the same;
-``tests/test_tick_queue.py`` (equal delays) and ``tests/test_batch_queue.py``
-(unequal delays) compare the batches with the heap call by call.
+``tests/test_queue_disciplines.py`` compares the batches, filed per gate and
+as one list, with the heap call by call.
 
 Gates are evaluated by count: each gate keeps the number of its input pins
 at level 1 (a net tied to two pins counts twice), and its output is the
@@ -744,7 +744,12 @@ def write_trace_vcd(netlist: Netlist, trace: Iterable[tuple], stream: IO[str]) -
     net_names = netlist.meta.get("net_names", {})
     if not isinstance(net_names, dict):
         raise ValueError(f"meta.net_names must be an object, got {type(net_names).__name__}")
-    names = {int(k): v for k, v in net_names.items()}
+    names = {}
+    for key, name in net_names.items():
+        try:
+            names[int(key)] = name
+        except (TypeError, ValueError):
+            raise ValueError(f"meta.net_names key {key!r} is not a net id") from None
     for p in netlist.ports:
         names.setdefault(p.rail1, f"{p.name}.t")
         names.setdefault(p.rail0, f"{p.name}.f")

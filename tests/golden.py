@@ -2,7 +2,8 @@
 
 Each digest or table here was computed on an earlier commit and must not
 change: a change to the engine, the writer or the reader that moves one of
-them changes observable behaviour.  Nothing here imports pytest or
+them changes observable behaviour.  The netlists and oracles that more than
+one test module uses live here too.  Nothing here imports pytest or
 hypothesis, so ``python tests/smoke.py`` can check them on an interpreter
 without either.
 """
@@ -17,9 +18,9 @@ from contextlib import contextmanager
 
 from qdimul import cells
 from qdimul.cells import FullAdderKind
-from qdimul.harness import Harness
+from qdimul.harness import Harness, scan_port_changes
 from qdimul.multiplier import MultiplierSpec, generate
-from qdimul.netlist import GateKind, ParseError, Protocol, deserialize, serialize
+from qdimul.netlist import DualRailValue, GateKind, ParseError, Protocol, deserialize, serialize
 from qdimul.sim import DelayModel
 from qdimul.verify import default_pairs, inject_fork_skew, narrow_completion, swap_port_rails
 
@@ -146,6 +147,16 @@ def legacy_wide_trace_digest() -> str:
 
 # Pinned on the writer that sent the whole document through json.dumps.
 GOLDEN_SERIALIZE_SHA256 = "beac8371ae6bb9d2dd09bea86f303cbbf5bb99f9c357cce58b67f6cbcbb2c409"
+
+
+def port_rule_ok(netlist, reset_levels, report):
+    """Each port sees exactly one data codeword then one spacer, nothing else."""
+    for points in scan_port_changes(netlist, reset_levels, report.trace).values():
+        if len(points) != 2:
+            return False
+        if points[0][1].bit is None or points[1][1] is not DualRailValue.SPACER:
+            return False
+    return True
 
 
 def fork_skewed(netlist, stages=16):

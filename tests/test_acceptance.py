@@ -16,17 +16,13 @@ from operator import itemgetter
 
 import pytest
 
+import golden
 from qdimul.cells import FullAdderKind, make_and2_strong, make_full_adder
 from qdimul.cli import main as cli_main
-from qdimul.harness import (
-    Harness,
-    IllegalOutputError,
-    StuckPhaseError,
-    scan_port_changes,
-)
+from qdimul.harness import Harness, IllegalOutputError, StuckPhaseError
 from qdimul.metrics import compare, measure
 from qdimul.multiplier import MultiplierSpec, generate, structure_stats
-from qdimul.netlist import DualRailValue, Protocol, decode, dualize, encode
+from qdimul.netlist import Protocol, decode, dualize, encode
 from qdimul.sim import DelayModel, NonQuiescentError, reset
 from qdimul.verify import (
     check_functional,
@@ -80,16 +76,6 @@ def net_rule_ok(report):
     return True
 
 
-def port_rule_ok(netlist, reset_levels, report):
-    # each port sees exactly one data codeword then one spacer, nothing else
-    for points in scan_port_changes(netlist, reset_levels, report.trace).values():
-        if len(points) != 2:
-            return False
-        if points[0][1].bit is None or points[1][1] is not DualRailValue.SPACER:
-            return False
-    return True
-
-
 @pytest.fixture(scope="module")
 def bulk():
     tallies = {}
@@ -114,7 +100,7 @@ def bulk():
                         tally.cycles += 1
                         if r.product != a * b:
                             tally.product_errors += 1
-                        if not port_rule_ok(nl, reset_levels, r):
+                        if not golden.port_rule_ok(nl, reset_levels, r):
                             tally.port_errors += 1
                         if not net_rule_ok(r):
                             tally.net_errors += 1

@@ -229,6 +229,20 @@ def test_sim_vcd_with_net_names_not_an_object_is_a_usage_error(tmp_path, capsys,
     assert err.startswith("qdimul: error: meta.net_names ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key", ["x", "1.5"])
+def test_sim_vcd_with_a_net_names_key_that_is_no_net_id_is_a_usage_error(tmp_path, capsys, key):
+    path = gen_netlist(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["meta"]["net_names"] = {"0": "a0.t", key: "k"}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "--netlist", str(path), "--a", "1", "--b", "3",
+              "--trace", str(tmp_path / "t.vcd"), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"qdimul: error: meta.net_names key {key!r} is not a net id\n"
+
+
 def test_verify_green_exit_zero(tmp_path, capsys):
     path = gen_netlist(tmp_path)
     code, out, _ = run_main(

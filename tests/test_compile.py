@@ -112,8 +112,11 @@ def _reference_gate_fields(nl):
     for i, g in enumerate(nl.gates):
         fields = [("id", g.id, g.id.__class__ is int, "an int"),
                   ("kind", g.kind, g.kind.__class__ is GateKind, "a GateKind")]
-        fields += [(f"inputs[{slot}]", n, n.__class__ is int, "an int")
-                   for slot, n in enumerate(g.inputs)]
+        if hasattr(g.inputs, "__iter__"):
+            fields += [(f"inputs[{slot}]", n, n.__class__ is int, "an int")
+                       for slot, n in enumerate(g.inputs)]
+        else:
+            fields.append(("inputs", g.inputs, False, "a sequence of ints"))
         fields += [("output", g.output, g.output.__class__ is int, "an int"),
                    ("reset", g.reset, g.reset.__class__ is int and g.reset in (0, 1), "0 or 1")]
         for name, value, ok, want in fields:
@@ -337,16 +340,9 @@ def test_most_corruptions_make_a_netlist():
 
 
 def test_no_corruption_makes_validate_raise():
-    checked = 0
     for name, build in CORRUPTED.items():
-        try:
-            nl = build()
-        except TypeError:  # the constructor takes the largest net id
-            continue
-        assert validate(nl), name
+        assert validate(build()), name
         assert reference_validate(build()), name
-        checked += 1
-    assert checked >= 20
 
 
 @pytest.mark.parametrize("name", list(CORRUPTED))

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import golden
 import qdimul.harness as harness_mod
 from qdimul.harness import (
     HANDSHAKE_ERRORS,
@@ -48,8 +49,7 @@ from qdimul.verify import (
     sample_pairs,
     swap_port_rails,
 )
-from test_acceptance import port_rule_ok
-from test_batch_queue import force
+from test_queue_disciplines import force
 
 
 def test_cycle_report_is_a_frozen_value():
@@ -498,7 +498,7 @@ def _port_verdicts(stage, models, pairs):
             except HANDSHAKE_ERRORS:
                 harness = Harness(stage, dm)  # the failed cycle may have left events
                 continue
-            yield r, port_rule_ok(stage, levels, r)
+            yield r, golden.port_rule_ok(stage, levels, r)
 
 
 @pytest.fixture
@@ -583,7 +583,7 @@ def test_port_rule_count_matches_the_scan(protocol, data):
         now[net] ^= 1
         events.append((t, net, now[net], ENV))
     assert now == levels
-    ok = port_rule_ok(stage, levels, SimpleNamespace(trace=events))
+    ok = golden.port_rule_ok(stage, levels, SimpleNamespace(trace=events))
     assert harness._stage.keeps_port_rule(events) == ok
     illegal = _illegal_points(scan_port_changes(stage, levels, events))
     if illegal:
@@ -619,7 +619,7 @@ def _outcome(harness, a, b, traced):
         return type(exc).__name__, str(exc)
 
 
-def _same_as_a_fresh_copy(netlist, dm, batched, steps):
+def _same_as_a_fresh_copy(netlist, dm, discipline, steps):
     """Run ``steps`` ``(a, b, traced)`` on ``netlist`` and traced on a fresh copy.
 
     The copy has no cycle record, and traced cycles never read one, so the
@@ -631,7 +631,7 @@ def _same_as_a_fresh_copy(netlist, dm, batched, steps):
 
     def harnesses(copy):
         h = Harness(netlist, dm)
-        h.state = force(Counting(netlist, dm), batched)
+        h.state = force(Counting(netlist, dm), discipline)
         states.append(h.state)
         return h, Harness(copy, dm)
 
@@ -652,11 +652,11 @@ RECORD_MODELS = (DelayModel.unit(), DelayModel.random_per_gate(1, 20, seed=5),
                  DelayModel.random_per_gate(1, 20, seed=6))
 
 
-@pytest.mark.parametrize("batched", [False, True], ids=["heap", "batches"])
+@pytest.mark.parametrize("discipline", ["heap", "per_gate"], ids=["heap", "batches"])
 @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
 @pytest.mark.parametrize("kind", list(FullAdderKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("n", [2, 4, 8])
-def test_recorded_cycles_equal_a_fresh_simulation(n, kind, protocol, batched):
+def test_recorded_cycles_equal_a_fresh_simulation(n, kind, protocol, discipline):
     stage = generate(MultiplierSpec(n, kind, protocol))
     p, q, r, s = sample_pairs(n, 4, seed=n)
     # misses, hits, a traced cycle after hits, a pair first seen traced (not
@@ -664,10 +664,10 @@ def test_recorded_cycles_equal_a_fresh_simulation(n, kind, protocol, batched):
     steps = [(*p, False), (*q, False), (*p, False), (*q, True), (*r, False), (*p, False),
              (*r, True), (*s, True), (*s, False), (*s, False), (*q, False), (*p, True)]
     for dm in RECORD_MODELS:
-        assert _same_as_a_fresh_copy(stage, dm, batched, steps) == 2 * 8
-        assert _same_as_a_fresh_copy(stage, dm, batched, steps) == 2 * 4
+        assert _same_as_a_fresh_copy(stage, dm, discipline, steps) == 2 * 8
+        assert _same_as_a_fresh_copy(stage, dm, discipline, steps) == 2 * 4
         # an equal model shares the record
-        assert _same_as_a_fresh_copy(stage, dataclasses.replace(dm), batched, steps) == 2 * 4
+        assert _same_as_a_fresh_copy(stage, dataclasses.replace(dm), discipline, steps) == 2 * 4
 
 
 @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
@@ -679,7 +679,7 @@ def test_recorded_port_faults_and_raised_cycles_equal_a_fresh_simulation(protoco
     for dm in RECORD_MODELS[:2]:
         # simulated: the first untraced (1, 1) and (1, 3), every traced
         # cycle and every (0, 0), which raises and is never recorded
-        assert _same_as_a_fresh_copy(stage, dm, False, steps) == 2 * (2 + 6 + 4)
+        assert _same_as_a_fresh_copy(stage, dm, "heap", steps) == 2 * (2 + 6 + 4)
         record = stage._memo["harness.cycles"][dm]
         assert sorted(record) == [(1, 1), (1, 3)]
         assert all(rep.port_fault for rep in record.values())

@@ -1,6 +1,7 @@
 """Core IR: encodings, gate semantics, validation, duality, JSON round trips."""
 
 import dataclasses
+import io
 import itertools
 import json
 
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import golden
 from qdimul import verify
+from qdimul.harness import HANDSHAKE_ERRORS, Harness
 from qdimul.multiplier import MultiplierSpec, generate
 from qdimul.netlist import (
     ARITY,
@@ -32,7 +34,7 @@ from qdimul.netlist import (
     serialize,
     validate,
 )
-from qdimul.sim import reset
+from qdimul.sim import reset, write_trace_vcd
 
 # Frozen oracle: rail pairs (rail1, rail0) per protocol.  DATA1 carries the
 # one on the rail whose active level matches the protocol; spacer is both
@@ -293,7 +295,8 @@ def test_validate_bounds_net_ids_by_the_count_of_driven_nets():
 
 
 @pytest.mark.parametrize("field, value", [("id", 0.0), ("id", False), ("kind", "c2"),
-                                          ("inputs", (0, True)), ("output", 4.0), ("reset", 2)])
+                                          ("inputs", (0, True)), ("output", 4.0), ("reset", 2),
+                                          ("inputs", (0, "7")), ("inputs", None)])
 def test_validate_flags_a_gate_field_of_the_wrong_type(field, value):
     nl = small_and_netlist()
     gates = (dataclasses.replace(nl.gates[0], **{field: value}), *nl.gates[1:])
@@ -327,9 +330,16 @@ def _first_output(stage, **rails):
                                                    *s.const_nets[1:]]}),
     ("const_nets[0][0]", lambda s: {"const_nets": [(float(s.const_nets[0][0]), s.const_nets[0][1]),
                                                    *s.const_nets[1:]]}),
+    # neither hashed nor compared with the int net ids
+    ("const_nets[0][0]", lambda s: {"const_nets": [(str(s.const_nets[0][0]), s.const_nets[0][1]),
+                                                   *s.const_nets[1:]]}),
+    ("extra_inputs[0]", lambda s: {"extra_inputs": ("7",)}),
+    ("extra_inputs[0]", lambda s: {"extra_inputs": (None,)}),
+    ("extra_inputs[0]", lambda s: {"extra_inputs": ([7],)}),
 ], ids=["ack_out-float", "ack_out-str", "ack_in", "phase_net", "rail0", "rail1", "extra_input",
         "const_level", "const_level-bool", "const_level-float", "const_net-float",
-        "const_net-whole-float"])
+        "const_net-whole-float", "const_net-str", "extra_input-str", "extra_input-none",
+        "extra_input-list"])
 def test_validate_flags_a_net_field_of_the_wrong_type(field, change):
     stage = generate(MultiplierSpec(2))
     bad = verify._mutated(stage, "bad-field", **change(stage))
@@ -604,7 +614,11 @@ def mutated_texts(draw):
 
 
 def _load_outcome(text):
-    """A mutated document must give a netlist, a ParseError or an InvalidNetlistError."""
+    """A mutated document must give a netlist, a ParseError or an InvalidNetlistError.
+
+    A valid one must then reset, run one traced handshake and write its trace
+    as VCD, or refuse with one of ``HANDSHAKE_ERRORS`` or a ``ValueError``.
+    """
     try:
         nl = deserialize(text)
     except ParseError:
@@ -615,6 +629,13 @@ def _load_outcome(text):
     except InvalidNetlistError:
         return "invalid"
     assert deserialize(serialize(nl)) == nl
+    try:
+        h = Harness(nl)
+        top = (1 << h.n) - 1
+        report = h.run_cycle(top, top, want_trace=True)
+        write_trace_vcd(nl, report.trace, io.StringIO())
+    except (*HANDSHAKE_ERRORS, ValueError):
+        return "refused"
     return "valid"
 
 

@@ -4,6 +4,7 @@ import inspect
 import io
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,7 +35,7 @@ from qdimul.sim import (
     write_trace_csv,
     write_trace_vcd,
 )
-from test_tick_queue import force_heap
+from test_queue_disciplines import force
 
 
 def chain_netlist(length=3, kind=GateKind.OR2):
@@ -344,17 +345,12 @@ def test_take_trace_drains():
 
 
 def loop_state(netlist, loop):
-    """A fresh state on the heap or on the batches, under equal delays ("tick")
-    or unequal ones ("batch"), through the private selectors."""
+    """A fresh state on the heap or on the batches, under equal delays ("tick",
+    one list per timestamp) or unequal ones ("batch", filed per gate)."""
     if loop == "tick":
-        state = reset(netlist)
-        assert state._step == 1 and state._batched
-        return state
+        return force(reset(netlist), "one_list")
     state = reset(netlist, DelayModel.random_per_gate(1, 20, seed=3))
-    if loop == "heap":
-        return force_heap(state)
-    state._step, state._batched = None, True
-    return state
+    return force(state, "heap" if loop == "heap" else "per_gate")
 
 
 @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
@@ -638,3 +634,12 @@ def test_vcd_export_contains_declarations_and_changes():
     assert "$dumpvars" in text
     assert "#0" in text
     assert f"1n{x}" in text
+
+
+@pytest.mark.parametrize("key", ["x", "1.5", None])
+def test_vcd_export_names_a_net_names_key_that_is_no_net_id(key):
+    nl, _, _ = chain_netlist(length=2)
+    named = Netlist(nl.protocol, nl.gates, nl.input_ports, nl.output_ports,
+                    meta={"net_names": {"0": "x", key: "k"}})
+    with pytest.raises(ValueError, match=rf"^meta\.net_names key {re.escape(repr(key))} is not"):
+        write_trace_vcd(named, [], io.StringIO())
