@@ -254,12 +254,19 @@ _TEXT_FIELDS = {"design", "protocol", "fa_kind"}
 
 
 def _metrics_row(raw, where: str) -> StageMetrics:
-    """A stored bench row as :class:`StageMetrics`, its normalisation dropped."""
+    """A stored bench row as :class:`StageMetrics`, its normalisation dropped.
+
+    A number must be a finite float or an int no larger: JSON's ``NaN``,
+    ``Infinity`` and ``1e400`` parse as floats, and ``1e400`` written out
+    in digits as an int that no float holds.
+    """
     if not isinstance(raw, dict):
         raise UsageError(f"{where}: expected an object")
     raw = {k: v for k, v in raw.items() if k != "pctp_normalized"}
     for k, v in raw.items():
-        if isinstance(v, bool) or not isinstance(v, str if k in _TEXT_FIELDS else (int, float)):
+        if (isinstance(v, bool) or not isinstance(v, str if k in _TEXT_FIELDS else (int, float))
+                # NaN fails every comparison, so test <= and negate
+                or (k not in _TEXT_FIELDS and not abs(v) <= sys.float_info.max)):
             raise UsageError(f"{where}: bad value {v!r} for {k!r}")
     try:
         return StageMetrics(**raw)

@@ -56,7 +56,7 @@ from __future__ import annotations
 import csv
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import itemgetter
 from statistics import fmean
@@ -110,29 +110,6 @@ class CycleReport:
     #: How the cycle broke the port rule, or None (see the module docstring).
     #: Out of ``repr``, equality and hashing: ``tests/golden.py`` digests reprs.
     port_fault: str | None = field(default=None, repr=False, compare=False)
-
-    def __init__(self, a: int, b: int, product: int, forward: int, reverse: int, cycle: int,
-                 transitions: int, data_start: int, spacer_start: int, end: int,
-                 trace: Trace | None = None, port_fault: str | None = None) -> None:
-        # Each slot's own setter, as for netlist.Gate: the generated frozen
-        # __init__ calls object.__setattr__ per field.
-        _SET_A(self, a)
-        _SET_B(self, b)
-        _SET_PRODUCT(self, product)
-        _SET_FORWARD(self, forward)
-        _SET_REVERSE(self, reverse)
-        _SET_CYCLE(self, cycle)
-        _SET_TRANSITIONS(self, transitions)
-        _SET_DATA_START(self, data_start)
-        _SET_SPACER_START(self, spacer_start)
-        _SET_END(self, end)
-        _SET_TRACE(self, trace)
-        _SET_PORT_FAULT(self, port_fault)
-
-
-(_SET_A, _SET_B, _SET_PRODUCT, _SET_FORWARD, _SET_REVERSE, _SET_CYCLE, _SET_TRANSITIONS,
- _SET_DATA_START, _SET_SPACER_START, _SET_END, _SET_TRACE, _SET_PORT_FAULT) = (
-    CycleReport.__dict__[f.name].__set__ for f in fields(CycleReport))
 
 
 @dataclass(frozen=True)
@@ -275,11 +252,13 @@ def _illegal_points(changes: dict[str, list[tuple[int, DualRailValue]]]) -> list
 
 
 class _Stage:
-    """What a :class:`Harness` needs from one stage, built once per netlist.
+    """How a stage is driven and judged, built once per netlist.
 
     The environment's events per operand port and bit (``(net, level)``
     pairs, rail1 then rail0), the spacer phase's events, and the tables of
-    the end-of-cycle checks and the port rule.  Nothing here is mutated
+    the end-of-cycle checks and the port rule.  Two users share it: the
+    :class:`Harness`'s cycles and ``verify.check_stage_indication``, which
+    withholds one operand port's events at a time.  Nothing here is mutated
     after construction.
     """
 

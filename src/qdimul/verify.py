@@ -42,6 +42,7 @@ from .harness import (
     HANDSHAKE_ERRORS,
     Harness,
     CycleReport,
+    _Stage,
     drive,
     scan_port_changes,  # unused here; bench/tracing.py wraps this module's copy
     stage_ports,
@@ -348,7 +349,10 @@ def check_stage_indication(
     For every operand port and a handful of operand values the stage runs,
     under unit delays, with that one dual-rail bit held at spacer; ``ack_out`` must stay
     released.  Supplying the bit must then complete the handshake with the
-    correct product, and a full spacer must restore the reset state.
+    correct product, and a full spacer must restore the reset state.  The
+    stage is driven and judged through the harness's ``_Stage`` tables: the
+    phase net with every other port's codeword events, then the withheld
+    port's, then the spacer phase's events.
 
     The scenarios of one operand value usually settle in one and the same
     state once the withheld bit arrives, and the spacer phase is a pure
@@ -363,10 +367,8 @@ def check_stage_indication(
     a_ports, b_ports, out_ports = stage_ports(netlist)
     ports = (*a_ports, *b_ports)
     n = len(a_ports)
-    proto = netlist.protocol
-    active, spacer = proto.active_level, proto.spacer_level
+    active, spacer = netlist.protocol.active_level, netlist.protocol.spacer_level
     ack = netlist.ack_out
-    reset_levels = netlist.reset_levels()
     limit = 1 << n
     rng = random.Random(seed)
     values = [(limit - 1, limit - 1)]
@@ -379,42 +381,46 @@ def check_stage_indication(
             stim = {"a": a, "b": b, "withheld": withheld.name}
             word = a | b << n  # bit i goes to ports[i]
             st = reset(netlist)
-            st.set_primary(netlist.phase_net, active)
-            drive(st, ports[:k] + ports[k + 1:],
-                  [word >> i & 1 for i in range(len(ports)) if i != k])
+            # the harness's tables, reached once reset has validated the netlist
+            stage: _Stage = netlist._derived("harness.stage", _Stage)
+            events = [codewords[word >> i & 1]
+                      for i, codewords in enumerate((*stage.a_events, *stage.b_events))]
+            st.set_primaries([stage.phase_active,
+                              *itertools.chain.from_iterable(events[:k] + events[k + 1:])])
             st.run_until_quiescent()
-            if st.levels[ack] != spacer:
+            levels = st.levels  # the engine updates this list in place
+            if levels[ack] != spacer:
                 return _fail(name, netlist, stim, None,
                              f"completion asserted with {withheld.name} withheld",
                              "ack_out released until every input bit arrives",
                              scenarios, st.trace)
-            if all(st.read_port(p) is not DualRailValue.SPACER for p in out_ports):
+            if all(stage.decode[2 * levels[r1] + levels[r0]] is not DualRailValue.SPACER
+                   for r1, r0 in stage.out_rails):
                 return _fail(name, netlist, stim, None,
                              f"every product bit completed with {withheld.name} withheld",
                              "at least one product bit still at spacer",
                              scenarios, st.trace)
-            drive(st, (withheld,), (word >> k & 1,))
+            st.set_primaries(events[k])
             st.run_until_quiescent()
-            if st.levels[ack] != active:
+            if levels[ack] != active:
                 return _fail(name, netlist, stim, None, "completion missing with all inputs",
                              "ack_out asserted", scenarios, st.trace)
             product = 0
-            for i, p in enumerate(out_ports):
-                v = st.read_port(p).bit
+            for i, (r1, r0) in enumerate(stage.out_rails):
+                v = stage.bit_of[2 * levels[r1] + levels[r0]]
                 if v is None:
-                    return _fail(name, netlist, stim, None, f"port {p.name} incomplete",
+                    return _fail(name, netlist, stim, None, f"port {out_ports[i].name} incomplete",
                                  "all products at codewords", scenarios, st.trace)
                 product |= v << i
             if product != a * b:
                 return _fail(name, netlist, stim, None, f"product {product}",
                              f"product {a * b}", scenarios, st.trace)
             seen = settled.setdefault((a, b), [])
-            if st.levels not in seen:
-                before = st.levels.copy()
-                st.set_primary(netlist.phase_net, spacer)
-                drive(st, ports, [None] * len(ports))
+            if levels not in seen:
+                before = levels.copy()
+                st.set_primaries(stage.spacer_events)
                 st.run_until_quiescent()
-                if st.levels != reset_levels:
+                if levels != stage.reset_levels:
                     return _fail(name, netlist, stim, None, "stage did not return to reset",
                                  "exact reset state after a full cycle", scenarios, st.trace)
                 seen.append(before)

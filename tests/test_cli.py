@@ -388,6 +388,34 @@ def test_report_rejects_malformed_artifacts(tmp_path, capsys):
         assert str(path) in capsys.readouterr().err, name
 
 
+@pytest.fixture(scope="module")
+def bench_row(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bench") / "good.json"
+    assert main(["bench", "--n", "2", "--samples", "4", "--json", "--out", str(path)]) == 0
+    return json.loads(path.read_text())["rows"][0]
+
+
+# A JSON number no float holds, and how the refusal shows it.
+NON_FINITE = {"nan": ("NaN", "nan"), "inf": ("Infinity", "inf"), "-inf": ("-Infinity", "-inf"),
+              "1e400": ("1e400", "inf"), "int_1e400": ("1" + "0" * 400, "1" + "0" * 400)}
+
+
+@pytest.mark.parametrize("field", ["pctp", "cycle_mean"])
+@pytest.mark.parametrize("token,shown", NON_FINITE.values(), ids=NON_FINITE)
+def test_report_refuses_non_finite_numbers(tmp_path, capsys, bench_row, field, token, shown):
+    # json.load parses the first four as floats and the last as an int; the
+    # report must neither print them nor fail converting the int to a float
+    text = json.dumps({"rows": [bench_row, {**bench_row, field: "HOLE"}]})
+    path = tmp_path / "row.json"
+    path.write_text(text.replace('"HOLE"', token))
+    with pytest.raises(SystemExit) as exc:
+        main(["report", str(path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip() == f"qdimul: error: {path}: rows[1]: bad value {shown} for {field!r}"
+
+
 def test_installed_entry_point_version():
     proc = subprocess.run([sys.executable, "-m", "qdimul.cli", "--version"],
                           capture_output=True, text=True)

@@ -619,32 +619,46 @@ def _outcome(harness, a, b, traced):
         return type(exc).__name__, str(exc)
 
 
-def _same_as_a_fresh_copy(netlist, dm, discipline, steps):
-    """Run ``steps`` ``(a, b, traced)`` on ``netlist`` and traced on a fresh copy.
+def _fresh_outcomes(netlist, dm, steps):
+    """Each step's outcome on a fresh copy of ``netlist``, every cycle traced.
 
     The copy has no cycle record, and traced cycles never read one, so the
-    copy simulates every cycle.  Each outcome must match, field by field,
-    the trace too where one was asked for.  Returns the engine calls made
-    on ``netlist``.
+    copy simulates every cycle.  A failed cycle may leave the stage
+    mid-handshake, so the next step runs in a new harness.
+    """
+    copy = deserialize(serialize(netlist))
+    ref, outcomes = Harness(copy, dm), []
+    for a, b, _traced in steps:
+        outcomes.append(_outcome(ref, a, b, True))
+        if not isinstance(outcomes[-1], CycleReport):
+            ref = Harness(copy, dm)
+    return outcomes
+
+
+def _same_as_a_fresh_copy(netlist, dm, discipline, steps, fresh):
+    """Run ``steps`` ``(a, b, traced)`` on ``netlist`` against ``fresh``, their
+    :func:`_fresh_outcomes`.
+
+    Each outcome must match, field by field, the trace too where one was
+    asked for.  Returns the engine calls made on ``netlist``.
     """
     states = []
 
-    def harnesses(copy):
+    def harness():
         h = Harness(netlist, dm)
         h.state = force(Counting(netlist, dm), discipline)
         states.append(h.state)
-        return h, Harness(copy, dm)
+        return h
 
-    h, ref = harnesses(deserialize(serialize(netlist)))
-    for a, b, traced in steps:
-        got, want = _outcome(h, a, b, traced), _outcome(ref, a, b, True)
+    h = harness()
+    for (a, b, traced), want in zip(steps, fresh, strict=True):
+        got = _outcome(h, a, b, traced)
         if isinstance(want, CycleReport):
             assert _fields(got) == _fields(want)
             assert got.trace == (want.trace if traced else None)
         else:
             assert got == want
-            # a failed cycle may leave the stage mid-handshake
-            h, ref = harnesses(ref.netlist)
+            h = harness()  # a failed cycle may leave the stage mid-handshake
     return sum(state.calls for state in states)
 
 
@@ -664,10 +678,12 @@ def test_recorded_cycles_equal_a_fresh_simulation(n, kind, protocol, discipline)
     steps = [(*p, False), (*q, False), (*p, False), (*q, True), (*r, False), (*p, False),
              (*r, True), (*s, True), (*s, False), (*s, False), (*q, False), (*p, True)]
     for dm in RECORD_MODELS:
-        assert _same_as_a_fresh_copy(stage, dm, discipline, steps) == 2 * 8
-        assert _same_as_a_fresh_copy(stage, dm, discipline, steps) == 2 * 4
+        fresh = _fresh_outcomes(stage, dm, steps)
+        assert _same_as_a_fresh_copy(stage, dm, discipline, steps, fresh) == 2 * 8
+        assert _same_as_a_fresh_copy(stage, dm, discipline, steps, fresh) == 2 * 4
         # an equal model shares the record
-        assert _same_as_a_fresh_copy(stage, dataclasses.replace(dm), discipline, steps) == 2 * 4
+        equal = dataclasses.replace(dm)
+        assert _same_as_a_fresh_copy(stage, equal, discipline, steps, fresh) == 2 * 4
 
 
 @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
@@ -679,7 +695,8 @@ def test_recorded_port_faults_and_raised_cycles_equal_a_fresh_simulation(protoco
     for dm in RECORD_MODELS[:2]:
         # simulated: the first untraced (1, 1) and (1, 3), every traced
         # cycle and every (0, 0), which raises and is never recorded
-        assert _same_as_a_fresh_copy(stage, dm, "heap", steps) == 2 * (2 + 6 + 4)
+        fresh = _fresh_outcomes(stage, dm, steps)
+        assert _same_as_a_fresh_copy(stage, dm, "heap", steps, fresh) == 2 * (2 + 6 + 4)
         record = stage._memo["harness.cycles"][dm]
         assert sorted(record) == [(1, 1), (1, 3)]
         assert all(rep.port_fault for rep in record.values())

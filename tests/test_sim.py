@@ -344,19 +344,18 @@ def test_take_trace_drains():
     assert events and st_.trace == []
 
 
-def loop_state(netlist, loop):
-    """A fresh state on the heap or on the batches, under equal delays ("tick",
-    one list per timestamp) or unequal ones ("batch", filed per gate)."""
-    if loop == "tick":
+def loop_state(netlist, discipline):
+    """A fresh state on ``discipline`` (``force``'s names): ``one_list`` under
+    unit delays, the heap or ``per_gate`` under random ones."""
+    if discipline == "one_list":
         return force(reset(netlist), "one_list")
-    state = reset(netlist, DelayModel.random_per_gate(1, 20, seed=3))
-    return force(state, "heap" if loop == "heap" else "per_gate")
+    return force(reset(netlist, DelayModel.random_per_gate(1, 20, seed=3)), discipline)
 
 
 @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
 @pytest.mark.parametrize("shared", [None, "ack_out", "ack_in"])
-@pytest.mark.parametrize("loop", ["heap", "tick", "batch"])
-def test_port_events_are_the_trace_on_port_rails(loop, shared, protocol):
+@pytest.mark.parametrize("discipline", ["heap", "one_list", "per_gate"])
+def test_port_events_are_the_trace_on_port_rails(discipline, shared, protocol):
     nl = generate(MultiplierSpec(2, protocol=protocol))
     if shared is not None:  # an extra port whose true rail is an acknowledge net
         extra = DualRailPort("K", getattr(nl, shared), nl.output_ports[0].rail0, "out")
@@ -365,7 +364,7 @@ def test_port_events_are_the_trace_on_port_rails(loop, shared, protocol):
                      phase_net=nl.phase_net, extra_inputs=nl.extra_inputs, meta=nl.meta)
     rails = {r for p in nl.ports for r in (p.rail1, p.rail0)}
     active, spacer = protocol.active_level, protocol.spacer_level
-    st_ = loop_state(nl, loop)
+    st_ = loop_state(nl, discipline)
 
     def on_rails():
         return [e for e in st_.trace if e[1] in rails]

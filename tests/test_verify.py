@@ -18,8 +18,8 @@ from qdimul.cells import (
 from qdimul.cli import main
 from qdimul.harness import CycleReport, Harness, drive, stage_ports
 from qdimul.multiplier import MultiplierSpec, generate
-from qdimul.netlist import (DualRailValue, Gate, GateKind, Netlist, NetlistBuilder, Protocol,
-                            dualize, serialize)
+from qdimul.netlist import (DualRailValue, Gate, GateKind, InvalidNetlistError, Netlist,
+                            NetlistBuilder, Protocol, dualize, serialize)
 from qdimul.sim import ENV, DelayModel, reset
 from qdimul.verify import (
     CheckOutcome,
@@ -329,6 +329,37 @@ def test_stage_indication_equals_running_every_spacer_phase(n, kind, protocol):
     # the order latch, and from 4 bits on the product latches, fail a
     # scenario after one that passed
     assert late_failures >= 2 + (n > 2)
+
+
+# How the driver of P0's true rail is broken, and what validation says of it.
+INVALID_P0_DRIVERS = {
+    "duplicate_id": (dict(id=7), "DUPLICATE_GATE_ID: gate id 7 is used by 2 gates"),
+    "arity": (dict(inputs=(10,)), "ARITY_MISMATCH: gate 8 (c2) has 1 inputs, expects 2"),
+    "reset_2": (dict(reset=2), "BAD_GATE_FIELD: gates[8].reset is 2, expected 0 or 1"),
+    "negative_output": (dict(output=-1),
+                        "NEGATIVE_NET_ID: net id -1 is negative; UNCONNECTED_INPUT: gate 52 "
+                        "input 0 reads undriven net 18; UNCONNECTED_INPUT: port 'P0' rail1 "
+                        "dangles on undriven net 18"),
+}
+
+
+@pytest.mark.parametrize("change,message", INVALID_P0_DRIVERS.values(), ids=INVALID_P0_DRIVERS)
+def test_stage_indication_refuses_an_invalid_stage_before_building_its_tables(mult2, change,
+                                                                              message):
+    # a product rail's driver: with a reset of 2 the stage tables would index
+    # past the decode table, so validation must come first
+    g = mult2.gates[mult2.net(mult2.output_ports[0].rail1).driver_gate]
+    assert (g.id, g.inputs, g.output) == (8, (10, 14), 18)
+    fields = {"id": g.id, "kind": g.kind, "inputs": g.inputs, "output": g.output,
+              "reset": g.reset, **change}
+    gates = [Gate(**fields) if other is g else other for other in mult2.gates]
+    broken = Netlist(mult2.protocol, gates, mult2.input_ports, mult2.output_ports,
+                     ack_out=mult2.ack_out, ack_in=mult2.ack_in, const_nets=mult2.const_nets,
+                     phase_net=mult2.phase_net, extra_inputs=mult2.extra_inputs,
+                     meta=mult2.meta)
+    with pytest.raises(InvalidNetlistError) as err:
+        check_stage_indication(broken)
+    assert str(err.value) == message
 
 
 def test_weak_indication_dispatches_to_stage_check(mult2):
