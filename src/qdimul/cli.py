@@ -187,7 +187,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     netlist = _load_netlist(args.netlist)
     battery = verify_mod.BATTERY
-    names = args.checks.split(",") if args.checks else list(battery)
+    names = list(battery) if args.checks is None else args.checks.split(",")
     for name in names:
         if name not in battery:
             raise UsageError(f"unknown check {name!r} (have {', '.join(battery)})")

@@ -256,9 +256,11 @@ class _Stage:
 
     The environment's events per operand port and bit (``(net, level)``
     pairs, rail1 then rail0), the spacer phase's events, and the tables of
-    the end-of-cycle checks and the port rule.  Two users share it: the
-    :class:`Harness`'s cycles and ``verify.check_stage_indication``, which
-    withholds one operand port's events at a time.  Nothing here is mutated
+    the end-of-cycle checks and the port rule.  Three users share it: the
+    :class:`Harness`'s cycles, ``verify.check_stage_indication``'s serial
+    loop, which withholds one operand port's events at a time, and its
+    settled-state lanes (``verify._first_failing_lane``), which build every
+    scenario's lane words from the same events.  Nothing here is mutated
     after construction.
     """
 

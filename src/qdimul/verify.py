@@ -8,6 +8,14 @@ under unit delays except :func:`check_delay_insensitivity`, which adds
 ``random_per_gate(1, 20, seed)`` models, and every run is bounded by the
 engine's ``DEFAULT_GUARD``.  A handshake that fails with one of
 :data:`~qdimul.harness.HANDSHAKE_ERRORS` is a failing outcome, not an error.
+A check given no stimulus (an empty ``pairs`` or ``reports``) raises
+``ValueError`` rather than pass on 0 scenarios.
+
+Every check simulates its scenarios on the event engine except
+:func:`check_stage_indication`, which first decides all of its scenarios at
+once from settled states (:mod:`qdimul.settle`, one lane per scenario) and
+runs the engine only from the lowest failing scenario on, for the
+counterexample, or from the first when the lanes cannot decide.
 
 The module also ships three netlist mutators used as negative controls:
 :func:`swap_port_rails` (corrupts function), :func:`narrow_completion`
@@ -59,6 +67,7 @@ from .netlist import (
     Netlist,
     dualize,
 )
+from .settle import NotSettleableError, lane_plan
 from .sim import DelayModel, reset
 
 TRACE_TAIL = 24
@@ -128,6 +137,14 @@ def _require_counts(samples: int, seeds: Iterable[int] | int = 0) -> None:
         raise ValueError(f"seeds must be at least 0, got {seeds}")
 
 
+def _listed(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """``pairs`` as a list; refuse an empty one, on which a check would pass vacuously."""
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("pairs must hold at least one operand pair")
+    return pairs
+
+
 def _corners(limit: int) -> list[tuple[int, int]]:
     return [(0, 0), (limit - 1, limit - 1), (1, limit - 1), (limit - 1, 1)]
 
@@ -177,7 +194,7 @@ def check_functional(
     name = "functional"
     _require_counts(samples)
     harness = Harness(netlist)
-    pairs = default_pairs(harness.n, samples, seed) if pairs is None else list(pairs)
+    pairs = default_pairs(harness.n, samples, seed) if pairs is None else _listed(pairs)
     done = 0
     for a, b in pairs:
         try:
@@ -346,88 +363,185 @@ def check_stage_indication(
 ) -> CheckOutcome:
     """Completion must not assert while any single operand bit is withheld.
 
-    For every operand port and a handful of operand values the stage runs,
-    under unit delays, with that one dual-rail bit held at spacer; ``ack_out`` must stay
-    released.  Supplying the bit must then complete the handshake with the
-    correct product, and a full spacer must restore the reset state.  The
-    stage is driven and judged through the harness's ``_Stage`` tables: the
-    phase net with every other port's codeword events, then the withheld
-    port's, then the spacer phase's events.
+    For every operand port and a handful of operand values (the all-ones
+    pair, then ``extra_values`` seeded random pairs) the stage runs, under
+    unit delays, with that one dual-rail bit held at spacer: ``ack_out``
+    must stay released and some product bit must stay at spacer.  Supplying
+    the bit must then complete the handshake with the correct product, and
+    a full spacer must restore the reset state.  Scenario ``k * V + v``
+    withholds port k (the ``a`` ports, then the ``b`` ports) under value v
+    of V.  A negative ``extra_values`` raises ``ValueError``.
 
-    The scenarios of one operand value usually settle in one and the same
-    state once the withheld bit arrives, and the spacer phase is a pure
-    function of that state (the engine is deterministic and time-invariant).
-    So the spacer phase runs once per settled state: a scenario that settles
-    where an earlier one with its operands did is counted without it.  Only
-    the first scenario to reach a state can fail there, and the check
-    returns at that scenario, so outcomes, counts and counterexamples are
-    those of running every spacer phase.
+    How it is decided.  Where :mod:`qdimul.settle`'s precondition holds,
+    each scenario is one lane and three settles decide every scenario at
+    once: the data phase without the withheld bits, then the withheld bits
+    with the ``ack_in`` flip, then the spacer phase with the flip back.
+    Each yields failure words for the six ways a scenario fails (completion
+    asserted with a bit withheld, every product bit completed with one
+    withheld, completion missing with all inputs, a product port
+    incomplete, a wrong product, no return to reset).  If no lane fails,
+    the check passes without simulating.  Otherwise the serial loop below
+    runs from the lowest failing lane, with the scenarios before it counted
+    as passed, so the message, count and counterexample trace are the
+    engine's.  It runs from scenario 0 when the plan is refused or a flip
+    moves a net in a lane that has not failed.
+
+    The serial loop drives the stage through the harness's ``_Stage``
+    tables: the phase net with every other port's codeword events, then the
+    withheld port's, then the spacer phase's events.  The scenarios of one
+    operand value usually settle in one and the same state once the
+    withheld bit arrives, and the spacer phase is a pure function of that
+    state (the engine is deterministic and time-invariant).  So the spacer
+    phase runs once per settled state: a scenario that settles where an
+    earlier one with its operands did is counted without it.  Only the first
+    scenario to reach a state can fail there, and the loop returns at that
+    scenario, so outcomes, counts and counterexamples are those of running
+    every spacer phase.
     """
+    if extra_values < 0:
+        raise ValueError(f"extra_values must be at least 0, got {extra_values}")
     name = "stage_indication"
     a_ports, b_ports, out_ports = stage_ports(netlist)
     ports = (*a_ports, *b_ports)
     n = len(a_ports)
-    active, spacer = netlist.protocol.active_level, netlist.protocol.spacer_level
-    ack = netlist.ack_out
     limit = 1 << n
     rng = random.Random(seed)
     values = [(limit - 1, limit - 1)]
     values += [(rng.randrange(limit), rng.randrange(limit)) for _ in range(extra_values)]
+    reset(netlist)  # validates the netlist before its tables are built
+    stage: _Stage = netlist._derived("harness.stage", _Stage)
+    try:
+        start = _first_failing_lane(netlist, stage, values)
+    except NotSettleableError:
+        start = 0
+    if start is None:
+        scenarios = len(ports) * len(values)
+        return CheckOutcome(name, True,
+                            f"ack_out waits for every operand bit ({scenarios} scenarios)",
+                            scenarios)
+
+    active, spacer = netlist.protocol.active_level, netlist.protocol.spacer_level
+    ack = netlist.ack_out
     # (a, b) -> the settled states whose spacer phase has restored the reset state
     settled: dict[tuple[int, int], list[list[int]]] = {}
-    scenarios = 0
-    for k, withheld in enumerate(ports):
-        for a, b in values:
-            stim = {"a": a, "b": b, "withheld": withheld.name}
-            word = a | b << n  # bit i goes to ports[i]
-            st = reset(netlist)
-            # the harness's tables, reached once reset has validated the netlist
-            stage: _Stage = netlist._derived("harness.stage", _Stage)
-            events = [codewords[word >> i & 1]
-                      for i, codewords in enumerate((*stage.a_events, *stage.b_events))]
-            st.set_primaries([stage.phase_active,
-                              *itertools.chain.from_iterable(events[:k] + events[k + 1:])])
+    scenarios = start
+    every_scenario = [(k, p, a, b) for k, p in enumerate(ports) for a, b in values]
+    for k, withheld, a, b in every_scenario[start:]:
+        stim = {"a": a, "b": b, "withheld": withheld.name}
+        word = a | b << n  # bit i goes to ports[i]
+        st = reset(netlist)
+        events = [codewords[word >> i & 1]
+                  for i, codewords in enumerate((*stage.a_events, *stage.b_events))]
+        st.set_primaries([stage.phase_active,
+                          *itertools.chain.from_iterable(events[:k] + events[k + 1:])])
+        st.run_until_quiescent()
+        levels = st.levels  # the engine updates this list in place
+        if levels[ack] != spacer:
+            return _fail(name, netlist, stim, None,
+                         f"completion asserted with {withheld.name} withheld",
+                         "ack_out released until every input bit arrives",
+                         scenarios, st.trace)
+        if all(stage.decode[2 * levels[r1] + levels[r0]] is not DualRailValue.SPACER
+               for r1, r0 in stage.out_rails):
+            return _fail(name, netlist, stim, None,
+                         f"every product bit completed with {withheld.name} withheld",
+                         "at least one product bit still at spacer",
+                         scenarios, st.trace)
+        st.set_primaries(events[k])
+        st.run_until_quiescent()
+        if levels[ack] != active:
+            return _fail(name, netlist, stim, None, "completion missing with all inputs",
+                         "ack_out asserted", scenarios, st.trace)
+        product = 0
+        for i, (r1, r0) in enumerate(stage.out_rails):
+            v = stage.bit_of[2 * levels[r1] + levels[r0]]
+            if v is None:
+                return _fail(name, netlist, stim, None, f"port {out_ports[i].name} incomplete",
+                             "all products at codewords", scenarios, st.trace)
+            product |= v << i
+        if product != a * b:
+            return _fail(name, netlist, stim, None, f"product {product}",
+                         f"product {a * b}", scenarios, st.trace)
+        seen = settled.setdefault((a, b), [])
+        if levels not in seen:
+            before = levels.copy()
+            st.set_primaries(stage.spacer_events)
             st.run_until_quiescent()
-            levels = st.levels  # the engine updates this list in place
-            if levels[ack] != spacer:
-                return _fail(name, netlist, stim, None,
-                             f"completion asserted with {withheld.name} withheld",
-                             "ack_out released until every input bit arrives",
-                             scenarios, st.trace)
-            if all(stage.decode[2 * levels[r1] + levels[r0]] is not DualRailValue.SPACER
-                   for r1, r0 in stage.out_rails):
-                return _fail(name, netlist, stim, None,
-                             f"every product bit completed with {withheld.name} withheld",
-                             "at least one product bit still at spacer",
-                             scenarios, st.trace)
-            st.set_primaries(events[k])
-            st.run_until_quiescent()
-            if levels[ack] != active:
-                return _fail(name, netlist, stim, None, "completion missing with all inputs",
-                             "ack_out asserted", scenarios, st.trace)
-            product = 0
-            for i, (r1, r0) in enumerate(stage.out_rails):
-                v = stage.bit_of[2 * levels[r1] + levels[r0]]
-                if v is None:
-                    return _fail(name, netlist, stim, None, f"port {out_ports[i].name} incomplete",
-                                 "all products at codewords", scenarios, st.trace)
-                product |= v << i
-            if product != a * b:
-                return _fail(name, netlist, stim, None, f"product {product}",
-                             f"product {a * b}", scenarios, st.trace)
-            seen = settled.setdefault((a, b), [])
-            if levels not in seen:
-                before = levels.copy()
-                st.set_primaries(stage.spacer_events)
-                st.run_until_quiescent()
-                if levels != stage.reset_levels:
-                    return _fail(name, netlist, stim, None, "stage did not return to reset",
-                                 "exact reset state after a full cycle", scenarios, st.trace)
-                seen.append(before)
-            scenarios += 1
+            if levels != stage.reset_levels:
+                return _fail(name, netlist, stim, None, "stage did not return to reset",
+                             "exact reset state after a full cycle", scenarios, st.trace)
+            seen.append(before)
+        scenarios += 1
     return CheckOutcome(name, True,
                         f"ack_out waits for every operand bit ({scenarios} scenarios)",
                         scenarios)
+
+
+def _first_failing_lane(netlist: Netlist, stage: _Stage,
+                        values: Sequence[tuple[int, int]]) -> int | None:
+    """The scenario :func:`check_stage_indication`'s serial loop must start at.
+
+    None when every scenario passes.  Lane ``k * len(values) + v`` is the
+    scenario that withholds operand port k under ``values[v]``.  Raises
+    :class:`~qdimul.settle.NotSettleableError` for a netlist the lane plan
+    refuses.
+    """
+    plan = lane_plan(netlist)
+    width = len(values)
+    codewords = (*stage.a_events, *stage.b_events)
+    full = (1 << len(codewords) * width) - 1
+    every_port = sum(1 << k * width for k in range(len(codewords)))  # lane 0 of each port
+
+    def lanes(bits: Iterable[int]) -> int:
+        """The lanes, under every withheld port, of the values whose bit is set."""
+        return sum(bit << v for v, bit in enumerate(bits)) * every_port
+
+    reset_words = [full * level for level in stage.reset_levels]
+    words = reset_words.copy()
+    spacer = full * netlist.protocol.spacer_level
+    n = len(stage.a_events)
+    operands = [a | b << n for a, b in values]
+    # data phase: every operand rail but the withheld port's takes its codeword
+    driven = []
+    for i, (zero, one) in enumerate(codewords):
+        ones = lanes(word >> i & 1 for word in operands)
+        withheld = ((1 << width) - 1) << i * width
+        for (net, level0), (_, level1) in zip(zero, one):
+            word = (full * level1 & ones) | (full * level0 & ~ones)
+            driven.append((net, word))
+            words[net] = (word & ~withheld) | (words[net] & withheld)
+    net, level = stage.phase_active
+    words[net] = full * level
+    plan.settle(words)
+    ack = netlist.ack_out
+    failed = words[ack] ^ spacer  # completion asserted with a bit withheld
+    complete = full
+    for r1, r0 in stage.out_rails:
+        complete &= (words[r1] ^ spacer) | (words[r0] ^ spacer)
+    failed |= complete  # every product bit completed with a bit withheld
+
+    for net, word in driven:  # the withheld bits arrive
+        words[net] = word
+    plan.settle(words)
+    failed |= words[ack] ^ spacer ^ full  # completion missing with all inputs
+    products = [a * b for a, b in values]
+    for i, (r1, r0) in enumerate(stage.out_rails):
+        failed |= words[r1] ^ words[r0] ^ full  # a product port incomplete
+        # a codeword's true rail is off spacer exactly for bit 1
+        failed |= words[r1] ^ spacer ^ lanes(p >> i & 1 for p in products)  # a wrong product
+    failed |= lanes(p >> len(stage.out_rails) != 0 for p in products)  # wider than the ports
+    moved = plan.flip(words, full)
+
+    for net, level in stage.spacer_events:
+        words[net] = full * level
+    plan.settle(words)
+    moved |= plan.flip(words, full)
+    for word, reset_word in zip(words, reset_words):
+        failed |= word ^ reset_word  # no return to reset
+
+    if moved & ~failed:
+        return 0
+    return (failed & -failed).bit_length() - 1 if failed else None
 
 
 # -- monotonicity / hazards ------------------------------------------------
@@ -498,6 +612,8 @@ def check_monotonicity(netlist: Netlist, reports: Sequence[CycleReport]) -> Chec
     is walked event by event, to report its first violation.
     """
     name = "monotonicity"
+    if not reports:
+        raise ValueError("reports must hold at least one cycle report")
     merge = netlist._derived("verify.merge_gates", _merge_gates)
     scenarios = 0
     for idx, r in enumerate(reports):
@@ -552,7 +668,7 @@ def check_delay_insensitivity(
     name = "delay_insensitivity"
     _require_counts(samples, seeds)
     pairs = (sample_pairs(len(stage_ports(netlist)[0]), samples, seed) if pairs is None
-             else list(pairs))
+             else _listed(pairs))
     if isinstance(seeds, int):
         seeds = range(seeds)
     models = [DelayModel.unit()]
@@ -613,7 +729,7 @@ def check_duality(
         return _fail(name, netlist, {}, None, "double flip changed the netlist",
                      "polarity flip is an involution", 0)
     pairs = (sample_pairs(len(stage_ports(netlist)[0]), samples, seed) if pairs is None
-             else list(pairs))
+             else _listed(pairs))
     h1 = Harness(netlist)
     h2 = Harness(dual)
     scenarios = 0
@@ -666,7 +782,7 @@ def check_race_immunity(
     name = "race_immunity"
     _require_counts(samples)
     harness = Harness(netlist)
-    pairs = sample_pairs(harness.n, samples, seed) if pairs is None else list(pairs)
+    pairs = sample_pairs(harness.n, samples, seed) if pairs is None else _listed(pairs)
     stim = {"pairs": pairs, "gap": _RACE_GAP}
     try:
         result = harness.run_burst(pairs, gap=_RACE_GAP)

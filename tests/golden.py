@@ -11,13 +11,17 @@ without either.
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import json
+import os
 import random
-from contextlib import contextmanager
+import tempfile
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
-from qdimul import cells
+from qdimul import cells, verify
 from qdimul.cells import FullAdderKind
+from qdimul.cli import main
 from qdimul.harness import Harness, scan_port_changes
 from qdimul.multiplier import MultiplierSpec, generate
 from qdimul.netlist import DualRailValue, GateKind, ParseError, Protocol, deserialize, serialize
@@ -141,6 +145,76 @@ def wide_trace_digest() -> str:
 def legacy_wide_trace_digest() -> str:
     with legacy_draws():
         return wide_trace_digest()
+
+
+# -- the checkers --------------------------------------------------------------
+
+# sha256 over the repr of every outcome outcome_digest() computes, pinned
+# before the checkers' drivers were merged and re-pinned when the cell
+# checks began to drive ack_in (only the register banks' weak verdicts
+# changed), and again when a random model began to draw from one seeded
+# stream (under legacy_draws() it is the digest before), and again when
+# small stages began to sample their pairs through sample_pairs (with the
+# old default_pairs(...)[:samples] slice it is the digest before); any
+# change to a verdict, detail, scenario count, counterexample or trace tail
+# changes it.
+GOLDEN_OUTCOME_SHA256 = "b1b0215844d98cf657060c00d843061e520b40f87383b7210fa0be4141b64789"
+
+#: Two 2x2 cycles and their reverse, which catch the fork-skew control.
+BURST_PAIRS = [(1, 0), (0, 1), (1, 0), (0, 1)]
+
+
+def _cells(protocol):
+    yield cells.make_and2_strong(protocol)
+    for kind in FullAdderKind:
+        yield cells.make_full_adder(kind, protocol)
+    yield cells.make_register_bank(2, protocol)
+    yield cells.make_completion_detector(2, protocol)
+    yield cells.make_constant_source(1, protocol)
+
+
+def _outcome(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        return exc
+
+
+def outcome_digest() -> str:
+    """Every cell's indication verdicts, the battery on every 2x2 and 4x4 stage,
+    the negative controls and ``qdimul verify --json`` on a 2x2 stage."""
+    h = hashlib.sha256()
+    for protocol in Protocol:
+        for cell in _cells(protocol):
+            for check in (verify.check_strong_indication, verify.check_weak_indication):
+                h.update(repr(_outcome(check, cell.netlist)).encode())
+    for n in (2, 4):
+        for kind in FullAdderKind:
+            for protocol in Protocol:
+                nl = generate(MultiplierSpec(n, kind, protocol))
+                h.update(repr(verify.run_all_checks(nl)).encode())
+                h.update(repr(verify.check_weak_indication(nl)).encode())
+    mult2 = generate(MultiplierSpec(n=2))
+    majority = generate(MultiplierSpec(n=4, fa_kind=FullAdderKind.MAJORITY_CONTROL))
+    controls = [
+        verify.check_functional(swap_port_rails(mult2)),
+        verify.check_stage_indication(narrow_completion(mult2), seed=3),
+        verify.check_race_immunity(fork_skewed(mult2), pairs=BURST_PAIRS),
+        verify.check_monotonicity(majority,
+                                  [Harness(majority).run_cycle(3, 7, want_trace=True)]),
+    ]
+    h.update(repr(controls).encode())
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "stage.json")
+        with open(path, "w") as f:
+            f.write(serialize(mult2))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", "--netlist", path, "--json", "--seed", "5"])
+    if code != 0:
+        return f"qdimul verify exited {code}"
+    h.update((out.getvalue() + err.getvalue()).replace(path, "<netlist>").encode())
+    return h.hexdigest()
 
 
 # -- the writer ----------------------------------------------------------------

@@ -6,10 +6,11 @@ Checks the golden trace digests (unit and random delays, and a uniform
 delay table, at n = 2 and 4; 8x8 sequences and bursts and fork-skew pulses,
 which run unequal delays on the per-timestamp batch loop), the two random
 ones again with delays drawn as before one seeded stream per model (so the
-engine is pinned apart from the draws), the golden serialize digest and
-the reader's error for each corruption in the parse-error corpus, all
-from ``tests/golden.py``.  Prints one line per check and exits 1 if any
-differs.
+engine is pinned apart from the draws), the checker outcome digest (which
+pins stage indication's settled-state lanes as well as its serial loop),
+the golden serialize digest and the reader's error for each corruption in
+the parse-error corpus, all from ``tests/golden.py``.  Prints one line per
+check and exits 1 if any differs.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ def main() -> int:
          golden.LEGACY_DRAW_TRACE_SHA256),
         ("wide trace digest, legacy draws", golden.legacy_wide_trace_digest,
          golden.LEGACY_DRAW_TRACE_WIDE_SHA256),
+        ("checker outcome digest", golden.outcome_digest, golden.GOLDEN_OUTCOME_SHA256),
         ("serialize digest", golden.serialize_digest, golden.GOLDEN_SERIALIZE_SHA256),
         ("parse-error corpus", golden.parse_errors, golden.GOLDEN_PARSE_ERRORS),
     )

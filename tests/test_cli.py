@@ -304,6 +304,18 @@ def test_verify_unknown_check(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("checks", ["", ","])
+def test_verify_an_empty_check_name_is_unknown(tmp_path, capsys, checks):
+    # an empty --checks names no check; it does not mean the whole battery
+    path = gen_netlist(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--netlist", str(path), "--checks", checks])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unknown check ''" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--samples", "0"], "argument --samples: must be at least 1, got 0"),
     (["--samples", "-5"], "argument --samples: must be at least 1, got -5"),

@@ -1,31 +1,34 @@
 """Property checkers: positives on healthy designs, negatives on controls."""
 
-import hashlib
+import dataclasses
 import json
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import golden
+
 from qdimul.cells import (
     FullAdderKind,
     make_and2_strong,
-    make_completion_detector,
-    make_constant_source,
     make_full_adder,
     make_register_bank,
 )
 from qdimul.cli import main
-from qdimul.harness import CycleReport, Harness, drive, stage_ports
+from qdimul.harness import CycleReport, Harness, _Stage, drive, stage_ports
 from qdimul.multiplier import MultiplierSpec, generate
 from qdimul.netlist import (DualRailValue, Gate, GateKind, InvalidNetlistError, Netlist,
-                            NetlistBuilder, Protocol, dualize, serialize)
-from qdimul.sim import ENV, DelayModel, reset
+                            NetlistBuilder, Protocol, dualize)
+from qdimul.settle import NotSettleableError, lane_plan
+from qdimul.sim import ENV, DelayModel, SimState, reset
 from qdimul.verify import (
     CheckOutcome,
     _acts_once,
     _fail,
+    _first_failing_lane,
     _merge_gates,
+    _mutated,
     check_delay_insensitivity,
     check_duality,
     check_functional,
@@ -42,7 +45,7 @@ from qdimul.verify import (
     swap_port_rails,
 )
 
-BURST_PAIRS = [(1, 0), (0, 1), (1, 0), (0, 1)]
+BURST_PAIRS = golden.BURST_PAIRS
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +159,32 @@ def test_a_negative_seed_count_is_refused(mult2, check):
     with pytest.raises(ValueError, match="seeds must be at least 0, got -3"):
         check(mult2, seeds=-3)
     assert check_delay_insensitivity(mult2, seeds=0, samples=2).stats["models"] == 1
+
+
+# a check over no stimulus would pass on 0 scenarios, so each refuses it
+NO_STIMULUS = {
+    "functional": (lambda nl: check_functional(nl, pairs=[]), "pairs"),
+    "functional_generator": (lambda nl: check_functional(nl, pairs=iter(())), "pairs"),
+    "duality": (lambda nl: check_duality(nl, pairs=[]), "pairs"),
+    "race_immunity": (lambda nl: check_race_immunity(nl, pairs=[]), "pairs"),
+    "delay_insensitivity": (lambda nl: check_delay_insensitivity(nl, pairs=[]), "pairs"),
+    "monotonicity": (lambda nl: check_monotonicity(nl, []), "reports"),
+}
+
+
+@pytest.mark.parametrize("case", NO_STIMULUS.values(), ids=NO_STIMULUS)
+def test_an_empty_stimulus_is_refused(mult2, case):
+    check, what = case
+    with pytest.raises(ValueError, match=f"^{what} must hold at least one"):
+        check(mult2)
+
+
+@pytest.mark.parametrize("extra_values", [-1, -5])
+def test_stage_indication_refuses_a_negative_value_count(mult2, extra_values):
+    with pytest.raises(ValueError,
+                       match=f"extra_values must be at least 0, got {extra_values}"):
+        check_stage_indication(mult2, extra_values=extra_values)
+    assert check_stage_indication(mult2, extra_values=0).scenarios == 4
 
 
 def test_functional_passes_on_healthy_design(mult2):
@@ -279,10 +308,7 @@ def _latched(stage, bit):
     c, w, g = stage.net_count, stage.net_count + 1, len(stage.gates)
     spacer = stage.protocol.spacer_level
     latch = [Gate(g, GateKind.C2, (rail, w), c, spacer), Gate(g + 1, merge, (rail, c), w, spacer)]
-    return Netlist(stage.protocol, [*stage.gates, *latch], stage.input_ports,
-                   stage.output_ports, ack_out=stage.ack_out, ack_in=stage.ack_in,
-                   const_nets=stage.const_nets, phase_net=stage.phase_net,
-                   extra_inputs=stage.extra_inputs, meta=stage.meta)
+    return _mutated(stage, f"latched_{bit}", gates=[*stage.gates, *latch])
 
 
 def _order_latch(stage):
@@ -305,30 +331,128 @@ def _order_latch(stage):
              Gate(g + 3, GateKind.AND2, (a0.rail1, nb), d, 0),
              Gate(g + 4, GateKind.C2, (d, w), c, 0),
              Gate(g + 5, GateKind.OR2, (d, c), w, 0)]
-    return Netlist(stage.protocol, [*stage.gates, *latch], stage.input_ports,
-                   stage.output_ports, ack_out=stage.ack_out, ack_in=stage.ack_in,
-                   const_nets=stage.const_nets, phase_net=stage.phase_net,
-                   extra_inputs=stage.extra_inputs, meta=stage.meta)
+    return _mutated(stage, "order_latch", gates=[*stage.gates, *latch])
+
+
+def _first_latch(stage):
+    """The input latch of the stage's first operand rail: a C2 that also reads ``ack_in``."""
+    rail = stage.input_ports[0].rail1
+    return next(g for g in stage.gates if set(g.inputs) == {rail, stage.ack_in})
+
+
+def _buffered_latch(stage):
+    """A stage whose first input latch reads its operand rail through a buffer, a gate output."""
+    latch, rail, buffered = _first_latch(stage), stage.input_ports[0].rail1, stage.net_count
+    gates = [dataclasses.replace(g, inputs=tuple(buffered if n == rail else n for n in g.inputs))
+             if g is latch else g for g in stage.gates]
+    gates.append(Gate(len(gates), GateKind.OR2, (rail, rail), buffered,
+                      stage.protocol.spacer_level))
+    return _mutated(stage, "buffered_latch", gates=gates)
+
+
+def _unlatched(stage):
+    """A stage whose first input latch is an AND2 (RTZ) or OR2 (RTO): the ack_in flip moves it."""
+    latch = _first_latch(stage)
+    kind = GateKind.AND2 if stage.protocol is Protocol.RTZ else GateKind.OR2
+    return _mutated(stage, "unlatched", gates=[dataclasses.replace(g, kind=kind)
+                                               if g is latch else g for g in stage.gates])
+
+
+def _phase_on_ack_in(stage):
+    """A stage whose phase net is its ``ack_in``; the old phase net stays an input."""
+    return _mutated(stage, "phase_on_ack_in", phase_net=stage.ack_in,
+                    extra_inputs=(*stage.extra_inputs, stage.phase_net))
+
+
+def _count_engine_runs(monkeypatch):
+    """A list that grows by one on every ``SimState.run_until_quiescent`` call from now on."""
+    runs = []
+    run = SimState.run_until_quiescent
+
+    def counted(self, *args, **kwargs):
+        runs.append(None)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimState, "run_until_quiescent", counted)
+    return runs
 
 
 @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
 @pytest.mark.parametrize("kind", list(FullAdderKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("n", [2, 4, 8])
-def test_stage_indication_equals_running_every_spacer_phase(n, kind, protocol):
+def test_stage_indication_equals_running_every_spacer_phase(n, kind, protocol, monkeypatch):
     stage = generate(MultiplierSpec(n, kind, protocol))
     designs = [stage, narrow_completion(stage), swap_port_rails(stage),
                _latched(stage, 1), _latched(stage, 2), _order_latch(stage)]
+    # the lane plan takes the stage and the first two controls; a C-element
+    # loop or a NOT gate keeps the others on the serial loop
+    for nl in designs[:3]:
+        lane_plan(nl)
+    for nl, reason in zip(designs[3:], ("CYCLE", "CYCLE", "GATE_KIND")):
+        with pytest.raises(NotSettleableError) as refused:
+            lane_plan(nl)
+        assert refused.value.reason == reason
+    runs = _count_engine_runs(monkeypatch)
     late_failures = 0
     for nl in designs:
         for extra_values, seed in ((2, 0), (1, n)):
             want = _stage_indication_running_every_spacer_phase(nl, extra_values, seed)
+            before = len(runs)
             assert check_stage_indication(nl, extra_values, seed) == want
+            if nl in designs[:3]:
+                # lanes alone pass; a failure re-runs the failing scenario only
+                spent = len(runs) - before
+                assert (spent == 0) if want else (0 < spent <= 3)
             late_failures += not want and want.scenarios > 0
     assert check_stage_indication(stage)
     assert not check_stage_indication(designs[1])
     # the order latch, and from 4 bits on the product latches, fail a
     # scenario after one that passed
     assert late_failures >= 2 + (n > 2)
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+@pytest.mark.parametrize("n", [2, 4])
+def test_stage_indication_off_the_lane_path_equals_running_every_spacer_phase(n, protocol):
+    stage = generate(MultiplierSpec(n, protocol=protocol))
+    buffered, unlatched, shared = (_buffered_latch(stage), _unlatched(stage),
+                                   _phase_on_ack_in(stage))
+    for nl, reason in ((buffered, "ACK_IN_READER"), (shared, "INPUT_RESET")):
+        with pytest.raises(NotSettleableError) as refused:
+            lane_plan(nl)
+        assert refused.value.reason == reason
+    # accepted, but the ack_in flip moves the latch in lanes that pass, so
+    # the serial loop runs from scenario 0
+    lane_plan(unlatched)
+    assert _first_failing_lane(unlatched, unlatched._derived("harness.stage", _Stage),
+                               [(1, 1), (2, 3)]) == 0
+    for nl in (buffered, unlatched, shared):
+        for extra_values, seed in ((2, 0), (1, n)):
+            want = _stage_indication_running_every_spacer_phase(nl, extra_values, seed)
+            assert check_stage_indication(nl, extra_values, seed) == want
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+def test_lane_plan_refuses_a_cell_without_the_stage_handshake(protocol):
+    # a register bank has ack_in but no ack_out for the engine to mirror
+    with pytest.raises(NotSettleableError, match="declares no ack_out") as refused:
+        lane_plan(make_register_bank(2, protocol).netlist)
+    assert refused.value.reason == "HANDSHAKE" and refused.value.code == "NOT_SETTLEABLE"
+
+
+GENERATED = [MultiplierSpec(n, kind, protocol, c3, or4)
+             for n in (2, 3, 4, 8, 16) for kind in FullAdderKind for protocol in Protocol
+             for c3 in (False, True) for or4 in (False, True)]
+
+
+@pytest.mark.parametrize("spec", GENERATED, ids=lambda s: (
+    f"{s.n}-{s.fa_kind.value}-{s.protocol.value}-c3{int(s.c3_as_tree)}-or4{int(s.or4_as_tree)}"))
+def test_every_generated_stage_takes_the_lane_path(spec, monkeypatch):
+    stage = generate(spec)
+    runs = _count_engine_runs(monkeypatch)
+    out = check_stage_indication(stage)
+    assert out and out.scenarios == 2 * spec.n * 3
+    assert not runs
 
 
 # How the driver of P0's true rail is broken, and what validation says of it.
@@ -663,62 +787,5 @@ def test_mutants_keep_their_tags(mult2):
     assert "mutation" in narrow_completion(mult2).meta
 
 
-# sha256 over the repr of every outcome below, pinned before the checkers'
-# drivers were merged and re-pinned when the cell checks began to drive
-# ack_in (only the register banks' weak verdicts changed), and again when a
-# random model began to draw from one seeded stream (under
-# golden.legacy_draws() it is the digest before), and again when small
-# stages began to sample their pairs through sample_pairs (with the old
-# default_pairs(...)[:samples] slice it is the digest before); any change
-# to a verdict, detail, scenario count, counterexample or trace tail
-# changes it.
-GOLDEN_OUTCOME_SHA256 = "b1b0215844d98cf657060c00d843061e520b40f87383b7210fa0be4141b64789"
-
-
-def _cells(protocol):
-    yield make_and2_strong(protocol)
-    for kind in FullAdderKind:
-        yield make_full_adder(kind, protocol)
-    yield make_register_bank(2, protocol)
-    yield make_completion_detector(2, protocol)
-    yield make_constant_source(1, protocol)
-
-
-def _outcome(check, *args, **kwargs):
-    try:
-        return check(*args, **kwargs)
-    except ValueError as exc:
-        return exc
-
-
-def test_golden_outcome_hash(tmp_path, capsys):
-    h = hashlib.sha256()
-    for protocol in Protocol:
-        for cell in _cells(protocol):
-            for check in (check_strong_indication, check_weak_indication):
-                h.update(repr(_outcome(check, cell.netlist)).encode())
-    for n in (2, 4):
-        for kind in FullAdderKind:
-            for protocol in Protocol:
-                nl = generate(MultiplierSpec(n, kind, protocol))
-                h.update(repr(run_all_checks(nl)).encode())
-                h.update(repr(check_weak_indication(nl)).encode())
-    mult2 = generate(MultiplierSpec(n=2))
-    p0 = next(p for p in mult2.output_ports if p.name == "P0")
-    consumer = mult2.net(p0.rail1).driver_gate
-    fork_net = mult2.gate_by_id[consumer].inputs[0]
-    majority = generate(MultiplierSpec(n=4, fa_kind=FullAdderKind.MAJORITY_CONTROL))
-    controls = [
-        check_functional(swap_port_rails(mult2)),
-        check_stage_indication(narrow_completion(mult2), seed=3),
-        check_race_immunity(inject_fork_skew(mult2, fork_net, consumer, stages=16),
-                            pairs=BURST_PAIRS),
-        check_monotonicity(majority, [Harness(majority).run_cycle(3, 7, want_trace=True)]),
-    ]
-    h.update(repr(controls).encode())
-    path = tmp_path / "stage.json"
-    path.write_text(serialize(mult2))
-    assert main(["verify", "--netlist", str(path), "--json", "--seed", "5"]) == 0
-    out = capsys.readouterr()
-    h.update((out.out + out.err).replace(str(path), "<netlist>").encode())
-    assert h.hexdigest() == GOLDEN_OUTCOME_SHA256
+def test_golden_outcome_hash():
+    assert golden.outcome_digest() == golden.GOLDEN_OUTCOME_SHA256
