@@ -252,20 +252,28 @@ def _illegal_points(changes: dict[str, list[tuple[int, DualRailValue]]]) -> list
 
 
 class _Stage:
-    """How a stage is driven and judged, built once per netlist.
+    """How a stage is driven and judged, built once per netlist by :meth:`of`.
 
-    The environment's events per operand port and bit (``(net, level)``
-    pairs, rail1 then rail0), the spacer phase's events, and the tables of
-    the end-of-cycle checks and the port rule.  Three users share it: the
-    :class:`Harness`'s cycles, ``verify.check_stage_indication``'s serial
-    loop, which withholds one operand port's events at a time, and its
-    settled-state lanes (``verify._first_failing_lane``), which build every
-    scenario's lane words from the same events.  Nothing here is mutated
-    after construction.
+    The operand ``a``, operand ``b`` and product ports, the environment's
+    events per operand port and bit (``(net, level)`` pairs, rail1 then
+    rail0), the spacer phase's events, and the tables of the end-of-cycle
+    checks and the port rule.  Three users share it: the :class:`Harness`'s
+    cycles, ``verify.check_stage_indication``'s serial loop, which withholds
+    one operand port's events at a time, and its settled-state lanes
+    (``verify._first_failing_lane``), which build every scenario's lane
+    words from the same events.  Nothing here is mutated after construction.
     """
 
+    @classmethod
+    def of(cls, netlist: Netlist) -> _Stage:
+        """The one checked entry: stage ports, handshake nets, ``validate``, then the tables."""
+        return netlist._derived("harness.stage", cls)
+
     def __init__(self, netlist: Netlist):
-        a_ports, b_ports, out_ports = stage_ports(netlist)
+        self.a_ports, self.b_ports, self.out_ports = stage_ports(netlist)
+        if netlist.ack_out is None or netlist.ack_in is None or netlist.phase_net is None:
+            raise ValueError("harness requires ack_out, ack_in and a phase net")
+        netlist.require_valid()
         protocol = netlist.protocol
         codes = _RTZ_CODES if protocol is _RTZ else _RTO_CODES
 
@@ -273,16 +281,16 @@ class _Stage:
             r1, r0 = codes[bit]
             return (p.rail1, r1), (p.rail0, r0)
 
-        self.a_events = [(events(p, 0), events(p, 1)) for p in a_ports]
-        self.b_events = [(events(p, 0), events(p, 1)) for p in b_ports]
+        self.a_events = [(events(p, 0), events(p, 1)) for p in self.a_ports]
+        self.b_events = [(events(p, 0), events(p, 1)) for p in self.b_ports]
         self.phase_active = (netlist.phase_net, protocol.active_level)
-        self.spacer_events = [e for p in (*a_ports, *b_ports) for e in events(p, None)]
+        self.spacer_events = [e for p in (*self.a_ports, *self.b_ports) for e in events(p, None)]
         self.spacer_events.append((netlist.phase_net, protocol.spacer_level))
 
         self.reset_levels = lv = netlist.reset_levels()
         self.decode = table = netlist.decode_table
         self.bit_of = [v.bit for v in table]
-        self.out_rails = [(p.rail1, p.rail0) for p in out_ports]
+        self.out_rails = [(p.rail1, p.rail0) for p in self.out_ports]
         # each rail's port for the port rule's count, or None (scan every
         # cycle) unless all ports start at SPACER on rails of their own
         rails = [r for p in netlist.ports for r in (p.rail1, p.rail0)]
@@ -313,16 +321,13 @@ class Harness:
     """Drives a generated multiplier stage through handshake cycles."""
 
     def __init__(self, netlist: Netlist, delay_model: DelayModel | None = None):
-        self.a_ports, self.b_ports, self.out_ports = stage_ports(netlist)
-        if netlist.ack_out is None or netlist.ack_in is None or netlist.phase_net is None:
-            raise ValueError("harness requires ack_out, ack_in and a phase net")
+        self._stage = _Stage.of(netlist)
         self.netlist = netlist
         self.state: SimState = reset(netlist, delay_model)
-        self.n = len(self.a_ports)
+        self.n = len(self._stage.a_ports)
         self._ack = netlist.ack_out
         self._active = netlist.protocol.active_level
         self._spacer = netlist.protocol.spacer_level
-        self._stage: _Stage = netlist._derived("harness.stage", _Stage)
         #: the cycle record (module docstring): model -> (a, b) -> report
         self._records: dict[DelayModel, dict[tuple[int, int], CycleReport]] = (
             netlist._derived("harness.cycles", lambda _nl: {}))
@@ -366,7 +371,7 @@ class Harness:
         for i, (r1, r0) in enumerate(stage.out_rails):
             bit = bit_of[2 * levels[r1] + levels[r0]]
             if bit is None:
-                p = self.out_ports[i]
+                p = stage.out_ports[i]
                 if stage.decode[2 * levels[r1] + levels[r0]] is DualRailValue.ILLEGAL:
                     raise IllegalOutputError(f"product port {p.name} decodes ILLEGAL")
                 raise StuckPhaseError(f"product port {p.name} still at spacer after completion")
@@ -384,7 +389,7 @@ class Harness:
         if levels == stage.reset_levels and stage.outs_reset_spacer:
             return
         table = stage.decode
-        for p, (r1, r0) in zip(self.out_ports, stage.out_rails):
+        for p, (r1, r0) in zip(stage.out_ports, stage.out_rails):
             if table[2 * levels[r1] + levels[r0]] is not DualRailValue.SPACER:
                 raise StuckPhaseError(f"port {p.name} failed to return to spacer")
         if levels != stage.reset_levels:

@@ -467,11 +467,11 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
     non-negative and below :data:`NET_IDS_PER_DRIVEN_NET` times the count of
     driven nets (the simulator indexes its tables by them), single
     drivership, gate arity, port connectivity with two distinct rails per
-    port, a driven ``ack_out`` on a net other than ``ack_in`` (the
-    acknowledge would otherwise feed itself back at the same instant), and
-    the absence of combinational cycles.  A cycle is legal only if it passes
-    through a C-element, which is the one place feedback is allowed to hold
-    state.
+    port and no rail shared by two input ports, a driven ``ack_out`` on a
+    net other than ``ack_in`` (the acknowledge would otherwise feed itself
+    back at the same instant), and the absence of combinational cycles.  A
+    cycle is legal only if it passes through a C-element, which is the one
+    place feedback is allowed to hold state.
 
     Each rule is first decided by one test over the whole netlist; only a
     rule whose test fails walks its gates, nets or ports to build its
@@ -548,12 +548,20 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
                                             f"gate {g.id} input {slot} reads undriven net {n}",
                                             (g.id, n)))
 
-    if any(p.rail1 == p.rail0 for p in ports) or not claimed.issuperset(rails):
-        for p in ports:
+    in_rails = 2 * len(netlist.input_ports)  # the first rails are the input ports'
+    if (any(p.rail1 == p.rail0 for p in ports) or not claimed.issuperset(rails)
+            or len(set(rails[:in_rails])) != in_rails):
+        first: dict[int, int] = {}  # each input rail -> the first input port on it
+        for i, p in enumerate(ports):
             if p.rail1 == p.rail0:
                 diags.append(Diagnostic(DiagnosticCode.ALIASED_RAILS,
                                         f"port {p.name!r} uses net {p.rail1} for both rails",
                                         (p.rail1,)))
+            for n in dict.fromkeys((p.rail1, p.rail0)) if 2 * i < in_rails else ():
+                if first.setdefault(n, i) != i:
+                    diags.append(Diagnostic(DiagnosticCode.ALIASED_RAILS,
+                                            f"input ports {ports[first[n]].name!r} and "
+                                            f"{p.name!r} share net {n}", (n,)))
             for rail_name, n in (("rail1", p.rail1), ("rail0", p.rail0)):
                 if n not in claimed:
                     diags.append(Diagnostic(

@@ -370,7 +370,8 @@ def check_stage_indication(
     the bit must then complete the handshake with the correct product, and
     a full spacer must restore the reset state.  Scenario ``k * V + v``
     withholds port k (the ``a`` ports, then the ``b`` ports) under value v
-    of V.  A negative ``extra_values`` raises ``ValueError``.
+    of V.  A negative ``extra_values`` raises ``ValueError``, and a netlist
+    the :class:`Harness` refuses raises what it raises (``_Stage.of``).
 
     How it is decided.  Where :mod:`qdimul.settle`'s precondition holds,
     each scenario is one lane and three settles decide every scenario at
@@ -380,36 +381,26 @@ def check_stage_indication(
     asserted with a bit withheld, every product bit completed with one
     withheld, completion missing with all inputs, a product port
     incomplete, a wrong product, no return to reset).  If no lane fails,
-    the check passes without simulating.  Otherwise the serial loop below
-    runs from the lowest failing lane, with the scenarios before it counted
-    as passed, so the message, count and counterexample trace are the
-    engine's.  It runs from scenario 0 when the plan is refused or a flip
-    moves a net in a lane that has not failed.
+    the check passes without simulating.
 
-    The serial loop drives the stage through the harness's ``_Stage``
-    tables: the phase net with every other port's codeword events, then the
-    withheld port's, then the spacer phase's events.  The scenarios of one
-    operand value usually settle in one and the same state once the
-    withheld bit arrives, and the spacer phase is a pure function of that
-    state (the engine is deterministic and time-invariant).  So the spacer
-    phase runs once per settled state: a scenario that settles where an
-    earlier one with its operands did is counted without it.  Only the first
-    scenario to reach a state can fail there, and the loop returns at that
-    scenario, so outcomes, counts and counterexamples are those of running
-    every spacer phase.
+    The serial loop below has two jobs: explaining the lowest failing
+    lane, and deciding a netlist the lane plan refuses.  It runs each
+    scenario's three phases on the engine through the harness's ``_Stage``
+    tables, from the lowest failing lane (the scenarios before it count as
+    passed), so the message, count and counterexample trace are the
+    engine's; or from scenario 0 when the plan is refused or a flip moves a
+    net in a lane that has not failed.
     """
     if extra_values < 0:
         raise ValueError(f"extra_values must be at least 0, got {extra_values}")
     name = "stage_indication"
-    a_ports, b_ports, out_ports = stage_ports(netlist)
-    ports = (*a_ports, *b_ports)
-    n = len(a_ports)
+    stage = _Stage.of(netlist)
+    ports = (*stage.a_ports, *stage.b_ports)
+    n = len(stage.a_ports)
     limit = 1 << n
     rng = random.Random(seed)
     values = [(limit - 1, limit - 1)]
     values += [(rng.randrange(limit), rng.randrange(limit)) for _ in range(extra_values)]
-    reset(netlist)  # validates the netlist before its tables are built
-    stage: _Stage = netlist._derived("harness.stage", _Stage)
     try:
         start = _first_failing_lane(netlist, stage, values)
     except NotSettleableError:
@@ -422,8 +413,6 @@ def check_stage_indication(
 
     active, spacer = netlist.protocol.active_level, netlist.protocol.spacer_level
     ack = netlist.ack_out
-    # (a, b) -> the settled states whose spacer phase has restored the reset state
-    settled: dict[tuple[int, int], list[list[int]]] = {}
     scenarios = start
     every_scenario = [(k, p, a, b) for k, p in enumerate(ports) for a, b in values]
     for k, withheld, a, b in every_scenario[start:]:
@@ -456,21 +445,18 @@ def check_stage_indication(
         for i, (r1, r0) in enumerate(stage.out_rails):
             v = stage.bit_of[2 * levels[r1] + levels[r0]]
             if v is None:
-                return _fail(name, netlist, stim, None, f"port {out_ports[i].name} incomplete",
+                return _fail(name, netlist, stim, None,
+                             f"port {stage.out_ports[i].name} incomplete",
                              "all products at codewords", scenarios, st.trace)
             product |= v << i
         if product != a * b:
             return _fail(name, netlist, stim, None, f"product {product}",
                          f"product {a * b}", scenarios, st.trace)
-        seen = settled.setdefault((a, b), [])
-        if levels not in seen:
-            before = levels.copy()
-            st.set_primaries(stage.spacer_events)
-            st.run_until_quiescent()
-            if levels != stage.reset_levels:
-                return _fail(name, netlist, stim, None, "stage did not return to reset",
-                             "exact reset state after a full cycle", scenarios, st.trace)
-            seen.append(before)
+        st.set_primaries(stage.spacer_events)
+        st.run_until_quiescent()
+        if levels != stage.reset_levels:
+            return _fail(name, netlist, stim, None, "stage did not return to reset",
+                         "exact reset state after a full cycle", scenarios, st.trace)
         scenarios += 1
     return CheckOutcome(name, True,
                         f"ack_out waits for every operand bit ({scenarios} scenarios)",

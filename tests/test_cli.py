@@ -297,6 +297,19 @@ def test_cell_netlist_is_a_usage_error(tmp_path, capsys, argv):
     assert "not a multiplier stage" in capsys.readouterr().err
 
 
+def test_stage_indication_on_a_stage_without_ack_out_is_a_usage_error(tmp_path, capsys):
+    stage = deserialize(gen_netlist(tmp_path).read_text())
+    path = tmp_path / "no_ack.json"
+    path.write_text(serialize(Netlist(
+        stage.protocol, stage.gates, stage.input_ports, stage.output_ports, None,
+        stage.ack_in, stage.const_nets, stage.phase_net, stage.extra_inputs, stage.meta)))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--netlist", str(path), "--checks", "stage_indication"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "qdimul: error: harness requires ack_out, ack_in and a phase net\n"
+
+
 def test_verify_unknown_check(tmp_path):
     path = gen_netlist(tmp_path)
     with pytest.raises(SystemExit) as exc:

@@ -85,11 +85,17 @@ def reference_validate(nl):
                                         f"gate {g.id} input {slot} reads undriven net {n}",
                                         (g.id, n)))
 
-    for p in nl.ports:
+    for i, p in enumerate(nl.ports):
         if p.rail1 == p.rail0:
             diags.append(Diagnostic(DiagnosticCode.ALIASED_RAILS,
                                     f"port {p.name!r} uses net {p.rail1} for both rails",
                                     (p.rail1,)))
+        for n in (p.rail1,) if p.rail1 == p.rail0 else (p.rail1, p.rail0):
+            earlier = [q for q in nl.input_ports[:i] if n in (q.rail1, q.rail0)]
+            if i < len(nl.input_ports) and earlier:
+                diags.append(Diagnostic(DiagnosticCode.ALIASED_RAILS,
+                                        f"input ports {earlier[0].name!r} and {p.name!r} "
+                                        f"share net {n}", (n,)))
         for rail_name, n in (("rail1", p.rail1), ("rail0", p.rail0)):
             if n not in claimed:
                 diags.append(Diagnostic(
@@ -393,8 +399,9 @@ def nearly_valid_netlists(draw):
         net += 1
     ports = [DualRailPort("x", 0, 1, "in"), DualRailPort("y", net - 1, net - 2, "out")]
     fields = dict(extra_inputs=tuple(range(2, n_inputs)), ack_out=net - 1, ack_in=None)
-    edit = draw(st.sampled_from(["none", "input", "output", "rail", "alias", "ack_dangles",
-                                 "ack_aliased", "ack_in", "negative", "id", "far", "arity"]))
+    edit = draw(st.sampled_from(["none", "input", "output", "rail", "alias", "shared",
+                                 "ack_dangles", "ack_aliased", "ack_in", "negative", "id",
+                                 "far", "arity"]))
     g = draw(st.integers(0, len(gates) - 1))
     old = gates[g]
     any_net = st.integers(-1, net + 1)
@@ -408,6 +415,8 @@ def nearly_valid_netlists(draw):
         ports[1] = DualRailPort("y", draw(any_net), ports[1].rail0, "out")
     elif edit == "alias":
         ports[1] = DualRailPort("y", ports[1].rail0, ports[1].rail0, "out")
+    elif edit == "shared":  # a second input port on one or both of x's rails
+        ports.insert(1, DualRailPort("z", draw(st.integers(0, 1)), 1, "in"))
     elif edit == "ack_dangles":
         fields.update(ack_out=net)
     elif edit == "ack_aliased":  # ack_in is a primary input, so the net is driven
@@ -424,7 +433,7 @@ def nearly_valid_netlists(draw):
                         old.reset)
     elif edit == "arity":
         gates[g] = Gate(old.id, old.kind, old.inputs + (0,), old.output, old.reset)
-    return Netlist(draw(st.sampled_from(list(Protocol))), gates, ports[:1], ports[1:],
+    return Netlist(draw(st.sampled_from(list(Protocol))), gates, ports[:-1], ports[-1:],
                    **fields)
 
 

@@ -43,6 +43,7 @@ from qdimul.netlist import (
 )
 from qdimul.sim import ENV, DelayModel, SimState, reset
 from qdimul.verify import (
+    check_stage_indication,
     default_pairs,
     inject_fork_skew,
     narrow_completion,
@@ -160,6 +161,31 @@ def test_harness_requires_stage_metadata(mult2):
                        extra_inputs=mult2.extra_inputs, meta=meta)
         with pytest.raises(NotAStageError):
             Harness(bare)
+
+
+def _rebuilt(stage, **fields):
+    """``stage`` with some of its constructor fields replaced."""
+    kept = dict(gates=stage.gates, input_ports=stage.input_ports,
+                output_ports=stage.output_ports, ack_out=stage.ack_out, ack_in=stage.ack_in,
+                const_nets=stage.const_nets, phase_net=stage.phase_net,
+                extra_inputs=stage.extra_inputs, meta=stage.meta)
+    return Netlist(stage.protocol, **{**kept, **fields})
+
+
+@pytest.mark.parametrize("run", [Harness, check_stage_indication],
+                         ids=["Harness", "check_stage_indication"])
+def test_stage_users_check_a_stage_in_one_order(mult2, run):
+    # a second driver on a gate output fails validate
+    invalid = dict(extra_inputs=(*mult2.extra_inputs, mult2.gates[0].output))
+    assert _rebuilt(mult2, ack_out=None).validate() == []
+    for fields, error, match in (
+            (dict(meta={}, ack_out=None, **invalid), NotAStageError, "no operand metadata"),
+            (dict(ack_out=None, **invalid), ValueError, "harness requires ack_out"),
+            (dict(ack_out=None), ValueError, "harness requires ack_out"),
+            (invalid, InvalidNetlistError, "MULTIPLE_DRIVERS")):
+        with pytest.raises(ValueError, match=match) as raised:
+            run(_rebuilt(mult2, **fields))
+        assert raised.type is error
 
 
 def test_stuck_phase_when_completion_never_asserts(mult2):

@@ -271,6 +271,21 @@ def test_validate_flags_port_with_one_net_for_both_rails():
     assert codes == {"ALIASED_RAILS"}
 
 
+def test_validate_flags_a_net_used_as_a_rail_by_two_input_ports():
+    # a1's rail0 moved onto a0's; the old net stays an input, so nothing dangles
+    stage = generate(MultiplierSpec(2))
+    a0, a1 = stage.input_ports[:2]
+    moved = dataclasses.replace(a1, rail0=a0.rail0)
+    shared = Netlist(stage.protocol, stage.gates, (a0, moved, *stage.input_ports[2:]),
+                     stage.output_ports, stage.ack_out, stage.ack_in, stage.const_nets,
+                     stage.phase_net, (*stage.extra_inputs, a1.rail0), stage.meta)
+    assert [(d.code.value, d.message, d.subjects) for d in validate(shared)] == [
+        ("ALIASED_RAILS", f"input ports 'a0' and 'a1' share net {a0.rail0}", (a0.rail0,))]
+    for run in (Harness, verify.check_functional, verify.check_stage_indication):
+        with pytest.raises(InvalidNetlistError, match="ALIASED_RAILS"):
+            run(shared)
+
+
 def test_validate_flags_ack_out_on_the_ack_in_net():
     # Simulated, the acknowledge inverter would feed the net back at the
     # same instant forever; validation must refuse it before any engine runs.
