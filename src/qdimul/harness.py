@@ -17,8 +17,10 @@ checkers rely on; :meth:`Harness.run_burst` offers an impatient environment
 run is bounded by the engine's ``DEFAULT_GUARD``, and a cycle that fails
 raises one of :data:`HANDSHAKE_ERRORS`.
 
-Each phase is one :meth:`SimState.set_primaries` call.  Its events come
-from tables built once per stage and kept on the netlist: every operand
+Each phase is one :meth:`SimState.set_primaries` call.  Every environment
+drives ports from one table per netlist, kept on it: each input port's
+``(net, level)`` events for bit 0, bit 1 and the spacer (``_input_events``).
+A stage's phases take their events from it, once per stage: every operand
 port's two codeword event pairs, and the spacer phase's events with the
 phase net.  The end-of-cycle checks decode the product through an int bit
 table and compare the net levels with the reset state first, walking the
@@ -62,7 +64,7 @@ from operator import itemgetter
 from statistics import fmean
 from typing import IO, Iterable, Sequence
 
-from .netlist import DualRailPort, DualRailValue, Netlist, Protocol, encode
+from .netlist import DualRailPort, DualRailValue, Netlist, encode
 from .sim import DelayModel, NonQuiescentError, SimState, Trace, reset
 
 
@@ -133,7 +135,6 @@ class BurstResult:
 
     reports: list[CycleReport]
     trace: Trace
-    windows: list[tuple[int, int, int]]
     illegal: list[tuple[int, str]] = field(default_factory=list)
 
 
@@ -153,46 +154,26 @@ def stage_ports(
         raise NotAStageError(f"malformed stage port metadata: {exc!r}") from None
 
 
-def _codes(protocol: Protocol) -> dict:
-    """``(rail1, rail0)`` levels for bit 0, bit 1 and the spacer (None)."""
-    spacer = protocol.spacer_level
-    return {0: encode(0, protocol), 1: encode(1, protocol), None: (spacer, spacer)}
+#: One input port's ``(net, level)`` events for bit 0, bit 1 and the spacer.
+_PortEvents = tuple[tuple[tuple[int, int], ...], ...]
 
 
-# two names rather than a dict: hashing an Enum member runs Python code, and
-# on Python 3.11 so does reading one off its class
-_RTZ = Protocol.RTZ
-_RTZ_CODES, _RTO_CODES = _codes(Protocol.RTZ), _codes(Protocol.RTO)
+def _input_events(netlist: Netlist) -> tuple[_PortEvents, ...]:
+    """The environment's events on every input port, in ``netlist.input_ports`` order.
 
-
-def drive(
-    state: SimState,
-    ports: Sequence[DualRailPort],
-    bits: Sequence[int | None],
-    t: int | None = None,
-) -> None:
-    """Put the codeword of each bit, or the spacer for None, on its port's rails.
-
-    ``bits[i]`` goes to ``ports[i]``, rail1 then rail0, in one
-    :meth:`SimState.set_primaries` call.  A bad bit, or a count of bits
-    other than the count of ports, raises ``ValueError`` before anything is
-    scheduled.
+    Entry ``i`` holds the ``(net, level)`` events that put bit 0, bit 1 and
+    the spacer on port ``i``, rail1 then rail0: ``entry[bit]`` drives a bit
+    and ``entry[2]`` withdraws it, each in one :meth:`SimState.set_primaries`
+    call.  Built once and kept on the netlist; every environment drives
+    ports from it.
     """
-    codes = _RTZ_CODES if state.netlist.protocol is _RTZ else _RTO_CODES
-    if len(ports) != len(bits):
-        raise ValueError(f"{len(ports)} ports but {len(bits)} bits")
-    events = []
-    i = 0  # an index costs less than zip() for the one port most calls pass
-    for port in ports:
-        bit = bits[i]
-        try:
-            r1, r0 = codes[bit]
-        except (KeyError, TypeError):
-            raise ValueError(f"bit must be 0 or 1, got {bit!r}") from None
-        events.append((port.rail1, r1))
-        events.append((port.rail0, r0))
-        i += 1
-    state.set_primaries(events, t)
+    def build(nl: Netlist) -> tuple[_PortEvents, ...]:
+        spacer = nl.protocol.spacer_level
+        codes = (encode(0, nl.protocol), encode(1, nl.protocol), (spacer, spacer))
+        return tuple(tuple(((p.rail1, r1), (p.rail0, r0)) for r1, r0 in codes)
+                     for p in nl.input_ports)
+
+    return netlist._derived("harness.input_events", build)
 
 
 def _port_masks(netlist: Netlist) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -255,9 +236,10 @@ class _Stage:
     """How a stage is driven and judged, built once per netlist by :meth:`of`.
 
     The operand ``a``, operand ``b`` and product ports, the environment's
-    events per operand port and bit (``(net, level)`` pairs, rail1 then
-    rail0), the spacer phase's events, and the tables of the end-of-cycle
-    checks and the port rule.  Three users share it: the :class:`Harness`'s
+    events per operand port and bit and the spacer phase's events (each
+    port's entries of :func:`_input_events`, the one table every environment
+    drives ports from), and the tables of the end-of-cycle checks and the
+    port rule.  Three users share it: the :class:`Harness`'s
     cycles, ``verify.check_stage_indication``'s serial loop, which withholds
     one operand port's events at a time, and its settled-state lanes
     (``verify._first_failing_lane``), which build every scenario's lane
@@ -275,16 +257,15 @@ class _Stage:
             raise ValueError("harness requires ack_out, ack_in and a phase net")
         netlist.require_valid()
         protocol = netlist.protocol
-        codes = _RTZ_CODES if protocol is _RTZ else _RTO_CODES
-
-        def events(p: DualRailPort, bit: int | None) -> tuple[tuple[int, int], ...]:
-            r1, r0 = codes[bit]
-            return (p.rail1, r1), (p.rail0, r0)
-
-        self.a_events = [(events(p, 0), events(p, 1)) for p in self.a_ports]
-        self.b_events = [(events(p, 0), events(p, 1)) for p in self.b_ports]
+        events = dict(zip(netlist.input_ports, _input_events(netlist)))
+        operands = (*self.a_ports, *self.b_ports)
+        stray = next((p.name for p in operands if p not in events), None)
+        if stray is not None:
+            raise NotAStageError(f"malformed stage port metadata: {stray!r} is not an input port")
+        self.a_events = [events[p][:2] for p in self.a_ports]
+        self.b_events = [events[p][:2] for p in self.b_ports]
         self.phase_active = (netlist.phase_net, protocol.active_level)
-        self.spacer_events = [e for p in (*self.a_ports, *self.b_ports) for e in events(p, None)]
+        self.spacer_events = [e for p in operands for e in events[p][2]]
         self.spacer_events.append((netlist.phase_net, protocol.spacer_level))
 
         self.reset_levels = lv = netlist.reset_levels()
@@ -504,18 +485,22 @@ class Harness:
         trace's events from its data start up to the next cycle's; the last
         cycle takes the rest, and the counts sum to the length of the
         returned trace.  Every pair's operands are checked as in
-        :meth:`run_cycle` before anything is scheduled.
+        :meth:`run_cycle`, and ``gap`` must be an int (not a bool) of at
+        least 0; either fault raises ``ValueError`` before anything is
+        scheduled.
         """
         pairs = list(pairs)
         self._require_operands(pairs)
+        if gap.__class__ is not int or gap < 0:
+            raise ValueError(f"gap must be an int of at least 0, got {gap!r}")
         st = self.state
         if not st.quiescent:
             raise StuckPhaseError("burst started with events still pending")
-        cycles: list[tuple[int, int, int, int]] = []  # (a, b, product, ack edge)
-        windows: list[tuple[int, int, int]] = []
+        # (a, b, product, data start, ack edge, spacer start, end) per cycle
+        cycles: list[tuple[int, ...]] = []
         origin, port_origin = len(st.trace), len(st.port_events)
         for a, b in pairs:
-            t0 = st.clock if not windows else st.clock + gap
+            t0 = st.clock + gap if cycles else st.clock
             self._apply_operands(a, b, t0)
             st.run_until_quiescent(stop_net=self._ack, stop_level=self._active)
             if st.levels[self._ack] != self._active:
@@ -527,14 +512,13 @@ class Harness:
             st.run_until_quiescent(stop_net=self._ack, stop_level=self._spacer)
             if st.levels[self._ack] != self._spacer:
                 raise StuckPhaseError("completion never released during burst")
-            cycles.append((a, b, product, ta))
-            windows.append((t0, t1, st.clock))
+            cycles.append((a, b, product, t0, ta, t1, st.clock))
         st.run_until_quiescent()
         trace = st.trace[origin:]
         illegal = sorted(_illegal_points(scan_port_changes(
             self.netlist, self._stage.reset_levels, st.port_events[port_origin:])))
         st.take_trace()
-        cuts = [bisect_left(trace, t0, key=itemgetter(0)) for t0, _, _ in windows]
+        cuts = [bisect_left(trace, cycle[3], key=itemgetter(0)) for cycle in cycles]
         cuts.append(len(trace))
         reports = [
             CycleReport(
@@ -543,9 +527,9 @@ class Harness:
                 transitions=cuts[k + 1] - cuts[k],
                 data_start=t0, spacer_start=t1, end=tb,
             )
-            for k, ((a, b, product, ta), (t0, t1, tb)) in enumerate(zip(cycles, windows))
+            for k, (a, b, product, t0, ta, t1, tb) in enumerate(cycles)
         ]
-        return BurstResult(reports=reports, trace=trace, windows=windows, illegal=illegal)
+        return BurstResult(reports=reports, trace=trace, illegal=illegal)
 
 
 def measure_latencies(reports: Sequence[CycleReport]) -> LatencySummary:

@@ -467,11 +467,12 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
     non-negative and below :data:`NET_IDS_PER_DRIVEN_NET` times the count of
     driven nets (the simulator indexes its tables by them), single
     drivership, gate arity, port connectivity with two distinct rails per
-    port and no rail shared by two input ports, a driven ``ack_out`` on a
-    net other than ``ack_in`` (the acknowledge would otherwise feed itself
-    back at the same instant), and the absence of combinational cycles.  A
-    cycle is legal only if it passes through a C-element, which is the one
-    place feedback is allowed to hold state.
+    port and no input-port rail shared with another input port, the phase
+    net or ``ack_in`` (a phase net on ``ack_in`` is legal), a driven
+    ``ack_out`` on a net other than ``ack_in`` (the acknowledge would
+    otherwise feed itself back at the same instant), and the absence of
+    combinational cycles.  A cycle is legal only if it passes through a
+    C-element, which is the one place feedback is allowed to hold state.
 
     Each rule is first decided by one test over the whole netlist; only a
     rule whose test fails walks its gates, nets or ports to build its
@@ -550,8 +551,10 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
 
     in_rails = 2 * len(netlist.input_ports)  # the first rails are the input ports'
     if (any(p.rail1 == p.rail0 for p in ports) or not claimed.issuperset(rails)
-            or len(set(rails[:in_rails])) != in_rails):
+            or len(set(rails[:in_rails])) != in_rails
+            or not {netlist.phase_net, ack_in}.isdisjoint(rails[:in_rails])):
         first: dict[int, int] = {}  # each input rail -> the first input port on it
+        handshake = (("the phase net", netlist.phase_net), ("ack_in", ack_in))
         for i, p in enumerate(ports):
             if p.rail1 == p.rail0:
                 diags.append(Diagnostic(DiagnosticCode.ALIASED_RAILS,
@@ -562,6 +565,9 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
                     diags.append(Diagnostic(DiagnosticCode.ALIASED_RAILS,
                                             f"input ports {ports[first[n]].name!r} and "
                                             f"{p.name!r} share net {n}", (n,)))
+                diags += [Diagnostic(DiagnosticCode.ALIASED_RAILS,
+                                     f"input port {p.name!r} shares net {n} with {what}", (n,))
+                          for what, net in handshake if n == net]
             for rail_name, n in (("rail1", p.rail1), ("rail0", p.rail0)):
                 if n not in claimed:
                     diags.append(Diagnostic(

@@ -125,7 +125,8 @@ class LanePlan:
                 raise NotSettleableError("HANDSHAKE", f"the netlist declares no {what}")
 
         # validate leaves every primary input at the spacer level but ack_in,
-        # so a net shared with ack_in or another input is the way to break this
+        # and keeps input-port rails off each other, the phase net and ack_in,
+        # so a phase net on ack_in is the way to break this
         spacer, levels = netlist.protocol.spacer_level, plan.reset_levels
         inputs = [r for p in netlist.input_ports for r in (p.rail1, p.rail0)] + [phase]
         seen = {ack_in}

@@ -442,10 +442,13 @@ class SimState:
         Leaves exactly the state that one :meth:`set_primary` call per event
         would leave, also when an event is refused: the events before it
         stay scheduled and the error is the one that call would raise.  A
-        level must be the int 0 or 1.
+        level must be the int 0 or 1, and ``at_time`` an int (not a bool) or
+        None for the clock; a bad ``at_time`` schedules nothing.
         """
         clock = self.clock
         t = clock if at_time is None else at_time
+        if t.__class__ is not int:
+            raise ValueError(f"at_time must be an int or None, got {at_time!r}")
         primary = self.netlist.primary_inputs
         projected = self._projected
         pending = self._pending_time

@@ -51,7 +51,7 @@ from .harness import (
     Harness,
     CycleReport,
     _Stage,
-    drive,
+    _input_events,
     scan_port_changes,  # unused here; bench/tracing.py wraps this module's copy
     stage_ports,
 )
@@ -243,13 +243,15 @@ def _arrival_orders(
     """Drive a cell through every input codeword under every arrival order.
 
     Inputs are applied one at a time, settling under unit delays in between,
-    then withdrawn in the same order.  After each step ``step(st, outs, mark,
-    early, withdrawing)`` judges the settled state: ``mark`` is where the
-    step's events start in the trace, and ``early`` reads "after only i of k
-    inputs" (or "withdrawals") while inputs remain, else "".  It returns an
-    ``(observed, expected)`` failure or None.  Every scenario must also
-    complete the outputs once all inputs are present and end in the exact
-    reset state.
+    then withdrawn in the same order; each step is one port's entry of the
+    netlist's input event table (``harness._input_events``), fetched once
+    per check after the netlist is validated.  After each step
+    ``step(st, outs, mark, early, withdrawing)`` judges the settled state:
+    ``mark`` is where the step's events start in the trace, and ``early``
+    reads "after only i of k inputs" (or "withdrawals") while inputs remain,
+    else "".  It returns an ``(observed, expected)`` failure or None.  Every
+    scenario must also complete the outputs once all inputs are present and
+    end in the exact reset state.
 
     A cell with ``ack_in`` but no ``ack_out`` (whose ``ack_in`` the engine
     would mirror) gets the four-phase environment's acknowledge: ``ack_in``
@@ -258,7 +260,8 @@ def _arrival_orders(
     """
     ins, outs = _cell_io(netlist)
     k = len(ins)
-    reset_levels = netlist.reset_levels()
+    netlist.require_valid()  # before any table of the netlist is read
+    reset_levels, table = netlist.reset_levels(), _input_events(netlist)
     ack = netlist.ack_in if netlist.ack_out is None else None
     # each step's "early" text, formatted once per check rather than per step
     earlies = {withdrawing: [f"after only {pos} of {k} {unit}" for pos in range(1, k)] + [""]
@@ -274,7 +277,7 @@ def _arrival_orders(
             for withdrawing in (False, True):
                 for early, idx in zip(earlies[withdrawing], order):
                     mark = len(st.trace)
-                    drive(st, (ins[idx],), (None if withdrawing else bits[idx],))
+                    st.set_primaries(table[idx][2 if withdrawing else bits[idx]])
                     st.run_until_quiescent()
                     failure = step(st, outs, mark, early, withdrawing)
                     if failure:

@@ -96,6 +96,13 @@ def reference_validate(nl):
                 diags.append(Diagnostic(DiagnosticCode.ALIASED_RAILS,
                                         f"input ports {earlier[0].name!r} and {p.name!r} "
                                         f"share net {n}", (n,)))
+            if i < len(nl.input_ports) and n == nl.phase_net:
+                diags.append(Diagnostic(DiagnosticCode.ALIASED_RAILS,
+                                        f"input port {p.name!r} shares net {n} with the phase net",
+                                        (n,)))
+            if i < len(nl.input_ports) and n == nl.ack_in:
+                diags.append(Diagnostic(DiagnosticCode.ALIASED_RAILS,
+                                        f"input port {p.name!r} shares net {n} with ack_in", (n,)))
         for rail_name, n in (("rail1", p.rail1), ("rail0", p.rail0)):
             if n not in claimed:
                 diags.append(Diagnostic(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import itertools
 import json
 import random
 from types import SimpleNamespace
@@ -19,9 +20,10 @@ from qdimul.harness import (
     IllegalOutputError,
     NotAStageError,
     StuckPhaseError,
+    _Stage,
     _illegal_points,
+    _input_events,
     cycle_reports_json,
-    drive,
     measure_latencies,
     scan_port_changes,
     write_cycle_reports_csv,
@@ -50,6 +52,7 @@ from qdimul.verify import (
     sample_pairs,
     swap_port_rails,
 )
+from test_compile import _cells
 from test_queue_disciplines import force
 
 
@@ -161,6 +164,10 @@ def test_harness_requires_stage_metadata(mult2):
                        extra_inputs=mult2.extra_inputs, meta=meta)
         with pytest.raises(NotAStageError):
             Harness(bare)
+    # an operand named after an output port, which the environment cannot drive
+    meta = {**mult2.meta, "operands": {"a": ["P0", "a1"], "b": mult2.meta["operands"]["b"]}}
+    with pytest.raises(NotAStageError, match="'P0' is not an input port"):
+        Harness(_rebuilt(mult2, meta=meta))
 
 
 def _rebuilt(stage, **fields):
@@ -287,14 +294,22 @@ def test_random_delays_change_latency_not_product(mult2):
     assert r_slow.cycle > r_fast.cycle
 
 
-def test_run_burst_matches_oracle_and_reports_windows(mult2):
+def test_run_burst_matches_oracle(mult2):
     h = Harness(mult2)
-    pairs = [(1, 2), (3, 3), (2, 2)]
-    result = h.run_burst(pairs)
+    result = h.run_burst([(1, 2), (3, 3), (2, 2)])
     assert [r.product for r in result.reports] == [2, 9, 4]
     assert result.illegal == []
-    assert len(result.windows) == len(pairs)
     assert result.trace
+
+
+@pytest.mark.parametrize("gap", [-1, 1.5, True, False, None, "1"],
+                         ids=["-1", "1.5", "True", "False", "None", "str"])
+def test_run_burst_refuses_a_bad_gap_before_anything_is_scheduled(mult2, gap):
+    h = Harness(mult2)
+    with pytest.raises(ValueError, match="gap must be an int of at least 0, got "):
+        h.run_burst([(1, 2), (3, 3)], gap=gap)
+    assert h.state.clock == 0 and h.state.quiescent and h.state.trace == []
+    assert [r.product for r in h.run_burst([(1, 2), (3, 3)], gap=0).reports] == [2, 9]
 
 
 def test_run_burst_counts_each_cycles_transitions(mult2):
@@ -307,38 +322,46 @@ def test_run_burst_counts_each_cycles_transitions(mult2):
     assert counts[0] == sum(t < second for t, *_ in result.trace)
 
 
-def test_drive_puts_codewords_and_rejects_bad_bits(mult2):
-    for protocol in Protocol:
-        stage = generate(MultiplierSpec(n=2, protocol=protocol))
-        port = stage.input_ports[0]
-        for bit in (0, 1, None):
-            st = reset(stage)
-            drive(st, [port], [bit], 3)
-            st.run_until_quiescent()
-            want = (encode(bit, protocol) if bit is not None
-                    else (protocol.spacer_level,) * 2)
-            assert (st.levels[port.rail1], st.levels[port.rail0]) == want
-        # several ports in one call: each gets its own bit, rail1 then rail0
-        ports = stage.input_ports[:3]
-        bits = (1, None, 0)
+def test_input_event_table_holds_each_ports_codewords_and_spacer():
+    stages = (generate(MultiplierSpec(n, kind, protocol))
+              for n, kind, protocol in itertools.product((2, 4), FullAdderKind, Protocol))
+    for nl in itertools.chain(_cells(), stages):  # every cell constructor, both protocols
+        protocol = nl.protocol
+        levels = (encode(0, protocol), encode(1, protocol), (protocol.spacer_level,) * 2)
+        table = _input_events(nl)
+        assert _input_events(nl) is table  # kept on the netlist
+        assert table == tuple(tuple(((p.rail1, r1), (p.rail0, r0)) for r1, r0 in levels)
+                              for p in nl.input_ports)
+        if "operands" not in nl.meta:
+            continue
+        # the stage's phases take its operand ports' entries, then the phase net
+        stage, of = _Stage.of(nl), dict(zip(nl.input_ports, table))
+        assert stage.a_events == [of[p][:2] for p in stage.a_ports]
+        assert stage.b_events == [of[p][:2] for p in stage.b_ports]
+        assert stage.spacer_events == [*(e for p in (*stage.a_ports, *stage.b_ports)
+                                         for e in of[p][2]),
+                                       (nl.phase_net, protocol.spacer_level)]
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+def test_input_event_table_puts_codewords_on_the_rails(protocol):
+    stage = generate(MultiplierSpec(n=2, protocol=protocol))
+    table = _input_events(stage)
+    port = stage.input_ports[0]
+    spacer = (protocol.spacer_level,) * 2
+    for bit, want in ((0, encode(0, protocol)), (1, encode(1, protocol)), (2, spacer)):
         st = reset(stage)
-        drive(st, ports, bits, 3)
+        st.set_primaries(table[0][bit], 3)
         st.run_until_quiescent()
-        for p, b in zip(ports, bits):
-            want = encode(b, protocol) if b is not None else (protocol.spacer_level,) * 2
-            assert (st.levels[p.rail1], st.levels[p.rail0]) == want
-    for bad in (2, -1, "1", [1]):
-        with pytest.raises(ValueError, match="bit must be 0 or 1"):
-            drive(reset(mult2), [mult2.input_ports[0]], [bad])
-    # a bad bit anywhere schedules nothing
-    st = reset(mult2)
-    with pytest.raises(ValueError, match="bit must be 0 or 1"):
-        drive(st, mult2.input_ports[:2], [1, 2])
-    assert st.quiescent
-    for bits in ([1], [1, 0, 1]):
-        with pytest.raises(ValueError, match=f"2 ports but {len(bits)} bits"):
-            drive(st, mult2.input_ports[:2], bits)
-    assert st.quiescent
+        assert (st.levels[port.rail1], st.levels[port.rail0]) == want
+    # several ports in one call: each gets its own entry, rail1 then rail0
+    picks = (1, 2, 0)
+    st = reset(stage)
+    st.set_primaries([e for entry, k in zip(table, picks) for e in entry[k]], 3)
+    st.run_until_quiescent()
+    for p, k in zip(stage.input_ports, picks):
+        want = encode(k, protocol) if k < 2 else spacer
+        assert (st.levels[p.rail1], st.levels[p.rail0]) == want
 
 
 # -- observation shortcuts against the paths they replace ---------------------
@@ -759,7 +782,7 @@ def test_a_state_off_reset_or_with_a_trace_is_simulated():
                 h.state.run_until_quiescent()
                 assert h.state.levels == stage.reset_levels() and h.state.trace
             else:  # quiescent with a0 at DATA1, the rest at reset, and no trace
-                drive(h.state, [stage.input_ports[0]], [1])
+                h.state.set_primaries(_input_events(stage)[0][1])
                 h.state.run_until_quiescent()
                 h.state.take_trace()
                 assert h.state.levels != stage.reset_levels()

@@ -286,6 +286,24 @@ def test_validate_flags_a_net_used_as_a_rail_by_two_input_ports():
             run(shared)
 
 
+@pytest.mark.parametrize("net, what", [("phase_net", "the phase net"), ("ack_in", "ack_in")])
+def test_validate_flags_an_input_rail_on_a_handshake_net(net, what):
+    # a0's rail1 moved onto the net; the old net stays an input, so nothing dangles
+    stage = generate(MultiplierSpec(2))
+    a0 = stage.input_ports[0]
+    shared_net = getattr(stage, net)
+    moved = dataclasses.replace(a0, rail1=shared_net)
+    shared = Netlist(stage.protocol, stage.gates, (moved, *stage.input_ports[1:]),
+                     stage.output_ports, stage.ack_out, stage.ack_in, stage.const_nets,
+                     stage.phase_net, (*stage.extra_inputs, a0.rail1), stage.meta)
+    assert [(d.code.value, d.message, d.subjects) for d in validate(shared)] == [
+        ("ALIASED_RAILS", f"input port 'a0' shares net {shared_net} with {what}",
+         (shared_net,))]
+    for run in (Harness, verify.check_functional, verify.check_stage_indication):
+        with pytest.raises(InvalidNetlistError, match="ALIASED_RAILS"):
+            run(shared)
+
+
 def test_validate_flags_ack_out_on_the_ack_in_net():
     # Simulated, the acknowledge inverter would feed the net back at the
     # same instant forever; validation must refuse it before any engine runs.

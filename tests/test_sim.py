@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import golden
-from qdimul.harness import Harness, drive
+from qdimul.harness import Harness, _input_events
 from qdimul.multiplier import MultiplierSpec, generate
 from qdimul.netlist import (
     ARITY,
@@ -291,6 +291,22 @@ def test_set_primary_rejects_bad_level_and_past_time():
         st_.set_primary(x, 0, at_time=0)
 
 
+@pytest.mark.parametrize("at_time", [2.5, True, "3"], ids=["float", "bool", "str"])
+def test_set_primaries_refuses_a_time_that_is_not_an_int(at_time):
+    nl, x, y, _ = c2_netlist()
+    st_ = reset(nl)
+    refused = re.escape(f"at_time must be an int or None, got {at_time!r}")
+    with pytest.raises(ValueError, match=refused):
+        st_.set_primaries([(x, 1), (y, 1)], at_time)
+    with pytest.raises(ValueError, match=refused):
+        st_.set_primary(x, 1, at_time)
+    assert st_.quiescent and st_.trace == [] and st_.clock == 0
+    # None is the clock
+    st_.set_primaries([(x, 1), (y, 1)], None)
+    st_.run_until_quiescent()
+    assert [e[:3] for e in st_.trace if e[1] in (x, y)] == [(0, x, 1), (0, y, 1)]
+
+
 def test_guard_trips_on_slow_circuit():
     nl, x, _ = chain_netlist(length=6)
     st_ = reset(nl, DelayModel.fixed_table({GateKind.OR2: 10}))
@@ -369,8 +385,9 @@ def test_port_events_are_the_trace_on_port_rails(discipline, shared, protocol):
     def on_rails():
         return [e for e in st_.trace if e[1] in rails]
 
+    data = [e for entry, bit in zip(_input_events(nl), (1, 0, 1, 1)) for e in entry[bit]]
     st_.set_primary(nl.phase_net, active)
-    drive(st_, nl.input_ports, [1, 0, 1, 1])
+    st_.set_primaries(data)
     # an early return at the acknowledge edge, then the rest of the phase
     st_.run_until_quiescent(stop_net=nl.ack_out, stop_level=active)
     assert st_.levels[nl.ack_out] == active
@@ -381,7 +398,7 @@ def test_port_events_are_the_trace_on_port_rails(discipline, shared, protocol):
     assert any(e[1] == nl.ack_out for e in st_.port_events) == (shared == "ack_out")
     # re-asserted levels schedule nothing and record nothing
     recorded = list(st_.port_events)
-    drive(st_, nl.input_ports, [1, 0, 1, 1])
+    st_.set_primaries(data)
     st_.set_primary(nl.phase_net, active)
     assert st_.quiescent
     st_.run_until_quiescent()
@@ -389,7 +406,7 @@ def test_port_events_are_the_trace_on_port_rails(discipline, shared, protocol):
     # take_trace clears the record with the trace
     assert st_.take_trace() and st_.port_events == [] and st_.ack_edges == []
     st_.set_primary(nl.phase_net, spacer)
-    drive(st_, nl.input_ports, [None] * 4)
+    st_.set_primaries([e for entry in _input_events(nl) for e in entry[2]])
     st_.run_until_quiescent()
     assert st_.port_events and st_.port_events == on_rails()
     assert st_.levels == nl.reset_levels()

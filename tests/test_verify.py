@@ -16,10 +16,10 @@ from qdimul.cells import (
     make_register_bank,
 )
 from qdimul.cli import main
-from qdimul.harness import CycleReport, Harness, _Stage, drive, stage_ports
+from qdimul.harness import CycleReport, Harness, _Stage, stage_ports
 from qdimul.multiplier import MultiplierSpec, generate
 from qdimul.netlist import (DualRailValue, Gate, GateKind, InvalidNetlistError, Netlist,
-                            NetlistBuilder, Protocol, dualize)
+                            NetlistBuilder, Protocol, dualize, encode)
 from qdimul.settle import NotSettleableError, lane_plan
 from qdimul.sim import ENV, DelayModel, SimState, reset
 from qdimul.verify import (
@@ -224,6 +224,20 @@ def test_register_bank_indicates_per_port_under_its_acknowledge(protocol):
     assert "after only 1 of 2 inputs" in strong.detail
 
 
+@pytest.mark.parametrize("check", [check_strong_indication, check_weak_indication],
+                         ids=["strong", "weak"])
+def test_cell_indication_refuses_an_invalid_cell(check):
+    nl = make_and2_strong().netlist
+    # a repeated gate id, and a gate output that is not an int (no reset levels)
+    for code, second in (("DUPLICATE_GATE_ID", dataclasses.replace(nl.gates[1], id=0)),
+                         ("BAD_GATE_FIELD", dataclasses.replace(nl.gates[1], output="x"))):
+        invalid = Netlist(nl.protocol, (nl.gates[0], second, *nl.gates[2:]), nl.input_ports,
+                          nl.output_ports, nl.ack_out, nl.ack_in, nl.const_nets, nl.phase_net,
+                          nl.extra_inputs, nl.meta)
+        with pytest.raises(InvalidNetlistError, match=code):
+            check(invalid)
+
+
 def test_majority_adder_is_weakly_indicating():
     cell = make_full_adder(FullAdderKind.MAJORITY_CONTROL)
     assert check_weak_indication(cell.netlist)
@@ -247,6 +261,11 @@ def _stage_indication_running_every_spacer_phase(netlist, extra_values=2, seed=0
     ack = netlist.ack_out
     reset_levels = netlist.reset_levels()
     limit = 1 << n
+
+    def codewords(ports, bits):  # each bit's events, rail1 then rail0; None is the spacer
+        levels = [(spacer, spacer) if bit is None else encode(bit, proto) for bit in bits]
+        return [e for p, (r1, r0) in zip(ports, levels) for e in ((p.rail1, r1), (p.rail0, r0))]
+
     rng = random.Random(seed)
     values = [(limit - 1, limit - 1)]
     values += [(rng.randrange(limit), rng.randrange(limit)) for _ in range(extra_values)]
@@ -257,8 +276,8 @@ def _stage_indication_running_every_spacer_phase(netlist, extra_values=2, seed=0
             word = a | b << n  # bit i goes to ports[i]
             st = reset(netlist)
             st.set_primary(netlist.phase_net, active)
-            drive(st, ports[:k] + ports[k + 1:],
-                  [word >> i & 1 for i in range(len(ports)) if i != k])
+            st.set_primaries(codewords(ports[:k] + ports[k + 1:],
+                                       [word >> i & 1 for i in range(len(ports)) if i != k]))
             st.run_until_quiescent()
             if st.levels[ack] != spacer:
                 return _fail(name, netlist, stim, None,
@@ -270,7 +289,7 @@ def _stage_indication_running_every_spacer_phase(netlist, extra_values=2, seed=0
                              f"every product bit completed with {withheld.name} withheld",
                              "at least one product bit still at spacer",
                              scenarios, st.trace)
-            drive(st, (withheld,), (word >> k & 1,))
+            st.set_primaries(codewords((withheld,), (word >> k & 1,)))
             st.run_until_quiescent()
             if st.levels[ack] != active:
                 return _fail(name, netlist, stim, None, "completion missing with all inputs",
@@ -286,7 +305,7 @@ def _stage_indication_running_every_spacer_phase(netlist, extra_values=2, seed=0
                 return _fail(name, netlist, stim, None, f"product {product}",
                              f"product {a * b}", scenarios, st.trace)
             st.set_primary(netlist.phase_net, spacer)
-            drive(st, ports, [None] * len(ports))
+            st.set_primaries(codewords(ports, [None] * len(ports)))
             st.run_until_quiescent()
             if st.levels != reset_levels:
                 return _fail(name, netlist, stim, None, "stage did not return to reset",
