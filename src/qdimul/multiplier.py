@@ -26,8 +26,11 @@ from .cells import (
     emit_register,
 )
 from .netlist import GateKind, Netlist, NetlistBuilder, Protocol, dualize
+from .settle import gate_order
 
 GENERATOR_TAG = "array_multiplier"
+#: The cell counts the generator records in ``meta["counts"]``.
+_COUNTS = ("and_cells", "full_adders", "constant_carries")
 
 
 class NotAGeneratedMultiplierError(ValueError):
@@ -45,8 +48,14 @@ class MultiplierSpec:
     or4_as_tree: bool = False
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"multiplier width must be >= 2, got {self.n}")
+        if self.n.__class__ is not int or self.n < 2:
+            raise ValueError(f"multiplier width must be an int >= 2, got {self.n!r}")
+        for name, kind in (("fa_kind", FullAdderKind), ("protocol", Protocol)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        for name in ("c3_as_tree", "or4_as_tree"):
+            if getattr(self, name).__class__ is not bool:
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -163,6 +172,24 @@ def generate(spec: MultiplierSpec) -> Netlist:
     return netlist
 
 
+def _generated(netlist: Netlist) -> dict:
+    """``netlist.meta``, checked to hold what :func:`generate` writes and this module reads."""
+    meta = netlist.meta
+    if meta.get("generator") != GENERATOR_TAG:
+        raise NotAGeneratedMultiplierError(
+            "netlist carries no array-multiplier generator metadata"
+        )
+    counts, starts = meta.get("counts"), meta.get("register_gates")
+    if not isinstance(counts, dict) or any(
+            counts.get(k).__class__ is not int for k in _COUNTS):
+        raise NotAGeneratedMultiplierError(
+            f"generator metadata 'counts' is not a table of int {', '.join(_COUNTS)}")
+    if not isinstance(starts, list) or any(g.__class__ is not int for g in starts):
+        raise NotAGeneratedMultiplierError(
+            "generator metadata 'register_gates' is not a list of gate ids")
+    return meta
+
+
 def structure_stats(netlist: Netlist) -> StructureStats:
     """Structural summary of a generated multiplier.
 
@@ -170,16 +197,10 @@ def structure_stats(netlist: Netlist) -> StructureStats:
     are recomputed from the actual gate list so tree-expansion flags are
     reflected honestly.
     """
-    meta = netlist.meta
-    if meta.get("generator") != GENERATOR_TAG:
-        raise NotAGeneratedMultiplierError(
-            "netlist carries no array-multiplier generator metadata"
-        )
+    counts = _generated(netlist)["counts"]
     census = netlist.gate_census()
     return StructureStats(
-        and_cells=meta["counts"]["and_cells"],
-        full_adders=meta["counts"]["full_adders"],
-        constant_carries=meta["counts"]["constant_carries"],
+        **{k: counts[k] for k in _COUNTS},
         c_element_count=census.get(GateKind.C2, 0) + census.get(GateKind.C3, 0),
         gate_count=len(netlist.gates),
         product_width=len(netlist.output_ports),
@@ -200,59 +221,28 @@ def critical_path(netlist: Netlist) -> CriticalPath:
     Gate count along the path equals the latency that chain would exhibit
     under unit delays.  Ties between equally long predecessor paths break
     toward the lowest gate id, so the reported path is deterministic.
+
+    Walks :func:`~qdimul.settle.gate_order`.  Raises
+    :class:`NotAGeneratedMultiplierError`, then what ``gate_order`` raises (a
+    gate cycle is reason ``CYCLE``), then ``ValueError`` if no latch reaches
+    ``ack_out``.
     """
-    meta = netlist.meta
-    if meta.get("generator") != GENERATOR_TAG:
-        raise NotAGeneratedMultiplierError(
-            "netlist carries no array-multiplier generator metadata"
-        )
-    netlist.require_valid()
-    start_gates = set(meta["register_gates"])
-    target = netlist.net(netlist.ack_out).driver_gate
-
-    driver = {g.output: g.id for g in netlist.gates}
-    preds: dict[int, list[int]] = {}
-    succs: dict[int, list[int]] = {}
-    indeg: dict[int, int] = {g.id: 0 for g in netlist.gates}
-    for g in netlist.gates:
-        ps = sorted({driver[n] for n in g.inputs if n in driver})
-        preds[g.id] = ps
-        indeg[g.id] = len(ps)
-        for p in ps:
-            succs.setdefault(p, []).append(g.id)
-
-    order: list[int] = sorted(g for g, d in indeg.items() if d == 0)
-    queue = list(order)
-    seen = len(queue)
-    head = 0
-    while head < len(queue):
-        node = queue[head]
-        head += 1
-        for s in sorted(succs.get(node, ())):
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                queue.append(s)
-                seen += 1
-    if seen != len(netlist.gates):
-        raise ValueError("gate graph has feedback; no static critical path")
-
-    dist: dict[int, int] = {}
+    starts = set(_generated(netlist)["register_gates"])
+    order, gates = gate_order(netlist), netlist.gate_by_id
+    reach: dict[int, tuple[int, int]] = {}  # output net -> (longest path, its gate)
     back: dict[int, int | None] = {}
-    for gid in queue:
-        best_len = 1 if gid in start_gates else None
-        best_pred = None
-        for p in preds[gid]:
-            if p in dist and (best_len is None or dist[p] + 1 > best_len):
-                best_len = dist[p] + 1
-                best_pred = p
-        if best_len is not None:
-            dist[gid] = best_len
-            back[gid] = best_pred
-
-    if target not in dist:
+    for gid in order:
+        g = gates[gid]
+        length, pred = max((reach[n] for n in g.inputs if n in reach),
+                           key=lambda r: (r[0], -r[1]), default=(0, None))
+        if length or gid in starts:
+            reach[g.output] = (length + 1, gid)
+            back[gid] = pred
+    if netlist.ack_out not in reach:
         raise ValueError("completion root is unreachable from the input latches")
+    length, target = reach[netlist.ack_out]
     path = [target]
     while back[path[-1]] is not None:
         path.append(back[path[-1]])
     path.reverse()
-    return CriticalPath(length=dist[target], gates=tuple(path))
+    return CriticalPath(length=length, gates=tuple(path))

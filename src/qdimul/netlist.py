@@ -161,12 +161,6 @@ def eval_family(
     return 1 - levels[nets[0]]
 
 
-def eval_kind(kind: GateKind, inputs: Iterable[int], state: int) -> int:
-    """:func:`eval_family` for a gate of ``kind`` given its input levels."""
-    levels = tuple(inputs)
-    return eval_family(FAMILY[kind], range(len(levels)), levels, state)
-
-
 @dataclass(frozen=True, slots=True)
 class Gate:
     id: int

@@ -32,6 +32,11 @@ net's level in scenario k, so one pass settles every scenario (as in
 parallel-pattern simulation, Waicukauski et al., 1985): AND is ``&``, OR
 is ``|`` and a C-element is ``all | (out & any)``.
 
+The order.  :func:`gate_order` is qdimul's one topological sort of the
+gate graph (Kahn, 1962): :class:`LanePlan` settles in it and
+``multiplier.critical_path`` walks it.  Its one refusal is a gate cycle,
+which ``validate`` allows through a C-element: reason ``CYCLE`` below.
+
 A netlist outside the precondition gets :class:`NotSettleableError`, whose
 ``reason`` names the rule it breaks:
 
@@ -88,6 +93,31 @@ def _pass(gates: list[tuple[int, int, int, int, tuple[int, ...]]], words: list[i
     return moved
 
 
+def gate_order(netlist: Netlist) -> list[int]:
+    """Gate ids, each after every gate that drives one of its inputs; a fresh list.
+
+    Raises what building the engine's plan raises (``InvalidNetlistError``,
+    a reset that is not quiescent), then :class:`NotSettleableError` ``CYCLE``.
+    """
+    # Kahn's algorithm: a gate is ready once every input pin driven by a gate
+    # has been ordered (fanout lists a gate once per pin)
+    plan: _Plan = netlist._derived("sim.plan", _Plan)
+    output, fanout = plan.output, plan.fanout
+    pins = Counter(chain.from_iterable(map(fanout.__getitem__, output)))
+    waiting = [pins[gid] for gid in range(len(output))]
+    order = [gid for gid, w in enumerate(waiting) if not w]
+    for gid in order:  # grows while it is walked
+        for h in fanout[output[gid]]:
+            waiting[h] -= 1
+            if not waiting[h]:
+                order.append(h)
+    if len(order) < len(output):
+        stuck = next(gid for gid, w in enumerate(waiting) if w)
+        raise NotSettleableError(
+            "CYCLE", f"gate {stuck} is on a cycle of the gate graph or fed by one")
+    return order
+
+
 class LanePlan:
     """A netlist's gates in topological order and its ``ack_in`` readers.
 
@@ -98,26 +128,12 @@ class LanePlan:
 
     def __init__(self, netlist: Netlist):
         plan: _Plan = netlist._derived("sim.plan", _Plan)
-        gates, output, fanout = plan._gates, plan.output, plan.fanout
+        gates, fanout = plan._gates, plan.fanout
         for g in gates:
             if FAMILY[g.kind] not in (F_AND, F_OR, F_C):
                 raise NotSettleableError(
                     "GATE_KIND", f"gate {g.id} ({g.kind.value}) is not an AND, OR or C-element")
-
-        # Kahn's algorithm: a gate is ready once every input pin driven by a
-        # gate has been ordered (fanout lists a gate once per pin)
-        pins = Counter(chain.from_iterable(map(fanout.__getitem__, output)))
-        waiting = [pins[gid] for gid in range(len(gates))]
-        order = [gid for gid, w in enumerate(waiting) if not w]
-        for gid in order:  # grows while it is walked
-            for h in fanout[output[gid]]:
-                waiting[h] -= 1
-                if not waiting[h]:
-                    order.append(h)
-        if len(order) < len(gates):
-            stuck = next(gid for gid, w in enumerate(waiting) if w)
-            raise NotSettleableError(
-                "CYCLE", f"gate {stuck} is on a cycle of the gate graph or fed by one")
+        order = gate_order(netlist)
 
         ack_out, ack_in, phase = netlist.ack_out, netlist.ack_in, netlist.phase_net
         for what, net in (("ack_out", ack_out), ("ack_in", ack_in), ("a phase net", phase)):

@@ -501,7 +501,10 @@ class SimState:
         :class:`NonQuiescentError` on oscillation.  When ``stop_net`` is
         given, the run returns early right after that net reaches
         ``stop_level`` (the surrounding timestamp batch still completes).
+        A ``max_time`` that is not an int of at least 0 runs nothing.
         """
+        if max_time.__class__ is not int or max_time < 0:
+            raise ValueError(f"max_time must be an int >= 0, got {max_time!r}")
         if not self._batched:
             return self._run_heap(max_time, stop_net, stop_level)
         # Per-timestamp batches: _queue is a heap of the pending times and

@@ -23,7 +23,7 @@ from qdimul import cells, verify
 from qdimul.cells import FullAdderKind
 from qdimul.cli import main
 from qdimul.harness import Harness, scan_port_changes
-from qdimul.multiplier import MultiplierSpec, generate
+from qdimul.multiplier import MultiplierSpec, critical_path, generate
 from qdimul.netlist import DualRailValue, GateKind, ParseError, Protocol, deserialize, serialize
 from qdimul.sim import DelayModel
 from qdimul.verify import default_pairs, inject_fork_skew, narrow_completion, swap_port_rails
@@ -214,6 +214,40 @@ def outcome_digest() -> str:
     if code != 0:
         return f"qdimul verify exited {code}"
     h.update((out.getvalue() + err.getvalue()).replace(path, "<netlist>").encode())
+    return h.hexdigest()
+
+
+# -- the critical path ---------------------------------------------------------
+
+# sha256 over the repr of critical_path's result on every critical_path_designs()
+# netlist, pinned on the critical path's own Kahn walk, before it took its
+# order from settle.gate_order.
+GOLDEN_CRITICAL_PATH_SHA256 = "4f8fb2b8881865b1e873fb7f50ab32733e4b4e08f9dfaa5fb210c5982bb4ef34"
+
+
+def critical_path_designs():
+    """Every generator choice at n = 2, 3, 4, 8, 16; rail-swap and narrow-completion
+    controls of the tree-free stages and the fork-skew control at n = 2 and 4."""
+    flags = list(itertools.product((False, True), repeat=2))
+    for n in (2, 3, 4, 8, 16):
+        for kind in FullAdderKind:
+            for protocol in Protocol:
+                for c3, or4 in flags:
+                    yield generate(MultiplierSpec(n, kind, protocol, c3, or4))
+    for n in (2, 4):
+        for kind in FullAdderKind:
+            for protocol in Protocol:
+                base = generate(MultiplierSpec(n, kind, protocol))
+                yield swap_port_rails(base)
+                yield narrow_completion(base)
+        for protocol in Protocol:
+            yield fork_skewed(generate(MultiplierSpec(n, protocol=protocol)))
+
+
+def critical_path_digest() -> str:
+    h = hashlib.sha256()
+    for nl in critical_path_designs():
+        h.update(repr(_outcome(critical_path, nl)).encode())
     return h.hexdigest()
 
 

@@ -8,7 +8,9 @@ which run unequal delays on the per-timestamp batch loop), the two random
 ones again with delays drawn as before one seeded stream per model (so the
 engine is pinned apart from the draws), the checker outcome digest (which
 pins stage indication's settled-state lanes as well as its serial loop),
-the golden serialize digest and the reader's error for each corruption in
+the critical-path digest (every generator choice at n = 2 to 16 and the
+negative controls, walked in the settled-state module's gate order), the
+golden serialize digest and the reader's error for each corruption in
 the parse-error corpus, all from ``tests/golden.py``.  Prints one line per
 check and exits 1 if any differs.
 """
@@ -32,6 +34,8 @@ def main() -> int:
         ("wide trace digest, legacy draws", golden.legacy_wide_trace_digest,
          golden.LEGACY_DRAW_TRACE_WIDE_SHA256),
         ("checker outcome digest", golden.outcome_digest, golden.GOLDEN_OUTCOME_SHA256),
+        ("critical-path digest", golden.critical_path_digest,
+         golden.GOLDEN_CRITICAL_PATH_SHA256),
         ("serialize digest", golden.serialize_digest, golden.GOLDEN_SERIALIZE_SHA256),
         ("parse-error corpus", golden.parse_errors, golden.GOLDEN_PARSE_ERRORS),
     )

@@ -1,10 +1,12 @@
 """Generator: structure counts, exhaustive products, paths, determinism."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import golden
 from qdimul.cells import FullAdderKind
 from qdimul.harness import Harness
 from qdimul.metrics import design_label
@@ -17,6 +19,7 @@ from qdimul.multiplier import (
 )
 from qdimul.netlist import GateKind, Protocol, deserialize, dualize, serialize
 from qdimul.cells import make_full_adder
+from test_verify import _latched
 
 
 def spec_strategy():
@@ -33,6 +36,19 @@ def spec_strategy():
 def test_spec_rejects_tiny_operands():
     with pytest.raises(ValueError):
         MultiplierSpec(n=1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 2.0), ("n", "3"), ("n", None), ("n", True),
+    ("fa_kind", "weak"), ("fa_kind", None),
+    ("protocol", "rto"), ("protocol", 1),
+    ("c3_as_tree", "no"), ("c3_as_tree", 1), ("or4_as_tree", None),
+])
+def test_spec_refuses_a_field_of_the_wrong_type(field, value):
+    # "rto" once built an RTZ stage and "no" a tree, recorded in the meta
+    fields = {"n": 2, field: value}
+    with pytest.raises(ValueError, match=f"{field}|width"):
+        MultiplierSpec(**fields)
 
 
 def test_design_name_mentions_all_choices():
@@ -145,6 +161,41 @@ def test_critical_path_requires_generated_netlist():
     cell = make_full_adder(FullAdderKind.DIMS_STRONG, Protocol.RTZ).netlist
     with pytest.raises(NotAGeneratedMultiplierError):
         critical_path(cell)
+
+
+def test_critical_path_digest_is_unchanged():
+    assert golden.critical_path_digest() == golden.GOLDEN_CRITICAL_PATH_SHA256
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_critical_path_refuses_a_gate_cycle(protocol):
+    # a C-element loop: valid, so the refusal is the gate order's
+    stage = _latched(generate(MultiplierSpec(n=2, protocol=protocol)), 1)
+    assert stage.validate() == []
+    with pytest.raises(ValueError, match="CYCLE") as caught:
+        critical_path(stage)
+    assert caught.value.reason == "CYCLE"
+
+
+def _meta_edited(field, value):
+    """The 2x2 stage read back with ``meta[field]`` set to ``value``, or removed for None."""
+    doc = json.loads(golden.STAGE_TEXT)
+    doc["meta"].pop(field)
+    if value is not None:
+        doc["meta"][field] = value
+    return deserialize(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("register_gates", None), ("register_gates", "x"), ("register_gates", [0, "1"]),
+    ("counts", None), ("counts", [4, 2, 2]), ("counts", {"and_cells": 4}),
+], ids=["no-register-gates", "register-gates-str", "register-gate-str", "no-counts",
+        "counts-list", "counts-partial"])
+@pytest.mark.parametrize("report", [critical_path, structure_stats])
+def test_generator_metadata_of_the_wrong_shape_is_named(report, field, value):
+    stage = _meta_edited(field, value)
+    with pytest.raises(NotAGeneratedMultiplierError, match=field):
+        report(stage)
 
 
 def test_meta_counts_match_structure():

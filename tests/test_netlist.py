@@ -15,6 +15,7 @@ from qdimul.multiplier import MultiplierSpec, generate
 from qdimul.netlist import (
     ARITY,
     DUAL_KIND,
+    FAMILY,
     NET_IDS_PER_DRIVEN_NET,
     DualRailPort,
     DualRailValue,
@@ -30,7 +31,7 @@ from qdimul.netlist import (
     deserialize,
     dualize,
     encode,
-    eval_kind,
+    eval_family,
     serialize,
     validate,
 )
@@ -92,7 +93,7 @@ def test_protocol_levels():
 
 
 # Frozen oracle for combinational kinds: plain boolean algebra, written
-# independently of eval_kind.
+# independently of eval_family.
 BOOL_ORACLE = {
     GateKind.AND2: lambda v: v[0] & v[1],
     GateKind.AND3: lambda v: v[0] & v[1] & v[2],
@@ -108,7 +109,7 @@ BOOL_ORACLE = {
 def test_combinational_kinds_match_boolean_oracle(kind):
     for vec in itertools.product((0, 1), repeat=ARITY[kind]):
         for state in (0, 1):
-            assert eval_kind(kind, vec, state) == BOOL_ORACLE[kind](vec)
+            assert eval_family(FAMILY[kind], range(len(vec)), vec, state) == BOOL_ORACLE[kind](vec)
 
 
 @pytest.mark.parametrize("kind,arity", [(GateKind.C2, 2), (GateKind.C3, 3)])
@@ -116,7 +117,7 @@ def test_c_element_holds_unless_inputs_agree(kind, arity):
     for vec in itertools.product((0, 1), repeat=arity):
         for state in (0, 1):
             expected = vec[0] if len(set(vec)) == 1 else state
-            assert eval_kind(kind, vec, state) == expected
+            assert eval_family(FAMILY[kind], range(arity), vec, state) == expected
 
 
 def test_dual_kind_mapping_swaps_and_or_and_keeps_arity():

@@ -14,6 +14,7 @@ from qdimul.harness import Harness, _input_events
 from qdimul.multiplier import MultiplierSpec, generate
 from qdimul.netlist import (
     ARITY,
+    FAMILY,
     DualRailPort,
     Gate,
     GateKind,
@@ -21,7 +22,7 @@ from qdimul.netlist import (
     Netlist,
     NetlistBuilder,
     Protocol,
-    eval_kind,
+    eval_family,
 )
 from qdimul.sim import (
     DelayMode,
@@ -307,6 +308,25 @@ def test_set_primaries_refuses_a_time_that_is_not_an_int(at_time):
     assert [e[:3] for e in st_.trace if e[1] in (x, y)] == [(0, x, 1), (0, y, 1)]
 
 
+@pytest.mark.parametrize("max_time", ["9", None, True, 2.5, -1],
+                         ids=["str", "none", "bool", "float", "negative"])
+@pytest.mark.parametrize("discipline", ["heap", "one_list"])
+def test_run_until_quiescent_refuses_a_bad_max_time_before_running(max_time, discipline):
+    # a 2x2 stage mid data phase: the refusal leaves every pending event
+    nl = generate(MultiplierSpec(n=2))
+    model = DelayModel.random_per_gate(1, 5, seed=1) if discipline == "heap" else DelayModel.unit()
+    st_ = force(reset(nl, model), discipline)
+    st_.set_primary(nl.phase_net, Protocol.RTZ.active_level)
+    st_.set_primaries([e for entry in _input_events(nl) for e in entry[1]])
+    before = (st_.clock, list(st_.levels), list(st_.trace), st_.quiescent)
+    with pytest.raises(ValueError, match=re.escape(f"got {max_time!r}")):
+        st_.run_until_quiescent(max_time)
+    assert (st_.clock, st_.levels, st_.trace, st_.quiescent) == before
+    assert not st_.quiescent
+    st_.run_until_quiescent()
+    assert st_.levels[nl.ack_out] == Protocol.RTZ.active_level
+
+
 def test_guard_trips_on_slow_circuit():
     nl, x, _ = chain_netlist(length=6)
     st_ = reset(nl, DelayModel.fixed_table({GateKind.OR2: 10}))
@@ -587,11 +607,12 @@ def test_legacy_draws_reproduce_the_engine_digests():
 @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
 def test_engine_agrees_with_shared_evaluator(kind):
     # one gate; every prior input vector sets its output, then every vector
-    # is applied at once and the engine must settle where eval_kind says
+    # is applied at once and the engine must settle where eval_family says
     b = NetlistBuilder(Protocol.RTZ)
     ins = [b.input_net(f"x{i}") for i in range(ARITY[kind])]
     out = b.gate(kind, ins)
     nl = b.build()
+    family, pins = FAMILY[kind], range(len(ins))
     vectors = list(itertools.product((0, 1), repeat=len(ins)))
     priors = set()
     for before in vectors:
@@ -605,7 +626,7 @@ def test_engine_agrees_with_shared_evaluator(kind):
             for net, level in zip(ins, vec):
                 st_.set_primary(net, level)
             st_.run_until_quiescent()
-            assert st_.levels[out] == eval_kind(kind, vec, prior), (before, vec)
+            assert st_.levels[out] == eval_family(family, pins, vec, prior), (before, vec)
     assert priors == {0, 1}
     if len(ins) == 1:
         return
@@ -619,7 +640,7 @@ def test_engine_agrees_with_shared_evaluator(kind):
         prior = st_.levels[out]
         st_.set_primary(x, level)
         st_.run_until_quiescent()
-        assert st_.levels[out] == eval_kind(kind, [level] * len(ins), prior), level
+        assert st_.levels[out] == eval_family(family, pins, [level] * len(ins), prior), level
 
 
 # -- export -----------------------------------------------------------------
