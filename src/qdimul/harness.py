@@ -58,7 +58,7 @@ from __future__ import annotations
 import csv
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import compress, islice
 from operator import itemgetter
 from statistics import fmean
@@ -235,15 +235,17 @@ def _illegal_points(changes: dict[str, list[tuple[int, DualRailValue]]]) -> list
 class _Stage:
     """How a stage is driven and judged, built once per netlist by :meth:`of`.
 
-    The operand ``a``, operand ``b`` and product ports, the environment's
-    events per operand port and bit and the spacer phase's events (each
-    port's entries of :func:`_input_events`, the one table every environment
-    drives ports from), and the tables of the end-of-cycle checks and the
-    port rule.  Three users share it: the :class:`Harness`'s
-    cycles, ``verify.check_stage_indication``'s serial loop, which withholds
-    one operand port's events at a time, and its settled-state lanes
-    (``verify._first_failing_lane``), which build every scenario's lane
-    words from the same events.  Nothing here is mutated after construction.
+    The operand ``a``, operand ``b`` and product ports; ``operand_events``,
+    the environment's events per operand port and bit, the ``a`` ports then
+    the ``b`` ports, so entry i drives bit i of ``a | b << n``; the spacer
+    phase's events (each port's entries of :func:`_input_events`, the one
+    table every environment drives ports from); and the tables of the
+    end-of-cycle checks and the port rule.  Three users share it: the
+    :class:`Harness`'s cycles, ``verify.check_stage_indication``'s serial
+    loop, which withholds one operand port's events at a time, and its
+    settled-state lanes (``verify._first_failing_lane``), which build every
+    scenario's lane words from the same events.  Nothing here is mutated
+    after construction.
     """
 
     @classmethod
@@ -262,8 +264,7 @@ class _Stage:
         stray = next((p.name for p in operands if p not in events), None)
         if stray is not None:
             raise NotAStageError(f"malformed stage port metadata: {stray!r} is not an input port")
-        self.a_events = [events[p][:2] for p in self.a_ports]
-        self.b_events = [events[p][:2] for p in self.b_ports]
+        self.operand_events = [events[p][:2] for p in operands]
         self.phase_active = (netlist.phase_net, protocol.active_level)
         self.spacer_events = [e for p in operands for e in events[p][2]]
         self.spacer_events.append((netlist.phase_net, protocol.spacer_level))
@@ -325,13 +326,11 @@ class Harness:
 
     def _apply_operands(self, a: int, b: int, t: int) -> None:
         stage = self._stage
+        word = a | b << self.n
         events: list[tuple[int, int]] = []
-        for codewords in stage.a_events:
-            events += codewords[a & 1]
-            a >>= 1
-        for codewords in stage.b_events:
-            events += codewords[b & 1]
-            b >>= 1
+        for codewords in stage.operand_events:
+            events += codewords[word & 1]
+            word >>= 1
         events.append(stage.phase_active)
         self.state.set_primaries(events, t)
 
@@ -424,10 +423,8 @@ class Harness:
             if settled is not None:
                 shift = t0 - settled.data_start
                 st.clock = settled.end + shift
-                return CycleReport(a, b, settled.product, settled.forward, settled.reverse,
-                                   settled.cycle, settled.transitions, t0,
-                                   settled.spacer_start + shift, st.clock, None,
-                                   settled.port_fault)
+                return replace(settled, data_start=t0, spacer_start=settled.spacer_start + shift,
+                               end=st.clock)
 
         self._apply_operands(a, b, t0)
         st.run_until_quiescent()
@@ -502,14 +499,14 @@ class Harness:
         for a, b in pairs:
             t0 = st.clock + gap if cycles else st.clock
             self._apply_operands(a, b, t0)
-            st.run_until_quiescent(stop_net=self._ack, stop_level=self._active)
+            st.run_until_quiescent(until_ack=self._active)
             if st.levels[self._ack] != self._active:
                 raise StuckPhaseError("completion never asserted during burst")
             ta = st.clock
             product = self._decode_product()
             t1 = ta + gap
             self._apply_spacer(t1)
-            st.run_until_quiescent(stop_net=self._ack, stop_level=self._spacer)
+            st.run_until_quiescent(until_ack=self._spacer)
             if st.levels[self._ack] != self._spacer:
                 raise StuckPhaseError("completion never released during burst")
             cycles.append((a, b, product, t0, ta, t1, st.clock))

@@ -80,7 +80,8 @@ port rail (``ack_in`` included, when a port uses it) to
 handshake edges and judges its ports without searching the trace.  One
 per-net flag, built once in the plan, selects that branch: 1 for a port
 rail, 2 for ``ack_out``, 3 for both.  :meth:`SimState.take_trace` clears all
-three lists.
+three lists.  The run's one early stop is tested in that branch too, so no
+other event pays for it (``until_ack``, :meth:`SimState.run_until_quiescent`).
 
 Netlists are immutable after construction, so everything the engine derives
 from one is compiled once per netlist object: the first :func:`reset` of a
@@ -372,10 +373,7 @@ class Engine(Protocol):
     ) -> None: ...
 
     def run_until_quiescent(
-        self,
-        max_time: int = DEFAULT_GUARD,
-        stop_net: int | None = None,
-        stop_level: int | None = None,
+        self, max_time: int = DEFAULT_GUARD, until_ack: int | None = None
     ) -> int: ...
 
     def read_port(self, port: DualRailPort | str) -> DualRailValue: ...
@@ -388,10 +386,16 @@ class SimState:
 
     C-elements keep no shadow state; their memory *is* the current level of
     their output net, exactly as in the AO222-with-feedback realization.
-    Construct via :func:`reset`.
+    Construct via :func:`reset`.  A ``delay_model`` of None means unit
+    delays; anything else that is not a :class:`DelayModel` raises
+    ``ValueError`` before the netlist is compiled.
     """
 
-    def __init__(self, netlist: Netlist, delay_model: DelayModel):
+    def __init__(self, netlist: Netlist, delay_model: DelayModel | None):
+        if delay_model is None:
+            delay_model = DelayModel.unit()
+        elif not isinstance(delay_model, DelayModel):
+            raise ValueError(f"delay_model must be a DelayModel or None, got {delay_model!r}")
         plan: _Plan = netlist._derived("sim.plan", _Plan)
         self.netlist = netlist
         self.delay_model = delay_model
@@ -490,23 +494,26 @@ class SimState:
     # -- engine ------------------------------------------------------------
 
     def run_until_quiescent(
-        self,
-        max_time: int = DEFAULT_GUARD,
-        stop_net: int | None = None,
-        stop_level: int | None = None,
+        self, max_time: int = DEFAULT_GUARD, until_ack: int | None = None
     ) -> int:
         """Drain the event queue; return elapsed time since the call began.
 
         ``max_time`` bounds the run relative to the current clock and trips
-        :class:`NonQuiescentError` on oscillation.  When ``stop_net`` is
-        given, the run returns early right after that net reaches
-        ``stop_level`` (the surrounding timestamp batch still completes).
-        A ``max_time`` that is not an int of at least 0 runs nothing.
+        :class:`NonQuiescentError` on oscillation.  ``until_ack`` 0 or 1
+        returns after the timestep in which ``ack_out`` moves to that level;
+        None drains the queue.  A ``max_time`` that is not an int >= 0, or an
+        ``until_ack`` that is not None, 0 or 1 or can never fire (the netlist
+        lacks ``ack_out`` or ``ack_in``), raises ``ValueError`` and runs nothing.
         """
         if max_time.__class__ is not int or max_time < 0:
             raise ValueError(f"max_time must be an int >= 0, got {max_time!r}")
+        if until_ack is not None:
+            if until_ack.__class__ is not int or until_ack not in (0, 1):
+                raise ValueError(f"until_ack must be None, 0 or 1, got {until_ack!r}")
+            if self._plan.ack_out is None:
+                raise ValueError("until_ack needs a netlist with ack_out and ack_in")
         if not self._batched:
-            return self._run_heap(max_time, stop_net, stop_level)
+            return self._run_heap(max_time, until_ack)
         # Per-timestamp batches: _queue is a heap of the pending times and
         # _batches maps each of them to its batch.  Sorting a batch by net
         # (stably, so events on one net keep their scheduling order) gives
@@ -531,6 +538,7 @@ class SimState:
         start = self.clock
         deadline = start + max_time
         push, pop = heappush, heappop
+        stop = False
 
         while times:
             t = pop(times)
@@ -543,7 +551,6 @@ class SimState:
             if len(batch) > 1:
                 batch.sort(key=_NET)
             touched: list[int] = []
-            stop_hit = False
             for event in batch:  # the loop also visits events inserted ahead
                 _, net, level, _ = event
                 if levels[net] == level:
@@ -563,6 +570,8 @@ class SimState:
                         port_events.append(event)
                     if net == ack_out:
                         ack_edges.append((t, level))
+                        if level == until_ack:
+                            stop = True
                         # environment acknowledge inverter, zero delay
                         v = 1 - level
                         if projected[ack_in] != v:
@@ -578,8 +587,6 @@ class SimState:
                                          (t, ack_in, v, ENV))
                             projected[ack_in] = v
                             self._pending_time[ack_in] = t
-                if net == stop_net and level == stop_level:
-                    stop_hit = True
             self.clock = t
             if step is None:
                 for gid in touched:
@@ -613,12 +620,11 @@ class SimState:
                         push(times, at)
                     else:
                         later.extend(successors)
-            if stop_hit:
+            if stop:
                 break
         return self.clock - start
 
-    def _run_heap(self, max_time: int, stop_net: int | None,
-                  stop_level: int | None) -> int:
+    def _run_heap(self, max_time: int, until_ack: int | None) -> int:
         """:meth:`run_until_quiescent` on the heap of events, the reference."""
         levels = self.levels
         projected = self._projected
@@ -638,6 +644,7 @@ class SimState:
         gdelay = self._gate_delay
         push, pop = heappush, heappop
         seq = self._seq
+        stop = False
 
         # Each net has one driver and the heap orders by (time, net, seq), so
         # the order in which touched gates are evaluated only permutes seq
@@ -652,7 +659,6 @@ class SimState:
                         f"no quiescence within {max_time} units (next event at t={t})"
                     )
                 touched = []
-                stop_hit = False
                 while heap and heap[0][0] == t:
                     _, net, _, level, cause = pop(heap)
                     if levels[net] == level:
@@ -672,6 +678,8 @@ class SimState:
                             port_events.append(trace[-1])
                         if net == ack_out:
                             ack_edges.append((t, level))
+                            if level == until_ack:
+                                stop = True
                             # environment acknowledge inverter, zero delay
                             v = 1 - level
                             if projected[ack_in] != v:
@@ -679,8 +687,6 @@ class SimState:
                                 push(heap, (t, ack_in, seq, v, ENV))
                                 projected[ack_in] = v
                                 self._pending_time[ack_in] = t
-                    if net == stop_net and level == stop_level:
-                        stop_hit = True
                 self.clock = t
                 for gid in touched:
                     v = rows[gid][ones[gid]]
@@ -691,7 +697,7 @@ class SimState:
                         seq += 1
                         push(heap, (t + gdelay[gid], out, seq, v, gid))
                         projected[out] = v
-                if stop_hit:
+                if stop:
                     break
         finally:
             self._seq = seq
@@ -718,7 +724,7 @@ class SimState:
 
 def reset(netlist: Netlist, delay_model: DelayModel | None = None) -> SimState:
     """Fresh simulation state: nets at reset levels, empty queue and trace."""
-    return SimState(netlist, delay_model or DelayModel.unit())
+    return SimState(netlist, delay_model)
 
 
 def replay(netlist: Netlist, trace: Iterable[tuple]) -> list[int]:

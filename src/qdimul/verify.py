@@ -129,12 +129,20 @@ def _fail(
     return CheckOutcome(check, False, f"{observed} (expected {expected})", scenarios, ce)
 
 
+def _require_count(what: str, value: int, least: int) -> None:
+    """Refuse, with ``ValueError``, a ``value`` that is not an int (or is a bool) >= ``least``."""
+    if value.__class__ is not int:
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+
+
 def _require_counts(samples: int, seeds: Iterable[int] | int = 0) -> None:
-    """Refuse a stimulus count below 1 or a seed count below 0."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    if isinstance(seeds, int) and seeds < 0:
-        raise ValueError(f"seeds must be at least 0, got {seeds}")
+    """Refuse ``samples`` unless it is an int of at least 1, and ``seeds``
+    unless it is an int of at least 0 or an iterable of seeds other than a str."""
+    _require_count("samples", samples, 1)
+    if isinstance(seeds, str) or not isinstance(seeds, Iterable):
+        _require_count("seeds", seeds, 0)
 
 
 def _listed(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -153,7 +161,10 @@ def default_pairs(n: int, samples: int = 64, seed: int = 0) -> list[tuple[int, i
     """Stimulus set: exhaustive up to 4-bit operands, ``samples`` pairs beyond.
 
     Beyond 4 bits the four corner pairs come first, then seeded random pairs.
+    ``n`` must be an int of at least 1 and ``samples`` one of at least 1
+    (not bools), else ``ValueError``.
     """
+    _require_count("n", n, 1)
     _require_counts(samples)
     limit = 1 << n
     if n <= 4:
@@ -373,8 +384,9 @@ def check_stage_indication(
     the bit must then complete the handshake with the correct product, and
     a full spacer must restore the reset state.  Scenario ``k * V + v``
     withholds port k (the ``a`` ports, then the ``b`` ports) under value v
-    of V.  A negative ``extra_values`` raises ``ValueError``, and a netlist
-    the :class:`Harness` refuses raises what it raises (``_Stage.of``).
+    of V.  An ``extra_values`` that is not an int of at least 0 (or is a
+    bool) raises ``ValueError``, and a netlist the :class:`Harness` refuses
+    raises what it raises (``_Stage.of``).
 
     How it is decided.  Where :mod:`qdimul.settle`'s precondition holds,
     each scenario is one lane and three settles decide every scenario at
@@ -394,8 +406,7 @@ def check_stage_indication(
     engine's; or from scenario 0 when the plan is refused or a flip moves a
     net in a lane that has not failed.
     """
-    if extra_values < 0:
-        raise ValueError(f"extra_values must be at least 0, got {extra_values}")
+    _require_count("extra_values", extra_values, 0)
     name = "stage_indication"
     stage = _Stage.of(netlist)
     ports = (*stage.a_ports, *stage.b_ports)
@@ -422,8 +433,7 @@ def check_stage_indication(
         stim = {"a": a, "b": b, "withheld": withheld.name}
         word = a | b << n  # bit i goes to ports[i]
         st = reset(netlist)
-        events = [codewords[word >> i & 1]
-                  for i, codewords in enumerate((*stage.a_events, *stage.b_events))]
+        events = [codewords[word >> i & 1] for i, codewords in enumerate(stage.operand_events)]
         st.set_primaries([stage.phase_active,
                           *itertools.chain.from_iterable(events[:k] + events[k + 1:])])
         st.run_until_quiescent()
@@ -477,7 +487,7 @@ def _first_failing_lane(netlist: Netlist, stage: _Stage,
     """
     plan = lane_plan(netlist)
     width = len(values)
-    codewords = (*stage.a_events, *stage.b_events)
+    codewords = stage.operand_events
     full = (1 << len(codewords) * width) - 1
     every_port = sum(1 << k * width for k in range(len(codewords)))  # lane 0 of each port
 
@@ -488,7 +498,7 @@ def _first_failing_lane(netlist: Netlist, stage: _Stage,
     reset_words = [full * level for level in stage.reset_levels]
     words = reset_words.copy()
     spacer = full * netlist.protocol.spacer_level
-    n = len(stage.a_events)
+    n = len(stage.a_ports)
     operands = [a | b << n for a, b in values]
     # data phase: every operand rail but the withheld port's takes its codeword
     driven = []

@@ -336,8 +336,7 @@ def test_input_event_table_holds_each_ports_codewords_and_spacer():
             continue
         # the stage's phases take its operand ports' entries, then the phase net
         stage, of = _Stage.of(nl), dict(zip(nl.input_ports, table))
-        assert stage.a_events == [of[p][:2] for p in stage.a_ports]
-        assert stage.b_events == [of[p][:2] for p in stage.b_ports]
+        assert stage.operand_events == [of[p][:2] for p in (*stage.a_ports, *stage.b_ports)]
         assert stage.spacer_events == [*(e for p in (*stage.a_ports, *stage.b_ports)
                                          for e in of[p][2]),
                                        (nl.phase_net, protocol.spacer_level)]

@@ -107,15 +107,21 @@ def outcome(fn):
         return type(exc).__name__, str(exc)
 
 
-def chain(length=3):
-    """OR2 gates in a row from ``x``, their side inputs alternating ``y`` and ``w``."""
+def chain(length=3, acknowledged=False):
+    """OR2 gates in a row from ``x``, their side inputs alternating ``y`` and ``w``.
+
+    ``acknowledged`` makes the first gate's output ``ack_out`` and adds an
+    ``ack_in`` input that nothing reads.
+    """
     b = NetlistBuilder(Protocol.RTZ)
     x, y, w = b.input_net("x"), b.input_net("y"), b.input_net("w")
-    net = x
-    for i in range(length):
+    net = first = b.gate(GateKind.OR2, (x, y))
+    for i in range(1, length):
         net = b.gate(GateKind.OR2, (net, (y, w)[i % 2]))
     b.mark_output("z", net, x)
-    return b.build(), x, y, w
+    if not acknowledged:
+        return b.build(), x, y, w
+    return b.build(ack_out=first, ack_in=b.input_net("ack_in")), x, y, w
 
 
 def observe(state, elapsed):
@@ -268,7 +274,7 @@ def test_each_environment_acknowledge_at_one_time_matches_the_heap(pulses, ack_o
 
 @pytest.mark.parametrize("model, discipline", cases(unequal=("short1", "short2", "short3")))
 def test_future_pulses_and_out_of_order_times_match_the_heap(model, discipline):
-    nl, x, y, w = chain(length=4)
+    nl, x, y, w = chain(length=4, acknowledged=True)
     pair = pair_of_states(nl, MODELS[model], discipline)
     assert (len(set(pair[1]._gate_delay)) > 1) == (discipline == "per_gate")
     for state in pair:
@@ -276,8 +282,7 @@ def test_future_pulses_and_out_of_order_times_match_the_heap(model, discipline):
         state.set_primary(y, 1, at_time=4)   # before the pending batch
         state.set_primary(x, 0, at_time=12)  # a pulse after it
         state.set_primary(y, 0, at_time=9)   # joins the batch at 9
-    got = [observe(s, s.run_until_quiescent(stop_net=nl.gates[0].output, stop_level=1))
-           for s in pair]
+    got = [observe(s, s.run_until_quiescent(until_ack=1)) for s in pair]
     assert got[0] == got[1]
     assert not pair[0].quiescent
     for state in pair:
@@ -312,9 +317,7 @@ actions = st.lists(
     st.one_of(
         st.tuples(st.just("set"), st.sampled_from(INPUTS), st.integers(0, 1),
                   st.none() | st.integers(0, 6)),
-        st.tuples(st.just("run"), st.integers(1, 60),
-                  st.none() | st.sampled_from([STAGE.ack_out, *STAGE.gates[0].inputs]),
-                  st.integers(0, 1)),
+        st.tuples(st.just("run"), st.integers(1, 60), st.sampled_from([None, 0, 1])),
     ),
     max_size=25,
 )
@@ -339,9 +342,8 @@ def test_arbitrary_stimulus_matches_the_heap(discipline, script, data):
                 at = None if offset is None else state.clock + offset
                 got.append(outcome(lambda: state.set_primary(net, level, at)))
             else:
-                _, max_time, stop_net, stop_level = action
-                got.append(outcome(lambda: state.run_until_quiescent(
-                    max_time, stop_net, stop_level if stop_net is not None else None)))
+                _, max_time, until_ack = action
+                got.append(outcome(lambda: state.run_until_quiescent(max_time, until_ack)))
             got[-1] = (got[-1], observe(state, None), list(state.ack_edges))
         assert got[0] == got[1]
 

@@ -36,7 +36,7 @@ from qdimul.sim import (
     write_trace_csv,
     write_trace_vcd,
 )
-from test_queue_disciplines import force
+from test_queue_disciplines import force, pending
 
 
 def chain_netlist(length=3, kind=GateKind.OR2):
@@ -327,6 +327,17 @@ def test_run_until_quiescent_refuses_a_bad_max_time_before_running(max_time, dis
     assert st_.levels[nl.ack_out] == Protocol.RTZ.active_level
 
 
+@pytest.mark.parametrize("delay_model", ["unit", 3, 0, "", DelayMode.UNIT],
+                         ids=["str", "int", "zero", "empty", "mode"])
+def test_a_delay_model_that_is_not_one_is_refused(delay_model):
+    nl = generate(MultiplierSpec(n=2))
+    refused = re.escape(f"delay_model must be a DelayModel or None, got {delay_model!r}")
+    for make in (reset, SimState, Harness):
+        with pytest.raises(ValueError, match=refused):
+            make(nl, delay_model)
+    assert reset(nl).delay_model is reset(nl, None).delay_model is DelayModel.unit()
+
+
 def test_guard_trips_on_slow_circuit():
     nl, x, _ = chain_netlist(length=6)
     st_ = reset(nl, DelayModel.fixed_table({GateKind.OR2: 10}))
@@ -359,16 +370,49 @@ def test_identical_runs_produce_identical_traces():
     assert run() == run()
 
 
-def test_stop_net_returns_early():
+def acknowledged(nl, ack_out, ack_in):
+    """``nl`` with ``ack_out`` and ``ack_in`` declared (None leaves one out)."""
+    return Netlist(nl.protocol, nl.gates, nl.input_ports, nl.output_ports,
+                   ack_out=ack_out, ack_in=ack_in, extra_inputs=nl.extra_inputs, meta=nl.meta)
+
+
+def test_until_ack_returns_early():
     nl, x, out = chain_netlist(length=5)
+    mid = nl.gates[1].output
+    nl = acknowledged(nl, mid, nl.net_count)
     st_ = reset(nl)
     st_.set_primary(x, 1)
-    mid = nl.gates[1].output
-    st_.run_until_quiescent(stop_net=mid, stop_level=1)
-    assert st_.levels[mid] == 1
+    st_.run_until_quiescent(until_ack=1)
+    assert st_.levels[mid] == 1 and st_.levels[nl.ack_in] == 0
+    assert st_.ack_edges == [(2, 1)] and st_.clock == 2
     assert not st_.quiescent
     st_.run_until_quiescent()
     assert st_.levels[out] == 1
+
+
+@pytest.mark.parametrize("until_ack", ["1", True, 2, -1, 1.0],
+                         ids=["str", "bool", "two", "negative", "float"])
+@pytest.mark.parametrize("discipline", ["heap", "one_list", "per_gate"])
+def test_run_until_quiescent_refuses_a_stop_that_cannot_fire(until_ack, discipline):
+    # a 2x2 stage mid data phase: the refusal leaves every pending event
+    nl = generate(MultiplierSpec(n=2))
+    st_ = loop_state(nl, discipline)
+    st_.set_primary(nl.phase_net, Protocol.RTZ.active_level)
+    st_.set_primaries([e for entry in _input_events(nl) for e in entry[1]])
+    before = pending(st_)
+    refused = re.escape(f"until_ack must be None, 0 or 1, got {until_ack!r}")
+    with pytest.raises(ValueError, match=refused):
+        st_.run_until_quiescent(until_ack=until_ack)
+    assert pending(st_) == before and not st_.quiescent
+    # a netlist whose ack_out is not mirrored could never stop
+    chain, _, _ = chain_netlist()
+    for ack_out in (None, chain.gates[0].output):
+        st_ = loop_state(acknowledged(chain, ack_out, None), discipline)
+        st_.set_primary(chain.extra_inputs[0], 1)
+        before = pending(st_)
+        with pytest.raises(ValueError, match="until_ack needs a netlist with ack_out and ack_in"):
+            st_.run_until_quiescent(until_ack=1)
+        assert pending(st_) == before and not st_.quiescent
 
 
 def test_take_trace_drains():
@@ -409,7 +453,7 @@ def test_port_events_are_the_trace_on_port_rails(discipline, shared, protocol):
     st_.set_primary(nl.phase_net, active)
     st_.set_primaries(data)
     # an early return at the acknowledge edge, then the rest of the phase
-    st_.run_until_quiescent(stop_net=nl.ack_out, stop_level=active)
+    st_.run_until_quiescent(until_ack=active)
     assert st_.levels[nl.ack_out] == active
     assert st_.port_events and st_.port_events == on_rails()
     st_.run_until_quiescent()

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -147,18 +148,43 @@ CHECKERS_WITH_SAMPLES = {
 }
 
 
-@pytest.mark.parametrize("samples", [0, -5])
+@pytest.mark.parametrize("samples, refused", [
+    (0, "samples must be at least 1, got 0"),
+    (-5, "samples must be at least 1, got -5"),
+    (2.5, "samples must be an int, got 2.5"),
+    (1.5, "samples must be an int, got 1.5"),
+    (True, "samples must be an int, got True"),
+    ("2", "samples must be an int, got '2'"),
+], ids=["0", "-5", "float", "float1.5", "bool", "str"])
 @pytest.mark.parametrize("check", list(CHECKERS_WITH_SAMPLES))
-def test_an_empty_sample_count_is_refused(mult2, check, samples):
-    with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+def test_an_empty_sample_count_is_refused(mult2, check, samples, refused):
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
         CHECKERS_WITH_SAMPLES[check](mult2, samples=samples)
 
 
+@pytest.mark.parametrize("seeds, refused", [
+    (-3, "seeds must be at least 0, got -3"),
+    (2.5, "seeds must be an int, got 2.5"),
+    (True, "seeds must be an int, got True"),
+    ("2", "seeds must be an int, got '2'"),
+], ids=["-3", "float", "bool", "str"])
 @pytest.mark.parametrize("check", [check_delay_insensitivity, run_all_checks])
-def test_a_negative_seed_count_is_refused(mult2, check):
-    with pytest.raises(ValueError, match="seeds must be at least 0, got -3"):
-        check(mult2, seeds=-3)
+def test_a_negative_seed_count_is_refused(mult2, check, seeds, refused):
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        check(mult2, seeds=seeds)
     assert check_delay_insensitivity(mult2, seeds=0, samples=2).stats["models"] == 1
+    assert check_delay_insensitivity(mult2, seeds=(5,), samples=2).stats["models"] == 2
+
+
+@pytest.mark.parametrize("n, refused", [
+    (0, "n must be at least 1, got 0"),
+    (2.5, "n must be an int, got 2.5"),
+    (True, "n must be an int, got True"),
+], ids=["zero", "float", "bool"])
+@pytest.mark.parametrize("sampler", [default_pairs, sample_pairs])
+def test_a_sampler_refuses_a_width_that_is_not_a_positive_int(sampler, n, refused):
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        sampler(n, 4)
 
 
 # a check over no stimulus would pass on 0 scenarios, so each refuses it
@@ -179,10 +205,15 @@ def test_an_empty_stimulus_is_refused(mult2, case):
         check(mult2)
 
 
-@pytest.mark.parametrize("extra_values", [-1, -5])
-def test_stage_indication_refuses_a_negative_value_count(mult2, extra_values):
-    with pytest.raises(ValueError,
-                       match=f"extra_values must be at least 0, got {extra_values}"):
+@pytest.mark.parametrize("extra_values, refused", [
+    (-1, "extra_values must be at least 0, got -1"),
+    (-5, "extra_values must be at least 0, got -5"),
+    (2.5, "extra_values must be an int, got 2.5"),
+    ("1", "extra_values must be an int, got '1'"),
+    (True, "extra_values must be an int, got True"),
+], ids=["-1", "-5", "float", "str", "bool"])
+def test_stage_indication_refuses_a_negative_value_count(mult2, extra_values, refused):
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
         check_stage_indication(mult2, extra_values=extra_values)
     assert check_stage_indication(mult2, extra_values=0).scenarios == 4
 
