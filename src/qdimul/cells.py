@@ -30,6 +30,7 @@ from .netlist import (
     Netlist,
     NetlistBuilder,
     Protocol,
+    _require_count,
     dualize,
 )
 
@@ -313,8 +314,7 @@ def make_completion_detector(n_ports: int, protocol: Protocol = Protocol.RTZ) ->
     The root net is exposed as ``ack_out``: it asserts when every port holds
     data (RTZ: rises; RTO: falls) and returns once every port is at spacer.
     """
-    if n_ports < 1:
-        raise ValueError("n_ports must be >= 1")
+    _require_count("n_ports", n_ports, 1)
     b = NetlistBuilder(
         Protocol.RTZ,
         meta={"cell": "completion_detector", "protocol": protocol.value, "n_ports": n_ports},
@@ -329,8 +329,7 @@ def make_completion_detector(n_ports: int, protocol: Protocol = Protocol.RTZ) ->
 
 def make_register_bank(n_ports: int, protocol: Protocol = Protocol.RTZ) -> CellHandle:
     """Input latch bank: per dual-rail port two C2s gated by ``ack_in``."""
-    if n_ports < 1:
-        raise ValueError("n_ports must be >= 1")
+    _require_count("n_ports", n_ports, 1)
     b = NetlistBuilder(
         Protocol.RTZ,
         meta={"cell": "register_bank", "protocol": protocol.value, "n_ports": n_ports},
@@ -351,8 +350,8 @@ def make_constant_source(bit: int, protocol: Protocol = Protocol.RTZ) -> CellHan
     data, back to 0 for spacer; RTO dual) and port ``z`` emits the codeword
     for ``bit`` during data phases and SPACER in between.
     """
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
+    if bit.__class__ is not int or bit not in (0, 1):
+        raise ValueError(f"bit must be the int 0 or 1, got {bit!r}")
     b = NetlistBuilder(
         Protocol.RTZ,
         meta={"cell": "constant_source", "protocol": protocol.value, "bit": bit},

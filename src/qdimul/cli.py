@@ -112,6 +112,12 @@ def _emit(text: str, path: str | None) -> None:
         fh.write(text)
 
 
+def _emit_json(command: str, args: argparse.Namespace, keys: Sequence[str], **body) -> None:
+    """Write ``body`` under the run configuration as the command's JSON artifact."""
+    payload = {"run": _run_config(command, args, keys), **body}
+    _emit(json.dumps(payload, indent=1, sort_keys=True) + "\n", args.out)
+
+
 def _load_netlist(path: str):
     with open(path, encoding="utf-8") as fh:
         return deserialize(fh.read())
@@ -169,12 +175,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
             else:
                 write_trace_csv(events, fh)
     if args.json:
-        payload = {
-            "run": _run_config("sim", args, ["netlist", "pairs", "a", "b",
-                                             "delay_model", "seed"]),
-            "reports": cycle_report_rows(reports),
-        }
-        _emit(json.dumps(payload, indent=1, sort_keys=True) + "\n", args.out)
+        _emit_json("sim", args, ["netlist", "pairs", "a", "b", "delay_model", "seed"],
+                   reports=cycle_report_rows(reports))
     else:
         import io
 
@@ -200,24 +202,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
             lines.append("  counterexample: " + oc.counterexample.to_json().replace("\n", " "))
     text = "\n".join(lines) + "\n"
     if args.json:
-        payload = {
-            "run": _run_config("verify", args,
-                               ["netlist", "checks", "samples", "seeds", "seed"]),
-            "checks": [
-                {
-                    "check": oc.check,
-                    "passed": oc.passed,
-                    "detail": oc.detail,
-                    "scenarios": oc.scenarios,
-                    "counterexample": (
-                        json.loads(oc.counterexample.to_json())
-                        if oc.counterexample else None
-                    ),
-                }
-                for oc in outcomes
-            ],
-        }
-        _emit(json.dumps(payload, indent=1, sort_keys=True) + "\n", args.out)
+        checks = [
+            {
+                "check": oc.check,
+                "passed": oc.passed,
+                "detail": oc.detail,
+                "scenarios": oc.scenarios,
+                "counterexample": (
+                    json.loads(oc.counterexample.to_json())
+                    if oc.counterexample else None
+                ),
+            }
+            for oc in outcomes
+        ]
+        _emit_json("verify", args, ["netlist", "checks", "samples", "seeds", "seed"],
+                   checks=checks)
         sys.stderr.write(text)
     else:
         _emit(text, args.out)
@@ -238,13 +237,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         rows.append(measure(netlist, reports))
     ranked = compare(rows)
     if args.json:
-        payload = {
-            "run": _run_config("bench", args,
-                               ["n", "protocol", "adders", "samples",
-                                "delay_model", "seed"]),
-            "rows": [dataclasses.asdict(r) for r in ranked],
-        }
-        _emit(json.dumps(payload, indent=1, sort_keys=True) + "\n", args.out)
+        _emit_json("bench", args, ["n", "protocol", "adders", "samples", "delay_model", "seed"],
+                   rows=[dataclasses.asdict(r) for r in ranked])
     else:
         _emit(render_rows(ranked), args.out)
     return 0

@@ -56,12 +56,10 @@ that raised is never stored.
 from __future__ import annotations
 
 import csv
-import json
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import compress, islice
 from operator import itemgetter
-from statistics import fmean
 from typing import IO, Iterable, Sequence
 
 from .netlist import DualRailPort, DualRailValue, Netlist, encode
@@ -82,10 +80,6 @@ class StuckPhaseError(RuntimeError):
 
 #: What a failed handshake raises: a stall, an ILLEGAL decode or no quiescence.
 HANDSHAKE_ERRORS = (StuckPhaseError, IllegalOutputError, NonQuiescentError)
-
-
-class EmptyReportsError(ValueError):
-    code = "EMPTY"
 
 
 class NotAStageError(ValueError):
@@ -112,21 +106,6 @@ class CycleReport:
     #: How the cycle broke the port rule, or None (see the module docstring).
     #: Out of ``repr``, equality and hashing: ``tests/golden.py`` digests reprs.
     port_fault: str | None = field(default=None, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
-class LatencySummary:
-    cycles: int
-    forward_min: int
-    forward_max: int
-    forward_mean: float
-    reverse_min: int
-    reverse_max: int
-    reverse_mean: float
-    cycle_min: int
-    cycle_max: int
-    cycle_mean: float
-    forward_equals_reverse: bool
 
 
 @dataclass
@@ -529,22 +508,6 @@ class Harness:
         return BurstResult(reports=reports, trace=trace, illegal=illegal)
 
 
-def measure_latencies(reports: Sequence[CycleReport]) -> LatencySummary:
-    """Aggregate latency statistics over a batch of cycle reports."""
-    if not reports:
-        raise EmptyReportsError("no cycle reports to summarize")
-    fwd = [r.forward for r in reports]
-    rev = [r.reverse for r in reports]
-    cyc = [r.cycle for r in reports]
-    return LatencySummary(
-        cycles=len(reports),
-        forward_min=min(fwd), forward_max=max(fwd), forward_mean=fmean(fwd),
-        reverse_min=min(rev), reverse_max=max(rev), reverse_mean=fmean(rev),
-        cycle_min=min(cyc), cycle_max=max(cyc), cycle_mean=fmean(cyc),
-        forward_equals_reverse=all(f == r for f, r in zip(fwd, rev)),
-    )
-
-
 #: The fields of a :class:`CycleReport` that its CSV and JSON exports carry.
 REPORT_COLUMNS = ("a", "b", "product", "forward", "reverse", "cycle", "transitions")
 
@@ -559,7 +522,3 @@ def write_cycle_reports_csv(reports: Iterable[CycleReport], stream: IO[str]) -> 
     writer.writerow(REPORT_COLUMNS)
     for row in cycle_report_rows(reports):
         writer.writerow(row.values())
-
-
-def cycle_reports_json(reports: Iterable[CycleReport]) -> str:
-    return json.dumps(cycle_report_rows(reports), indent=1, sort_keys=True) + "\n"

@@ -11,14 +11,14 @@ worst design in the group reads 1.0.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from statistics import fmean
 from typing import Mapping, Sequence
 
-from .harness import CycleReport, measure_latencies
+from .harness import CycleReport
 from .netlist import GateKind, Netlist
 
+#: Unit area of each gate kind; dual kinds cost the same.
 DEFAULT_AREA_UNITS: Mapping[GateKind, int] = {
     GateKind.NOT: 2,
     GateKind.AND2: 6,
@@ -32,10 +32,6 @@ DEFAULT_AREA_UNITS: Mapping[GateKind, int] = {
 }
 
 
-class MissingAreaEntryError(KeyError):
-    code = "MISSING_AREA_ENTRY"
-
-
 class GroupMismatchError(ValueError):
     code = "GROUP_MISMATCH"
 
@@ -44,36 +40,10 @@ class EmptyComparisonError(ValueError):
     code = "EMPTY"
 
 
-@dataclass(frozen=True)
-class AreaTable:
-    """Per-gate-kind unit costs; dual gate kinds cost the same by default."""
-
-    units: tuple[tuple[GateKind, int], ...]
-
-    @classmethod
-    def default(cls) -> "AreaTable":
-        return cls(tuple(sorted(DEFAULT_AREA_UNITS.items(), key=lambda kv: kv[0].value)))
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[GateKind, int]) -> "AreaTable":
-        merged = dict(DEFAULT_AREA_UNITS)
-        merged.update(mapping)
-        return cls(tuple(sorted(merged.items(), key=lambda kv: kv[0].value)))
-
-    def of(self, kind: GateKind) -> int:
-        for k, units in self.units:
-            if k is kind:
-                return units
-        raise MissingAreaEntryError(f"no area entry for gate kind {kind.value}")
-
-
-def area(netlist: Netlist, table: AreaTable | None = None) -> int:
-    """Total unit area of a netlist under the given cost table."""
-    table = table or AreaTable.default()
-    total = 0
-    for kind, count in netlist.gate_census().items():
-        total += table.of(kind) * count
-    return total
+def area(netlist: Netlist) -> int:
+    """Total unit area of a netlist under :data:`DEFAULT_AREA_UNITS`."""
+    census = netlist.gate_census()
+    return sum(DEFAULT_AREA_UNITS[kind] * count for kind, count in census.items())
 
 
 def power_proxy(reports: Sequence[CycleReport]) -> float:
@@ -115,29 +85,29 @@ def design_label(netlist: Netlist) -> str:
     return label
 
 
-def measure(
-    netlist: Netlist,
-    reports: Sequence[CycleReport],
-    table: AreaTable | None = None,
-) -> StageMetrics:
-    """Condense a batch of handshake cycles into one metrics row."""
-    lat = measure_latencies(reports)
+def measure(netlist: Netlist, reports: Sequence[CycleReport]) -> StageMetrics:
+    """Condense a batch of handshake cycles into one metrics row.
+
+    No reports raise :class:`EmptyComparisonError` (from :func:`power_proxy`).
+    """
     proxy = power_proxy(reports)
+    cycles = [r.cycle for r in reports]
+    cycle_mean = fmean(cycles)
     return StageMetrics(
         design=design_label(netlist),
         protocol=netlist.protocol.value,
         n=int(netlist.meta.get("n", 0)),
         fa_kind=str(netlist.meta.get("fa_kind", "")),
-        area=area(netlist, table),
+        area=area(netlist),
         gate_count=len(netlist.gates),
-        cycles=lat.cycles,
-        forward_mean=lat.forward_mean,
-        reverse_mean=lat.reverse_mean,
-        cycle_mean=lat.cycle_mean,
-        cycle_min=lat.cycle_min,
-        cycle_max=lat.cycle_max,
+        cycles=len(reports),
+        forward_mean=fmean(r.forward for r in reports),
+        reverse_mean=fmean(r.reverse for r in reports),
+        cycle_mean=cycle_mean,
+        cycle_min=min(cycles),
+        cycle_max=max(cycles),
         power_proxy=proxy,
-        pctp=proxy * lat.cycle_mean,
+        pctp=proxy * cycle_mean,
     )
 
 
@@ -200,7 +170,3 @@ def render_rows(rows: Sequence[StageMetrics]) -> str:
     for row in body:
         lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(row))).rstrip())
     return "\n".join(lines) + "\n"
-
-
-def rows_to_json(rows: Sequence[StageMetrics]) -> str:
-    return json.dumps([asdict(r) for r in rows], indent=1, sort_keys=True) + "\n"

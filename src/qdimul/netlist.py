@@ -37,6 +37,15 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 _T = TypeVar("_T")
 
 
+def _require_count(what: str, value: int, least: int | None) -> None:
+    """Refuse, with ``ValueError``, a ``value`` that is not an int (or is a
+    bool), or that is below ``least`` unless that is None."""
+    if value.__class__ is not int:
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+
+
 class Protocol(Enum):
     """Four-phase handshake discipline of a netlist."""
 
@@ -361,8 +370,10 @@ class Netlist:
         """``build(self)``, computed on the first call for ``key`` and kept.
 
         For qdimul's own per-netlist tables; the result is shared by every
-        caller, so it must be treated as read-only.  A build that raises
-        keeps nothing and raises again on the next call.
+        caller, so it must be treated as read-only, with one exception:
+        ``"harness.cycles"``, the harness's cycle record, is a dict the
+        harness fills as it runs.  A build that raises keeps nothing and
+        raises again on the next call.
         """
         try:
             return self._memo[key]  # type: ignore[return-value]

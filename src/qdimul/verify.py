@@ -65,6 +65,7 @@ from .netlist import (
     Gate,
     GateKind,
     Netlist,
+    _require_count,
     dualize,
 )
 from .settle import NotSettleableError, lane_plan
@@ -129,20 +130,14 @@ def _fail(
     return CheckOutcome(check, False, f"{observed} (expected {expected})", scenarios, ce)
 
 
-def _require_count(what: str, value: int, least: int) -> None:
-    """Refuse, with ``ValueError``, a ``value`` that is not an int (or is a bool) >= ``least``."""
-    if value.__class__ is not int:
-        raise ValueError(f"{what} must be an int, got {value!r}")
-    if value < least:
-        raise ValueError(f"{what} must be at least {least}, got {value}")
-
-
-def _require_counts(samples: int, seeds: Iterable[int] | int = 0) -> None:
-    """Refuse ``samples`` unless it is an int of at least 1, and ``seeds``
-    unless it is an int of at least 0 or an iterable of seeds other than a str."""
+def _require_counts(samples: int, seeds: Iterable[int] | int = 0, seed: int = 0) -> None:
+    """Refuse ``samples`` unless it is an int of at least 1, ``seeds`` unless it
+    is an int of at least 0 or an iterable of seeds other than a str, and the
+    pair-sampling ``seed`` unless it is an int (negative ones included)."""
     _require_count("samples", samples, 1)
     if isinstance(seeds, str) or not isinstance(seeds, Iterable):
         _require_count("seeds", seeds, 0)
+    _require_count("seed", seed, None)
 
 
 def _listed(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -161,11 +156,13 @@ def default_pairs(n: int, samples: int = 64, seed: int = 0) -> list[tuple[int, i
     """Stimulus set: exhaustive up to 4-bit operands, ``samples`` pairs beyond.
 
     Beyond 4 bits the four corner pairs come first, then seeded random pairs.
-    ``n`` must be an int of at least 1 and ``samples`` one of at least 1
-    (not bools), else ``ValueError``.
+    ``n`` must be an int of at least 1, ``samples`` one of at least 1 and
+    ``seed`` an int (not bools), else ``ValueError``.  ``random.Random``
+    seeds an int with its absolute value, so ``seed`` and ``-seed`` sample
+    the same pairs; changing that would move every pinned sampled result.
     """
     _require_count("n", n, 1)
-    _require_counts(samples)
+    _require_counts(samples, seed=seed)
     limit = 1 << n
     if n <= 4:
         return [(a, b) for a in range(limit) for b in range(limit)]
@@ -203,7 +200,7 @@ def check_functional(
 ) -> CheckOutcome:
     """Products must equal the integer product of the operands (unit delays)."""
     name = "functional"
-    _require_counts(samples)
+    _require_counts(samples, seed=seed)
     harness = Harness(netlist)
     pairs = default_pairs(harness.n, samples, seed) if pairs is None else _listed(pairs)
     done = 0
@@ -384,9 +381,10 @@ def check_stage_indication(
     the bit must then complete the handshake with the correct product, and
     a full spacer must restore the reset state.  Scenario ``k * V + v``
     withholds port k (the ``a`` ports, then the ``b`` ports) under value v
-    of V.  An ``extra_values`` that is not an int of at least 0 (or is a
-    bool) raises ``ValueError``, and a netlist the :class:`Harness` refuses
-    raises what it raises (``_Stage.of``).
+    of V.  An ``extra_values`` that is not an int of at least 0 or a
+    ``seed`` that is not an int (a bool is neither) raises ``ValueError``,
+    and a netlist the :class:`Harness` refuses raises what it raises
+    (``_Stage.of``).
 
     How it is decided.  Where :mod:`qdimul.settle`'s precondition holds,
     each scenario is one lane and three settles decide every scenario at
@@ -407,6 +405,7 @@ def check_stage_indication(
     net in a lane that has not failed.
     """
     _require_count("extra_values", extra_values, 0)
+    _require_count("seed", seed, None)
     name = "stage_indication"
     stage = _Stage.of(netlist)
     ports = (*stage.a_ports, *stage.b_ports)
@@ -665,7 +664,7 @@ def check_delay_insensitivity(
     monotonic per phase.  Cycle times may and do differ; that is the point.
     """
     name = "delay_insensitivity"
-    _require_counts(samples, seeds)
+    _require_counts(samples, seeds, seed)
     pairs = (sample_pairs(len(stage_ports(netlist)[0]), samples, seed) if pairs is None
              else _listed(pairs))
     if isinstance(seeds, int):
@@ -722,7 +721,7 @@ def check_duality(
     check with that twin's trace tail.
     """
     name = "duality"
-    _require_counts(samples)
+    _require_counts(samples, seed=seed)
     dual = dualize(netlist)
     if dualize(dual) != netlist:
         return _fail(name, netlist, {}, None, "double flip changed the netlist",
@@ -779,7 +778,7 @@ def check_race_immunity(
     phase boundaries and fail here.
     """
     name = "race_immunity"
-    _require_counts(samples)
+    _require_counts(samples, seed=seed)
     harness = Harness(netlist)
     pairs = sample_pairs(harness.n, samples, seed) if pairs is None else _listed(pairs)
     stim = {"pairs": pairs, "gap": _RACE_GAP}
@@ -824,7 +823,7 @@ def run_all_checks(
     seed: int = 0,
 ) -> list[CheckOutcome]:
     """The standard stage verification battery, :data:`BATTERY`, in order."""
-    _require_counts(samples, seeds)
+    _require_counts(samples, seeds, seed)
     return [check(netlist, seeds, samples, seed) for check in BATTERY.values()]
 
 
@@ -900,8 +899,7 @@ def inject_fork_skew(
     design relies on; under a racing environment stale transitions cross
     phase boundaries and :func:`check_race_immunity` must fail.
     """
-    if stages < 1:
-        raise ValueError("stages must be positive")
+    _require_count("stages", stages, 1)
     gate = netlist.gate_by_id.get(consumer_gate)
     if gate is None:
         raise ValueError(f"no gate with id {consumer_gate}")

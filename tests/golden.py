@@ -23,6 +23,7 @@ from qdimul import cells, verify
 from qdimul.cells import FullAdderKind
 from qdimul.cli import main
 from qdimul.harness import Harness, scan_port_changes
+from qdimul.metrics import area, compare, measure
 from qdimul.multiplier import MultiplierSpec, critical_path, generate
 from qdimul.netlist import DualRailValue, GateKind, ParseError, Protocol, deserialize, serialize
 from qdimul.sim import DelayModel
@@ -248,6 +249,31 @@ def critical_path_digest() -> str:
     h = hashlib.sha256()
     for nl in critical_path_designs():
         h.update(repr(_outcome(critical_path, nl)).encode())
+    return h.hexdigest()
+
+
+# -- the metrics ---------------------------------------------------------------
+
+# sha256 over the repr of metrics_digest's rows, pinned while measure took its
+# latencies from a separate summary and area from a table object.
+GOLDEN_METRICS_SHA256 = "5365a59323bb935dc69d4f367e1c1e30fafcad7405df5d1bc4369b464df7d9ce"
+
+
+def metrics_digest() -> str:
+    """measure, then compare, on the dims and weak stages of each group (4x4 RTZ
+    and RTO over every pair, 8x8 RTZ over ``default_pairs(8, 16)``) under unit
+    and ``random_per_gate(1, 20, 3)`` delays; then each stage's area."""
+    h = hashlib.sha256()
+    kinds = (FullAdderKind.DIMS_STRONG, FullAdderKind.WEAK_DISJOINT)
+    groups = [(4, protocol, default_pairs(4)) for protocol in Protocol]
+    groups.append((8, Protocol.RTZ, default_pairs(8, 16)))
+    for n, protocol, pairs in groups:
+        stages = [generate(MultiplierSpec(n, kind, protocol)) for kind in kinds]
+        for dm in (DelayModel.unit(), DelayModel.random_per_gate(1, 20, 3)):
+            rows = [measure(nl, Harness(nl, dm).run_sequence(pairs)) for nl in stages]
+            h.update(repr(rows).encode())
+            h.update(repr(compare(rows)).encode())
+        h.update(repr([area(nl) for nl in stages]).encode())
     return h.hexdigest()
 
 

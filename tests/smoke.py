@@ -10,9 +10,11 @@ engine is pinned apart from the draws), the checker outcome digest (which
 pins stage indication's settled-state lanes as well as its serial loop),
 the critical-path digest (every generator choice at n = 2 to 16 and the
 negative controls, walked in the settled-state module's gate order), the
-golden serialize digest and the reader's error for each corruption in
-the parse-error corpus, all from ``tests/golden.py``.  Prints one line per
-check and exits 1 if any differs.
+metrics digest (``measure``, ``compare`` and ``area`` on the dims and weak
+4x4 and 8x8 stages under unit and random delays), the golden serialize
+digest and the reader's error for each corruption in the parse-error
+corpus, all from ``tests/golden.py``.  Prints one line per check and
+exits 1 if any differs.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ def main() -> int:
         ("checker outcome digest", golden.outcome_digest, golden.GOLDEN_OUTCOME_SHA256),
         ("critical-path digest", golden.critical_path_digest,
          golden.GOLDEN_CRITICAL_PATH_SHA256),
+        ("metrics digest", golden.metrics_digest, golden.GOLDEN_METRICS_SHA256),
         ("serialize digest", golden.serialize_digest, golden.GOLDEN_SERIALIZE_SHA256),
         ("parse-error corpus", golden.parse_errors, golden.GOLDEN_PARSE_ERRORS),
     )

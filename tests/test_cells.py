@@ -1,6 +1,7 @@
 """Cell library: truth tables vs frozen oracles, gate censuses, handshakes."""
 
 import itertools
+import re
 
 import pytest
 
@@ -179,9 +180,23 @@ def test_completion_releases_only_when_every_port_is_spacer():
     assert st.levels[ack] == 0
 
 
-def test_completion_detector_needs_at_least_one_port():
-    with pytest.raises(ValueError):
-        make_completion_detector(0, Protocol.RTZ)
+@pytest.mark.parametrize("n_ports, refused", [
+    (0, "n_ports must be at least 1, got 0"),
+    (True, "n_ports must be an int, got True"),
+    (2.5, "n_ports must be an int, got 2.5"),
+    ("2", "n_ports must be an int, got '2'"),
+], ids=["0", "bool", "float", "str"])
+@pytest.mark.parametrize("make", [make_completion_detector, make_register_bank])
+def test_completion_detector_needs_at_least_one_port(make, n_ports, refused):
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        make(n_ports, Protocol.RTZ)
+
+
+@pytest.mark.parametrize("bit", [2, -1, True, False, 1.0, "1", None])
+def test_constant_source_refuses_a_bit_that_is_not_0_or_1(bit):
+    refused = f"bit must be the int 0 or 1, got {bit!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        make_constant_source(bit, Protocol.RTZ)
 
 
 # -- registers ----------------------------------------------------------------

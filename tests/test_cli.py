@@ -9,6 +9,7 @@ import pytest
 from qdimul import __version__
 from qdimul.cells import make_and2_strong
 from qdimul.cli import main, parse_delay_model
+from qdimul.harness import REPORT_COLUMNS
 from qdimul.netlist import GateKind, Netlist, deserialize, serialize
 from qdimul.sim import DelayModel
 from qdimul.verify import swap_port_rails
@@ -134,6 +135,7 @@ def test_sim_pairs_json_payload(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["run"]["command"] == "sim"
     assert [r["product"] for r in payload["reports"]] == [9, 2]
+    assert all(set(r) == set(REPORT_COLUMNS) for r in payload["reports"])
 
 
 def test_sim_requires_operands(tmp_path):

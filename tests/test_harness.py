@@ -3,7 +3,6 @@
 import dataclasses
 import io
 import itertools
-import json
 import random
 from types import SimpleNamespace
 
@@ -15,7 +14,6 @@ import qdimul.harness as harness_mod
 from qdimul.harness import (
     HANDSHAKE_ERRORS,
     CycleReport,
-    EmptyReportsError,
     Harness,
     IllegalOutputError,
     NotAStageError,
@@ -23,8 +21,6 @@ from qdimul.harness import (
     _Stage,
     _illegal_points,
     _input_events,
-    cycle_reports_json,
-    measure_latencies,
     scan_port_changes,
     write_cycle_reports_csv,
 )
@@ -792,20 +788,6 @@ def test_a_state_off_reset_or_with_a_trace_is_simulated():
         assert got[0].product == 2 and got[0].transitions != recorded.transitions
 
 
-def test_measure_latencies_summary(mult2):
-    reports = Harness(mult2).run_sequence([(0, 0), (3, 3), (1, 2)])
-    lat = measure_latencies(reports)
-    assert lat.cycles == 3
-    assert lat.forward_min <= lat.forward_mean <= lat.forward_max
-    assert lat.cycle_mean == pytest.approx(lat.forward_mean + lat.reverse_mean)
-    assert lat.forward_equals_reverse
-
-
-def test_measure_latencies_rejects_empty():
-    with pytest.raises(EmptyReportsError):
-        measure_latencies([])
-
-
 def test_csv_export(mult2):
     reports = Harness(mult2).run_sequence([(1, 1), (2, 3)])
     buf = io.StringIO()
@@ -814,11 +796,3 @@ def test_csv_export(mult2):
     assert lines[0] == "a,b,product,forward,reverse,cycle,transitions"
     assert len(lines) == 3
     assert lines[1].startswith("1,1,1,")
-
-
-def test_json_export(mult2):
-    reports = Harness(mult2).run_sequence([(2, 2)])
-    rows = json.loads(cycle_reports_json(reports))
-    assert rows[0]["product"] == 4
-    assert set(rows[0]) == {"a", "b", "product", "forward", "reverse", "cycle",
-                            "transitions"}

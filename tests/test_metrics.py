@@ -1,20 +1,18 @@
-"""Cost metrics: area tables, switching proxy, combined figure, comparisons."""
+"""Cost metrics: the area table, switching proxy, combined figure, comparisons."""
 
-import json
 from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import golden
 from qdimul.cells import FullAdderKind, make_and2_strong, make_full_adder
 from qdimul.harness import Harness
 from qdimul.metrics import (
     DEFAULT_AREA_UNITS,
-    AreaTable,
     EmptyComparisonError,
     GroupMismatchError,
-    MissingAreaEntryError,
     StageMetrics,
     area,
     compare,
@@ -23,7 +21,6 @@ from qdimul.metrics import (
     normalize_pctp,
     power_proxy,
     render_rows,
-    rows_to_json,
 )
 from qdimul.multiplier import MultiplierSpec, generate
 from qdimul.netlist import GateKind, dualize
@@ -52,25 +49,14 @@ def row(design="d", n=2, protocol="rtz", cycle_mean=10.0, pctp=100.0, **kw):
 
 def test_default_area_table_is_frozen():
     assert dict(DEFAULT_AREA_UNITS) == FROZEN_AREA_UNITS
-    table = AreaTable.default()
-    for kind, units in FROZEN_AREA_UNITS.items():
-        assert table.of(kind) == units
+    assert set(DEFAULT_AREA_UNITS) == set(GateKind)
 
 
 def test_dual_kinds_cost_the_same():
-    table = AreaTable.default()
-    assert table.of(GateKind.AND2) == table.of(GateKind.OR2)
-    assert table.of(GateKind.AND3) == table.of(GateKind.OR3)
-    assert table.of(GateKind.AND4) == table.of(GateKind.OR4)
-
-
-def test_from_mapping_overrides_and_missing_entry():
-    table = AreaTable.from_mapping({GateKind.C2: 99})
-    assert table.of(GateKind.C2) == 99
-    assert table.of(GateKind.NOT) == 2
-    empty = AreaTable(())
-    with pytest.raises(MissingAreaEntryError):
-        empty.of(GateKind.C2)
+    units = DEFAULT_AREA_UNITS
+    assert units[GateKind.AND2] == units[GateKind.OR2]
+    assert units[GateKind.AND3] == units[GateKind.OR3]
+    assert units[GateKind.AND4] == units[GateKind.OR4]
 
 
 def test_and_cell_area_by_hand():
@@ -109,10 +95,23 @@ def test_measure_integration():
     assert m.area == area(nl)
     assert m.gate_count == len(nl.gates)
     assert m.cycles == 16
+    assert m.cycle_min <= m.cycle_mean <= m.cycle_max
+    assert m.forward_mean == m.reverse_mean  # every 2x2 cycle under unit delays
     assert m.cycle_mean == pytest.approx(m.forward_mean + m.reverse_mean)
     assert m.pctp == pytest.approx(m.power_proxy * m.cycle_mean)
     assert m.pctp_normalized is None
     assert set(asdict(m)) >= {"design", "area", "pctp", "pctp_normalized"}
+
+
+def test_measure_refuses_no_reports():
+    with pytest.raises(EmptyComparisonError, match="^no cycle reports$") as exc:
+        measure(generate(MultiplierSpec(n=2)), [])
+    assert exc.value.code == "EMPTY"
+
+
+def test_golden_metrics_hash():
+    # digest and inputs live in tests/golden.py, shared with tests/smoke.py
+    assert golden.metrics_digest() == golden.GOLDEN_METRICS_SHA256
 
 
 def test_design_label_variants():
@@ -170,10 +169,3 @@ def test_render_rows_table_shape():
     assert "design" in lines[0] and "pctp_norm" in lines[0]
     assert len(lines) == 4
     assert any(line.startswith("a") for line in lines)
-
-
-def test_rows_to_json_roundtrip():
-    rows = compare([row("a", pctp=50.0), row("b", pctp=100.0)])
-    doc = json.loads(rows_to_json(rows))
-    assert [entry["design"] for entry in doc] == [r.design for r in rows]
-    assert doc[0]["pctp_normalized"] == rows[0].pctp_normalized

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -174,6 +175,27 @@ def test_a_negative_seed_count_is_refused(mult2, check, seeds, refused):
         check(mult2, seeds=seeds)
     assert check_delay_insensitivity(mult2, seeds=0, samples=2).stats["models"] == 1
     assert check_delay_insensitivity(mult2, seeds=(5,), samples=2).stats["models"] == 2
+
+
+#: Every entry that samples pairs from a seed; those that take ``pairs`` refuse
+#: a bad seed also when the pairs are given.
+SEEDED = {
+    **CHECKERS_WITH_SAMPLES,
+    "sample_pairs": lambda nl, **kw: sample_pairs(4, 8, **kw),
+    "stage_indication": check_stage_indication,
+}
+
+
+@pytest.mark.parametrize("seed", [[1], 2.5, "a", None, True],
+                         ids=["list", "float", "str", "None", "bool"])
+@pytest.mark.parametrize("check", list(SEEDED))
+def test_a_seed_that_is_not_an_int_is_refused(mult2, check, seed):
+    refused = f"^{re.escape(f'seed must be an int, got {seed!r}')}$"
+    with pytest.raises(ValueError, match=refused):
+        SEEDED[check](mult2, seed=seed)
+    if check in ("functional", "duality", "race_immunity", "delay_insensitivity"):
+        with pytest.raises(ValueError, match=refused):
+            SEEDED[check](mult2, pairs=[(1, 1)], seed=seed)
 
 
 @pytest.mark.parametrize("n, refused", [
@@ -824,8 +846,12 @@ def test_inject_fork_skew_validates_arguments(mult2):
     p0 = next(p for p in mult2.output_ports if p.name == "P0")
     consumer = mult2.net(p0.rail1).driver_gate
     fork_net = mult2.gate_by_id[consumer].inputs[0]
-    with pytest.raises(ValueError):
-        inject_fork_skew(mult2, fork_net, consumer, stages=0)
+    for stages, refused in ((0, "stages must be at least 1, got 0"),
+                            (True, "stages must be an int, got True"),
+                            (2.5, "stages must be an int, got 2.5"),
+                            ("2", "stages must be an int, got '2'")):
+        with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+            inject_fork_skew(mult2, fork_net, consumer, stages=stages)
     with pytest.raises(ValueError):
         inject_fork_skew(mult2, fork_net, consumer + 10_000, stages=4)
     with pytest.raises(ValueError):
@@ -839,3 +865,14 @@ def test_mutants_keep_their_tags(mult2):
 
 def test_golden_outcome_hash():
     assert golden.outcome_digest() == golden.GOLDEN_OUTCOME_SHA256
+
+
+def test_readme_quick_tour_prints_what_it_says(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Quick tour", 1)[1]
+    snippet = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(snippet, "README.md", "exec"), {})
+    checks = ["functional", "stage_indication", "duality", "race_immunity",
+              "delay_insensitivity"]
+    assert capsys.readouterr().out.splitlines() == (
+        ["143 19 19"] + [f"{check} True" for check in checks])
