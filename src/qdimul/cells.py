@@ -31,6 +31,7 @@ from .netlist import (
     NetlistBuilder,
     Protocol,
     _require_count,
+    _require_type,
     dualize,
 )
 
@@ -58,8 +59,11 @@ class CellHandle:
     """A cell packaged as a self-contained netlist fragment."""
 
     netlist: Netlist
-    ports: dict[str, DualRailPort]
-    nets: dict[str, int]
+
+    @property
+    def ports(self) -> dict[str, DualRailPort]:
+        """Each port by its name: the netlist's ``port_by_name``."""
+        return self.netlist.port_by_name
 
 
 # ---------------------------------------------------------------------------
@@ -257,26 +261,27 @@ def emit_constant(b: NetlistBuilder, bit: int, phase: int) -> tuple[int, int]:
 # standalone cell constructors
 
 
-def _finish(
-    b: NetlistBuilder,
-    protocol: Protocol,
-    nets: dict[str, int],
-    **build_kwargs,
-) -> CellHandle:
+def _cell_builder(cell: str, protocol: Protocol, **meta) -> NetlistBuilder:
+    """The RTZ builder of a cell that :func:`_finish` maps to ``protocol``.
+
+    A ``protocol`` that is not a :class:`Protocol` raises ``ValueError``.
+    """
+    _require_type("protocol", protocol, Protocol)
+    return NetlistBuilder(Protocol.RTZ, meta={"cell": cell, "protocol": protocol.value, **meta})
+
+
+def _finish(b: NetlistBuilder, protocol: Protocol, **build_kwargs) -> CellHandle:
     net = b.build(**build_kwargs)
-    if protocol is Protocol.RTO:
-        net = dualize(net)
-    ports = {p.name: p for p in net.ports}
-    return CellHandle(netlist=net, ports=ports, nets=nets)
+    return CellHandle(dualize(net) if protocol is Protocol.RTO else net)
 
 
 def make_and2_strong(protocol: Protocol = Protocol.RTZ) -> CellHandle:
     """Strong-indication dual-rail AND cell with ports a, b -> z."""
-    b = NetlistBuilder(Protocol.RTZ, meta={"cell": "and2_strong", "protocol": protocol.value})
+    b = _cell_builder("and2_strong", protocol)
     pa, pb = b.dual_rail_input("a"), b.dual_rail_input("b")
     z1, z0 = emit_and2(b, pa.rail1, pa.rail0, pb.rail1, pb.rail0)
     b.mark_output("z", z1, z0)
-    return _finish(b, protocol, {})
+    return _finish(b, protocol)
 
 
 def make_full_adder(
@@ -285,15 +290,15 @@ def make_full_adder(
     c3_as_tree: bool = False,
     or4_as_tree: bool = False,
 ) -> CellHandle:
-    """Full adder cell with ports a, b, cin -> sum, cout."""
-    b = NetlistBuilder(
-        Protocol.RTZ,
-        meta={
-            "cell": f"full_adder_{kind.value}",
-            "protocol": protocol.value,
-            "fa_kind": kind.value,
-        },
-    )
+    """Full adder cell with ports a, b, cin -> sum, cout.
+
+    The arguments are typed as :class:`~qdimul.multiplier.MultiplierSpec`'s
+    fields are; one of another type raises ``ValueError``.
+    """
+    _require_type("kind", kind, FullAdderKind)
+    b = _cell_builder(f"full_adder_{kind.value}", protocol, fa_kind=kind.value)
+    for name, flag in (("c3_as_tree", c3_as_tree), ("or4_as_tree", or4_as_tree)):
+        _require_type(name, flag, bool)
     pa, pb, pc = b.dual_rail_input("a"), b.dual_rail_input("b"), b.dual_rail_input("cin")
     s1, s0, co1, co0 = _FA_EMITTERS[kind](
         b,
@@ -305,7 +310,7 @@ def make_full_adder(
     )
     b.mark_output("sum", s1, s0)
     b.mark_output("cout", co1, co0)
-    return _finish(b, protocol, {})
+    return _finish(b, protocol)
 
 
 def make_completion_detector(n_ports: int, protocol: Protocol = Protocol.RTZ) -> CellHandle:
@@ -315,32 +320,26 @@ def make_completion_detector(n_ports: int, protocol: Protocol = Protocol.RTZ) ->
     data (RTZ: rises; RTO: falls) and returns once every port is at spacer.
     """
     _require_count("n_ports", n_ports, 1)
-    b = NetlistBuilder(
-        Protocol.RTZ,
-        meta={"cell": "completion_detector", "protocol": protocol.value, "n_ports": n_ports},
-    )
+    b = _cell_builder("completion_detector", protocol, n_ports=n_ports)
     pairs = []
     for i in range(n_ports):
         p = b.dual_rail_input(f"x{i}")
         pairs.append((p.rail1, p.rail0))
     root = emit_completion(b, pairs)
-    return _finish(b, protocol, {"ack_out": root}, ack_out=root)
+    return _finish(b, protocol, ack_out=root)
 
 
 def make_register_bank(n_ports: int, protocol: Protocol = Protocol.RTZ) -> CellHandle:
     """Input latch bank: per dual-rail port two C2s gated by ``ack_in``."""
     _require_count("n_ports", n_ports, 1)
-    b = NetlistBuilder(
-        Protocol.RTZ,
-        meta={"cell": "register_bank", "protocol": protocol.value, "n_ports": n_ports},
-    )
+    b = _cell_builder("register_bank", protocol, n_ports=n_ports)
     ack = b.input_net("ack_in", reset=1)
     for i in range(n_ports):
         p = b.dual_rail_input(f"x{i}")
         y1 = emit_register(b, p.rail1, ack)
         y0 = emit_register(b, p.rail0, ack)
         b.mark_output(f"y{i}", y1, y0)
-    return _finish(b, protocol, {"ack_in": ack}, ack_in=ack)
+    return _finish(b, protocol, ack_in=ack)
 
 
 def make_constant_source(bit: int, protocol: Protocol = Protocol.RTZ) -> CellHandle:
@@ -352,11 +351,8 @@ def make_constant_source(bit: int, protocol: Protocol = Protocol.RTZ) -> CellHan
     """
     if bit.__class__ is not int or bit not in (0, 1):
         raise ValueError(f"bit must be the int 0 or 1, got {bit!r}")
-    b = NetlistBuilder(
-        Protocol.RTZ,
-        meta={"cell": "constant_source", "protocol": protocol.value, "bit": bit},
-    )
+    b = _cell_builder("constant_source", protocol, bit=bit)
     phase = b.input_net("phase")
     z1, z0 = emit_constant(b, bit, phase)
     b.mark_output("z", z1, z0)
-    return _finish(b, protocol, {"phase": phase}, phase_net=phase)
+    return _finish(b, protocol, phase_net=phase)

@@ -24,7 +24,9 @@ A stage's phases take their events from it, once per stage: every operand
 port's two codeword event pairs, and the spacer phase's events with the
 phase net.  The end-of-cycle checks decode the product through an int bit
 table and compare the net levels with the reset state first, walking the
-product ports only to name a failure.
+product ports only to name a failure.  A stage's ports are the ones its
+metadata names, looked up once in ``Netlist.port_by_name``, the one
+name-to-port map; ``validate`` refuses a name two ports share.
 
 Observation costs what the caller needs.  The acknowledge edges come from
 the engine's record of ``ack_out`` transitions (``SimState.ack_edges``).
@@ -62,7 +64,7 @@ from itertools import compress, islice
 from operator import itemgetter
 from typing import IO, Iterable, Sequence
 
-from .netlist import DualRailPort, DualRailValue, Netlist, encode
+from .netlist import DualRailValue, Netlist, encode
 from .sim import DelayModel, NonQuiescentError, SimState, Trace, reset
 
 
@@ -115,22 +117,6 @@ class BurstResult:
     reports: list[CycleReport]
     trace: Trace
     illegal: list[tuple[int, str]] = field(default_factory=list)
-
-
-def stage_ports(
-    netlist: Netlist,
-) -> tuple[list[DualRailPort], list[DualRailPort], list[DualRailPort]]:
-    """Operand ``a``, operand ``b`` and product ports of a stage, LSB first."""
-    meta = netlist.meta
-    if "operands" not in meta or "products" not in meta:
-        raise NotAStageError("not a multiplier stage: the netlist has no operand metadata")
-    by_name = {p.name: p for p in netlist.ports}
-    try:
-        return ([by_name[nm] for nm in meta["operands"]["a"]],
-                [by_name[nm] for nm in meta["operands"]["b"]],
-                [by_name[nm] for nm in meta["products"]])
-    except (KeyError, TypeError) as exc:
-        raise NotAStageError(f"malformed stage port metadata: {exc!r}") from None
 
 
 #: One input port's ``(net, level)`` events for bit 0, bit 1 and the spacer.
@@ -214,12 +200,13 @@ def _illegal_points(changes: dict[str, list[tuple[int, DualRailValue]]]) -> list
 class _Stage:
     """How a stage is driven and judged, built once per netlist by :meth:`of`.
 
-    The operand ``a``, operand ``b`` and product ports; ``operand_events``,
-    the environment's events per operand port and bit, the ``a`` ports then
-    the ``b`` ports, so entry i drives bit i of ``a | b << n``; the spacer
-    phase's events (each port's entries of :func:`_input_events`, the one
-    table every environment drives ports from); and the tables of the
-    end-of-cycle checks and the port rule.  Three users share it: the
+    The operand ``a``, operand ``b`` and product ports, LSB first, as the
+    stage's port metadata names them; ``operand_events``, the environment's
+    events per operand port and bit, the ``a`` ports then the ``b`` ports,
+    so entry i drives bit i of ``a | b << n``; the spacer phase's events
+    (each port's entries of :func:`_input_events`, the one table every
+    environment drives ports from); and the tables of the end-of-cycle
+    checks and the port rule.  Three users share it: the
     :class:`Harness`'s cycles, ``verify.check_stage_indication``'s serial
     loop, which withholds one operand port's events at a time, and its
     settled-state lanes (``verify._first_failing_lane``), which build every
@@ -233,7 +220,16 @@ class _Stage:
         return netlist._derived("harness.stage", cls)
 
     def __init__(self, netlist: Netlist):
-        self.a_ports, self.b_ports, self.out_ports = stage_ports(netlist)
+        meta = netlist.meta
+        if "operands" not in meta or "products" not in meta:
+            raise NotAStageError("not a multiplier stage: the netlist has no operand metadata")
+        try:
+            by_name = netlist.port_by_name
+            self.a_ports = [by_name[nm] for nm in meta["operands"]["a"]]
+            self.b_ports = [by_name[nm] for nm in meta["operands"]["b"]]
+            self.out_ports = [by_name[nm] for nm in meta["products"]]
+        except (KeyError, TypeError) as exc:
+            raise NotAStageError(f"malformed stage port metadata: {exc!r}") from None
         if netlist.ack_out is None or netlist.ack_in is None or netlist.phase_net is None:
             raise ValueError("harness requires ack_out, ack_in and a phase net")
         netlist.require_valid()
@@ -294,10 +290,13 @@ class Harness:
             netlist._derived("harness.cycles", lambda _nl: {}))
 
     def _require_operands(self, pairs: Iterable[tuple[int, int]]) -> None:
-        """Raise ``ValueError`` unless every operand is an int (not a bool) of n bits."""
+        """Raise ``ValueError`` unless every entry is an ``(a, b)`` tuple or list
+        and every operand an int (not a bool) of n bits."""
         limit = 1 << self.n
-        for a, b in pairs:
-            for x in (a, b):
+        for pair in pairs:
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValueError(f"operand pairs must be (a, b) pairs, got {pair!r}")
+            for x in pair:
                 if x.__class__ is not int or not 0 <= x < limit:
                     raise ValueError(f"operands must be ints in [0, {limit}), got {x!r}")
 
@@ -444,7 +443,12 @@ class Harness:
     def run_sequence(
         self, pairs: Iterable[tuple[int, int]], want_traces: bool = False
     ) -> list[CycleReport]:
-        """Run consecutive cycles, threading circuit state between them."""
+        """Run consecutive cycles, threading circuit state between them.
+
+        Every pair is checked as in :meth:`run_cycle` before the first cycle runs.
+        """
+        pairs = list(pairs)
+        self._require_operands(pairs)
         return [self.run_cycle(a, b, want_trace=want_traces) for a, b in pairs]
 
     def run_burst(self, pairs: Sequence[tuple[int, int]], gap: int = 1) -> BurstResult:

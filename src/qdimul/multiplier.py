@@ -25,7 +25,7 @@ from .cells import (
     emit_constant,
     emit_register,
 )
-from .netlist import GateKind, Netlist, NetlistBuilder, Protocol, dualize
+from .netlist import GateKind, Netlist, NetlistBuilder, Protocol, _require_type, dualize
 from .settle import gate_order
 
 GENERATOR_TAG = "array_multiplier"
@@ -50,12 +50,9 @@ class MultiplierSpec:
     def __post_init__(self) -> None:
         if self.n.__class__ is not int or self.n < 2:
             raise ValueError(f"multiplier width must be an int >= 2, got {self.n!r}")
-        for name, kind in (("fa_kind", FullAdderKind), ("protocol", Protocol)):
-            if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
-        for name in ("c3_as_tree", "or4_as_tree"):
-            if getattr(self, name).__class__ is not bool:
-                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        for name, kind in (("fa_kind", FullAdderKind), ("protocol", Protocol),
+                           ("c3_as_tree", bool), ("or4_as_tree", bool)):
+            _require_type(name, getattr(self, name), kind)
 
 
 @dataclass(frozen=True)
@@ -74,8 +71,10 @@ def generate(spec: MultiplierSpec) -> Netlist:
     Port conventions: operand bits ``a0..a{N-1}`` and ``b0..b{N-1}`` (LSB
     first), product bits ``P0..P{2N-1}``.  The ``phase`` primary input feeds
     the constant carry sources and must be driven together with the operand
-    rails (the handshake harness does this automatically).
+    rails (the handshake harness does this automatically).  A ``spec`` that
+    is not a :class:`MultiplierSpec` raises ``ValueError``.
     """
+    _require_type("spec", spec, MultiplierSpec)
     n = spec.n
     b = NetlistBuilder(Protocol.RTZ)
     fa_emit = _FA_EMITTERS[spec.fa_kind]

@@ -19,8 +19,9 @@ netlist plus per-gate reset levels fully determines behaviour.
 
 A :class:`Netlist` is immutable.  Building one computes only its primary
 inputs and ``net_count``; who drives each net and who listens
-(:meth:`Netlist.net`, ``Netlist.gate_by_id``), the validation verdict and the
-simulator's plan are computed on first use and kept on the object.
+(:meth:`Netlist.net`, ``Netlist.gate_by_id``), each port by its name
+(``Netlist.port_by_name``), the validation verdict and the simulator's plan
+are computed on first use and kept on the object.
 :func:`serialize` and :func:`deserialize` write and read the one JSON form.
 """
 
@@ -44,6 +45,12 @@ def _require_count(what: str, value: int, least: int | None) -> None:
         raise ValueError(f"{what} must be an int, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{what} must be at least {least}, got {value}")
+
+
+def _require_type(what: str, value: object, kind: type) -> None:
+    """Refuse, with ``ValueError``, a ``value`` that is not a ``kind``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {value!r}")
 
 
 class Protocol(Enum):
@@ -228,6 +235,7 @@ class DiagnosticCode(Enum):
     ALIASED_ACK = "ALIASED_ACK"
     BAD_GATE_FIELD = "BAD_GATE_FIELD"
     BAD_NET_FIELD = "BAD_NET_FIELD"
+    DUPLICATE_PORT_NAME = "DUPLICATE_PORT_NAME"
 
 
 @dataclass(frozen=True)
@@ -266,10 +274,10 @@ class Netlist:
 
     Instances are built through :class:`NetlistBuilder`, :func:`deserialize`
     or :func:`dualize`.  Construction computes only ``primary_inputs`` and
-    ``net_count``; the per-net views (:meth:`net`, ``gate_by_id``), the
-    validation verdict and the simulator's plan are built on first use and
-    kept on the object (see :meth:`_derived`), so nothing may be changed
-    after construction.
+    ``net_count``; the per-net views (:meth:`net`, ``gate_by_id``),
+    ``port_by_name``, the validation verdict and the simulator's plan are
+    built on first use and kept on the object (see :meth:`_derived`), so
+    nothing may be changed after construction.
     """
 
     def __init__(
@@ -326,6 +334,11 @@ class Netlist:
     @property
     def gate_by_id(self) -> dict[int, Gate]:
         return self._derived("gate_by_id", lambda nl: {g.id: g for g in nl.gates})
+
+    @property
+    def port_by_name(self) -> dict[str, DualRailPort]:
+        """Each port by its name; :func:`validate` refuses a name two ports share."""
+        return self._derived("port_by_name", lambda nl: {p.name: p for p in nl.ports})
 
     @property
     def decode_table(self) -> tuple[DualRailValue, ...]:
@@ -461,9 +474,10 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
 
     First checks the fields: each gate's inputs are a sequence, its id, input
     and output nets are ints (not bools), its kind is a :class:`GateKind` and
-    its reset is 0 or 1, and every port rail, ``ack_out``, ``ack_in``,
-    ``phase_net``, extra input and constant net is an int and every constant
-    level is the int 0 or 1 (``Netlist`` keeps the constant pairs as given).
+    its reset is 0 or 1, every port name is a str, and every port rail,
+    ``ack_out``, ``ack_in``, ``phase_net``, extra input and constant net is
+    an int and every constant level is the int 0 or 1 (``Netlist`` keeps
+    the constant pairs as given).
     A netlist with a bad field gets only those diagnostics
     (``BAD_GATE_FIELD``, whose subject is the gate's position in
     ``netlist.gates``, and ``BAD_NET_FIELD``, which names the field), since
@@ -473,7 +487,8 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
     driven nets (the simulator indexes its tables by them), single
     drivership, gate arity, port connectivity with two distinct rails per
     port and no input-port rail shared with another input port, the phase
-    net or ``ack_in`` (a phase net on ``ack_in`` is legal), a driven
+    net or ``ack_in`` (a phase net on ``ack_in`` is legal), port names
+    no two ports share (``DUPLICATE_PORT_NAME``), a driven
     ``ack_out`` on a net other than ``ack_in`` (the acknowledge would
     otherwise feed itself back at the same instant), and the absence of
     combinational cycles.  A cycle is legal only if it passes through a
@@ -501,10 +516,11 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
         return _check_fields(netlist)
     # Checked by type: a bool, or a float equal to an int, passes every
     # comparison the other checks make.
+    names = [p.name for p in ports]
     if not ({*map(type, ids), *map(type, outputs), *map(type, pins), *map(type, resets),
              *map(type, rails), *map(type, named), *map(type, netlist.extra_inputs),
              *map(type, consts), *map(type, const_levels)} <= {int}
-            and {*resets, *const_levels} <= {0, 1}):
+            and {*resets, *const_levels} <= {0, 1} and {*map(type, names)} <= {str}):
         return _check_fields(netlist)
 
     diags: list[Diagnostic] = []
@@ -579,6 +595,12 @@ def validate(netlist: Netlist) -> list[Diagnostic]:
                         DiagnosticCode.UNCONNECTED_INPUT,
                         f"port {p.name!r} {rail_name} dangles on undriven net {n}", (n,)))
 
+    if len(set(names)) != len(names):
+        for name, count in Counter(names).items():
+            if count > 1:
+                diags.append(Diagnostic(DiagnosticCode.DUPLICATE_PORT_NAME,
+                                        f"port name {name!r} is used by {count} ports"))
+
     if ack_out is not None and ack_out not in claimed:
         diags.append(Diagnostic(DiagnosticCode.UNCONNECTED_INPUT,
                                 f"ack_out dangles on undriven net {ack_out}", (ack_out,)))
@@ -622,7 +644,9 @@ def _check_fields(netlist: Netlist) -> list[Diagnostic]:
                                        ("phase_net", netlist.phase_net)) if n is not None]
     nets += [(f"extra_inputs[{i}]", n) for i, n in enumerate(netlist.extra_inputs)]
     nets += [(f"const_nets[{i}][0]", n) for i, (n, _) in enumerate(netlist.const_nets)]
-    fields = [(name, n, n.__class__ is int, "an int") for name, n in nets]
+    fields = [(f"ports[{i}].name", p.name, p.name.__class__ is str, "a str")
+              for i, p in enumerate(netlist.ports)]
+    fields += [(name, n, n.__class__ is int, "an int") for name, n in nets]
     fields += [(f"const_nets[{i}]", pair, pair[1].__class__ is int and pair[1] in (0, 1),
                 "a level of 0 or 1") for i, pair in enumerate(netlist.const_nets)]
     for name, value, ok, want in fields:

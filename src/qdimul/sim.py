@@ -6,11 +6,11 @@ a gate instance.  The engine processes pending events in (time, net id)
 order, applies each level change, then re-evaluates the fanout gates of all
 nets that changed at that timestamp.
 
-The engine contract is :class:`Engine`: what the harness and the checkers
-use of a simulation state, namely ``netlist``, ``delay_model``,
-``clock``, ``levels``, ``trace``, ``ack_edges``, ``port_events``,
-``quiescent``, ``set_primary``, ``set_primaries``, ``run_until_quiescent``,
-``read_port`` and ``take_trace``.  Every queue discipline runs inside
+The engine contract is what the harness and the checkers use of a
+:class:`SimState`: ``netlist``, ``delay_model``, ``clock``, ``levels``,
+``trace``, ``ack_edges``, ``port_events``, ``quiescent``, ``set_primary``,
+``set_primaries``, ``run_until_quiescent``, ``read_port`` and
+``take_trace``.  Every queue discipline runs inside
 :meth:`SimState.run_until_quiescent`, so wrapping that one method sees all
 simulated work.  A handshake the harness's cycle record already holds
 (:mod:`qdimul.harness`) is not simulated at all: it only moves the clock.
@@ -109,7 +109,7 @@ from enum import Enum
 from functools import cache
 from heapq import heappop, heappush
 from operator import attrgetter, itemgetter
-from typing import IO, Iterable, Mapping, Protocol
+from typing import IO, Iterable, Mapping
 
 from .netlist import (
     ARITY,
@@ -324,9 +324,6 @@ class _Plan:
         if self.ack_out is not None:
             self.watch[self.ack_out] |= 2
         self.decode = netlist.decode_table
-        self.port_by_name: dict[str, DualRailPort] = {}
-        for p in netlist.ports:  # the first of ports sharing a name wins
-            self.port_by_name.setdefault(p.name, p)
         self._timing: dict[DelayModel, tuple[list[int], int | None]] = {}
 
     def timing(self, model: DelayModel) -> tuple[list[int], int | None]:
@@ -346,39 +343,6 @@ class _Plan:
             step = vector[0] if vector and vector.count(vector[0]) == len(vector) else None
             timing = self._timing[model] = (vector, step)
         return timing
-
-
-class Engine(Protocol):
-    """What the harness and the checkers use of a simulation state.
-
-    :class:`SimState` is the one implementation.  Every queue discipline
-    runs inside :meth:`run_until_quiescent`.
-    """
-
-    netlist: Netlist
-    delay_model: DelayModel
-    clock: int
-    levels: list[int]
-    trace: Trace
-    ack_edges: list[tuple[int, int]]
-    port_events: Trace
-
-    @property
-    def quiescent(self) -> bool: ...
-
-    def set_primary(self, net: int, level: int, at_time: int | None = None) -> None: ...
-
-    def set_primaries(
-        self, events: Iterable[tuple[int, int]], at_time: int | None = None
-    ) -> None: ...
-
-    def run_until_quiescent(
-        self, max_time: int = DEFAULT_GUARD, until_ack: int | None = None
-    ) -> int: ...
-
-    def read_port(self, port: DualRailPort | str) -> DualRailValue: ...
-
-    def take_trace(self) -> Trace: ...
 
 
 class SimState:
@@ -708,7 +672,7 @@ class SimState:
     def read_port(self, port: DualRailPort | str) -> DualRailValue:
         if not isinstance(port, DualRailPort):
             try:
-                port = self._plan.port_by_name[port]
+                port = self.netlist.port_by_name[port]
             except (KeyError, TypeError):
                 raise KeyError(f"no port named {port!r}") from None
         levels = self.levels

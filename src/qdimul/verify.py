@@ -9,7 +9,9 @@ under unit delays except :func:`check_delay_insensitivity`, which adds
 engine's ``DEFAULT_GUARD``.  A handshake that fails with one of
 :data:`~qdimul.harness.HANDSHAKE_ERRORS` is a failing outcome, not an error.
 A check given no stimulus (an empty ``pairs`` or ``reports``) raises
-``ValueError`` rather than pass on 0 scenarios.
+``ValueError`` rather than pass on 0 scenarios.  Seeded operand pairs come
+from one generator per seed (:func:`_pair_rng`), so ``seed`` and ``-seed``
+sample different pairs.
 
 Every check simulates its scenarios on the event engine except
 :func:`check_stage_indication`, which first decides all of its scenarios at
@@ -53,7 +55,6 @@ from .harness import (
     _Stage,
     _input_events,
     scan_port_changes,  # unused here; bench/tracing.py wraps this module's copy
-    stage_ports,
 )
 from .metrics import design_label
 from .netlist import (
@@ -148,6 +149,16 @@ def _listed(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return pairs
 
 
+def _pair_rng(seed: int) -> random.Random:
+    """The generator that samples operand pairs under ``seed``.
+
+    ``random.Random`` seeds an int with its absolute value, so a negative
+    seed seeds with its decimal text, as :class:`~qdimul.sim.DelayModel`
+    does; a seed of 0 or more keeps ``random.Random(seed)``.
+    """
+    return random.Random(seed if seed >= 0 else str(seed))
+
+
 def _corners(limit: int) -> list[tuple[int, int]]:
     return [(0, 0), (limit - 1, limit - 1), (1, limit - 1), (limit - 1, 1)]
 
@@ -157,16 +168,15 @@ def default_pairs(n: int, samples: int = 64, seed: int = 0) -> list[tuple[int, i
 
     Beyond 4 bits the four corner pairs come first, then seeded random pairs.
     ``n`` must be an int of at least 1, ``samples`` one of at least 1 and
-    ``seed`` an int (not bools), else ``ValueError``.  ``random.Random``
-    seeds an int with its absolute value, so ``seed`` and ``-seed`` sample
-    the same pairs; changing that would move every pinned sampled result.
+    ``seed`` an int (not bools), else ``ValueError``; ``seed`` and ``-seed``
+    sample different pairs (:func:`_pair_rng`).
     """
     _require_count("n", n, 1)
     _require_counts(samples, seed=seed)
     limit = 1 << n
     if n <= 4:
         return [(a, b) for a in range(limit) for b in range(limit)]
-    rng = random.Random(seed)
+    rng = _pair_rng(seed)
     pairs = _corners(limit)[:samples]
     while len(pairs) < samples:
         pairs.append((rng.randrange(limit), rng.randrange(limit)))
@@ -186,7 +196,7 @@ def sample_pairs(n: int, samples: int, seed: int = 0) -> list[tuple[int, int]]:
         return pairs
     corners = list(dict.fromkeys(_corners(1 << n)))[:samples]
     rest = [p for p in pairs if p not in corners]
-    return corners + random.Random(seed).sample(rest, samples - len(corners))
+    return corners + _pair_rng(seed).sample(rest, samples - len(corners))
 
 
 # -- functional correctness ----------------------------------------------------
@@ -338,16 +348,13 @@ def check_weak_indication(netlist: Netlist) -> CheckOutcome:
     early, but while any input is missing the outputs as a whole must stay
     incomplete, and while any input is still at data they must not all reach
     spacer.  Cells are exercised under every codeword and arrival order;
-    multiplier stages (recognised by their port metadata) run the
-    withheld-operand-bit variant via :func:`check_stage_indication`.
+    multiplier stages (recognised by their port metadata) run
+    :func:`check_stage_indication`'s withheld-operand-bit check under this
+    check's name.
     """
     name = "weak_indication"
     if "operands" in netlist.meta:
-        outcome = check_stage_indication(netlist)
-        ce = outcome.counterexample
-        if ce is not None:
-            ce = dataclasses.replace(ce, check=name)
-        return dataclasses.replace(outcome, check=name, counterexample=ce)
+        return _stage_indication(netlist, name)
 
     def step(st, outs, mark, early, withdrawing):
         if not early:
@@ -404,14 +411,19 @@ def check_stage_indication(
     engine's; or from scenario 0 when the plan is refused or a flip moves a
     net in a lane that has not failed.
     """
+    return _stage_indication(netlist, "stage_indication", extra_values, seed)
+
+
+def _stage_indication(netlist: Netlist, name: str, extra_values: int = 2,
+                      seed: int = 0) -> CheckOutcome:
+    """:func:`check_stage_indication`'s body, its outcome named ``name``."""
     _require_count("extra_values", extra_values, 0)
     _require_count("seed", seed, None)
-    name = "stage_indication"
     stage = _Stage.of(netlist)
     ports = (*stage.a_ports, *stage.b_ports)
     n = len(stage.a_ports)
     limit = 1 << n
-    rng = random.Random(seed)
+    rng = _pair_rng(seed)
     values = [(limit - 1, limit - 1)]
     values += [(rng.randrange(limit), rng.randrange(limit)) for _ in range(extra_values)]
     try:
@@ -607,7 +619,9 @@ def check_monotonicity(netlist: Netlist, reports: Sequence[CycleReport]) -> Chec
     The net and merge rules of the module docstring, over traced cycles.
     Each cycle is first screened with set passes over each phase window's
     nets and the merge gates they fire; only a cycle that fails the screen
-    is walked event by event, to report its first violation.
+    is walked event by event, to report its first violation.  A report that
+    is not a traced :class:`~qdimul.harness.CycleReport` raises ``ValueError``
+    when the walk reaches it.
     """
     name = "monotonicity"
     if not reports:
@@ -615,6 +629,8 @@ def check_monotonicity(netlist: Netlist, reports: Sequence[CycleReport]) -> Chec
     merge = netlist._derived("verify.merge_gates", _merge_gates)
     scenarios = 0
     for idx, r in enumerate(reports):
+        if not isinstance(r, CycleReport):
+            raise ValueError(f"reports must hold CycleReports, got {r!r}")
         if r.trace is None:
             raise ValueError("check_monotonicity needs cycle reports with traces")
         if _acts_once(r.trace, r.spacer_start, merge):
@@ -665,7 +681,7 @@ def check_delay_insensitivity(
     """
     name = "delay_insensitivity"
     _require_counts(samples, seeds, seed)
-    pairs = (sample_pairs(len(stage_ports(netlist)[0]), samples, seed) if pairs is None
+    pairs = (sample_pairs(len(_Stage.of(netlist).a_ports), samples, seed) if pairs is None
              else _listed(pairs))
     if isinstance(seeds, int):
         seeds = range(seeds)
@@ -692,9 +708,9 @@ def check_delay_insensitivity(
             mono = check_monotonicity(netlist, [r])
             if not mono:
                 ce = mono.counterexample
-                return CheckOutcome(name, False, mono.detail, scenarios,
-                                    dataclasses.replace(ce, check=name,
-                                                        delay_model=dm.describe()))
+                return CheckOutcome(name, False, mono.detail, scenarios, dataclasses.replace(
+                    ce, check=name, stimulus={**ce.stimulus, "cycle": idx},
+                    delay_model=dm.describe()))
             cycle_times.add(r.cycle)
             scenarios += 1
     detail = (f"{scenarios} cycles over {len(models)} delay models agree with the oracle; "
@@ -726,7 +742,7 @@ def check_duality(
     if dualize(dual) != netlist:
         return _fail(name, netlist, {}, None, "double flip changed the netlist",
                      "polarity flip is an involution", 0)
-    pairs = (sample_pairs(len(stage_ports(netlist)[0]), samples, seed) if pairs is None
+    pairs = (sample_pairs(len(_Stage.of(netlist).a_ports), samples, seed) if pairs is None
              else _listed(pairs))
     h1 = Harness(netlist)
     h2 = Harness(dual)

@@ -151,7 +151,7 @@ def test_rto_census_swaps_gate_families():
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_completion_asserts_only_when_every_port_has_data(protocol):
     cell = make_completion_detector(3, protocol)
-    ack = cell.nets["ack_out"]
+    ack = cell.netlist.ack_out
     active, spacer = protocol.active_level, protocol.spacer_level
     for present in itertools.product((0, 1), repeat=3):
         st = reset(cell.netlist)
@@ -165,7 +165,7 @@ def test_completion_asserts_only_when_every_port_has_data(protocol):
 
 def test_completion_releases_only_when_every_port_is_spacer():
     cell = make_completion_detector(3, Protocol.RTZ)
-    ack = cell.nets["ack_out"]
+    ack = cell.netlist.ack_out
     st = reset(cell.netlist)
     for i in range(3):
         apply_bit(st, cell.ports[f"x{i}"], 1)
@@ -199,12 +199,39 @@ def test_constant_source_refuses_a_bit_that_is_not_0_or_1(bit):
         make_constant_source(bit, Protocol.RTZ)
 
 
+#: Each cell constructor, called with one argument of the wrong type, and
+#: what it must refuse, in ``MultiplierSpec``'s wording.
+MISTYPED_CELL_ARGUMENTS = {
+    "and2-protocol": (lambda: make_and2_strong("rto"), "protocol must be a Protocol, got 'rto'"),
+    "adder-kind": (lambda: make_full_adder("dims"), "kind must be a FullAdderKind, got 'dims'"),
+    "adder-protocol": (lambda: make_full_adder(FullAdderKind.WEAK_DISJOINT, None),
+                       "protocol must be a Protocol, got None"),
+    "adder-c3": (lambda: make_full_adder(FullAdderKind.DIMS_STRONG, c3_as_tree="no"),
+                 "c3_as_tree must be a bool, got 'no'"),
+    "adder-or4": (lambda: make_full_adder(FullAdderKind.DIMS_STRONG, or4_as_tree=1),
+                  "or4_as_tree must be a bool, got 1"),
+    "completion-protocol": (lambda: make_completion_detector(2, "rtz"),
+                            "protocol must be a Protocol, got 'rtz'"),
+    "register-protocol": (lambda: make_register_bank(2, 0), "protocol must be a Protocol, got 0"),
+    "constant-protocol": (lambda: make_constant_source(1, "rto"),
+                          "protocol must be a Protocol, got 'rto'"),
+}
+
+
+@pytest.mark.parametrize("case", MISTYPED_CELL_ARGUMENTS.values(), ids=MISTYPED_CELL_ARGUMENTS)
+def test_cell_constructors_refuse_an_argument_of_the_wrong_type(case):
+    # a truthy "no" would build the 20-gate tree adder, a str protocol fail on .value
+    make, refused = case
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        make()
+
+
 # -- registers ----------------------------------------------------------------
 
 
 def test_register_passes_data_when_ack_ready_and_blocks_otherwise():
     cell = make_register_bank(1, Protocol.RTZ)
-    ack = cell.nets["ack_in"]
+    ack = cell.netlist.ack_in
     st = reset(cell.netlist)
     apply_bit(st, cell.ports["x0"], 1)
     st.run_until_quiescent()
@@ -223,7 +250,7 @@ def test_register_passes_data_when_ack_ready_and_blocks_otherwise():
 
 def test_register_holds_data_and_still_propagates_spacer_while_ack_busy():
     cell = make_register_bank(1, Protocol.RTZ)
-    ack = cell.nets["ack_in"]
+    ack = cell.netlist.ack_in
     st = reset(cell.netlist)
     apply_bit(st, cell.ports["x0"], 1)
     st.run_until_quiescent()
@@ -244,7 +271,7 @@ def test_register_holds_data_and_still_propagates_spacer_while_ack_busy():
 @pytest.mark.parametrize("bit", [0, 1])
 def test_constant_source_follows_the_phase_line(bit, protocol):
     cell = make_constant_source(bit, protocol)
-    phase = cell.nets["phase"]
+    phase = cell.netlist.phase_net
     st = reset(cell.netlist)
     assert st.read_port("z") is DualRailValue.SPACER
     st.set_primary(phase, protocol.active_level)

@@ -13,6 +13,7 @@ from qdimul.harness import REPORT_COLUMNS
 from qdimul.netlist import GateKind, Netlist, deserialize, serialize
 from qdimul.sim import DelayModel
 from qdimul.verify import swap_port_rails
+from test_harness import renamed_p1
 
 
 def run_main(argv, capsys):
@@ -297,6 +298,17 @@ def test_cell_netlist_is_a_usage_error(tmp_path, capsys, argv):
         main([argv[0], "--netlist", str(cell), *argv[1:]])
     assert exc.value.code == 2
     assert "not a multiplier stage" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_stage_whose_port_names_repeat(tmp_path, capsys):
+    # product port P1 renamed P0: refused before any check runs
+    path = tmp_path / "renamed.json"
+    path.write_text(serialize(renamed_p1(deserialize(gen_netlist(tmp_path).read_text()))))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--netlist", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "qdimul: error: DUPLICATE_PORT_NAME: port name 'P0' is used by 2 ports\n"
 
 
 def test_stage_indication_on_a_stage_without_ack_out_is_a_usage_error(tmp_path, capsys):

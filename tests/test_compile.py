@@ -109,6 +109,14 @@ def reference_validate(nl):
                     DiagnosticCode.UNCONNECTED_INPUT,
                     f"port {p.name!r} {rail_name} dangles on undriven net {n}", (n,)))
 
+    named: dict[str, int] = {}
+    for p in nl.ports:
+        named[p.name] = named.get(p.name, 0) + 1
+    for name, count in named.items():
+        if count > 1:
+            diags.append(Diagnostic(DiagnosticCode.DUPLICATE_PORT_NAME,
+                                    f"port name {name!r} is used by {count} ports"))
+
     if nl.ack_out is not None and nl.ack_out not in claimed:
         diags.append(Diagnostic(DiagnosticCode.UNCONNECTED_INPUT,
                                 f"ack_out dangles on undriven net {nl.ack_out}", (nl.ack_out,)))
@@ -236,17 +244,14 @@ def reference_plan(nl):
                 f"reset is not quiescent: gate {g.id} ({g.kind.value}) would "
                 f"drive {settled}, reset says {lv[g.output]}"
             )
-    port_by_name = {}
-    for p in nl.ports:
-        port_by_name.setdefault(p.name, p)
     return {"_gates": gates, "row": row, "output": [g.output for g in gates],
             "fanout": [tuple(f) for f in fanout], "reset_ones": reset_ones,
             "reset_levels": tuple(lv), "ack_out": nl.ack_out if nl.ack_in is not None else None,
-            "ack_in": nl.ack_in, "decode": nl.decode_table, "port_by_name": port_by_name}
+            "ack_in": nl.ack_in, "decode": nl.decode_table}
 
 
 PLAN_TABLES = ("_gates", "row", "output", "fanout", "reset_ones", "reset_levels", "ack_out",
-               "ack_in", "decode", "port_by_name")
+               "ack_in", "decode")
 
 
 def plan_tables(nl):
@@ -408,7 +413,7 @@ def nearly_valid_netlists(draw):
     fields = dict(extra_inputs=tuple(range(2, n_inputs)), ack_out=net - 1, ack_in=None)
     edit = draw(st.sampled_from(["none", "input", "output", "rail", "alias", "shared",
                                  "ack_dangles", "ack_aliased", "ack_in", "negative", "id",
-                                 "far", "arity"]))
+                                 "far", "arity", "name"]))
     g = draw(st.integers(0, len(gates) - 1))
     old = gates[g]
     any_net = st.integers(-1, net + 1)
@@ -424,6 +429,8 @@ def nearly_valid_netlists(draw):
         ports[1] = DualRailPort("y", ports[1].rail0, ports[1].rail0, "out")
     elif edit == "shared":  # a second input port on one or both of x's rails
         ports.insert(1, DualRailPort("z", draw(st.integers(0, 1)), 1, "in"))
+    elif edit == "name":  # the output port takes the input port's name
+        ports[1] = DualRailPort("x", ports[1].rail1, ports[1].rail0, "out")
     elif edit == "ack_dangles":
         fields.update(ack_out=net)
     elif edit == "ack_aliased":  # ack_in is a primary input, so the net is driven

@@ -151,6 +151,46 @@ def test_an_operand_must_be_an_int_of_n_bits_before_anything_is_scheduled(bad):
     assert h.run_cycle(1, 2).product == 2
 
 
+@pytest.mark.parametrize("entry", [3, (1,), (1, 2, 3), "12", None],
+                         ids=["int", "1-tuple", "3-tuple", "str", "None"])
+def test_an_operand_pair_must_be_a_pair_before_anything_is_scheduled(mult2, entry):
+    # refused before the first cycle runs, not as a TypeError mid-sequence
+    h = Harness(mult2)
+    for run in (h.run_sequence, h.run_burst):
+        with pytest.raises(ValueError, match=r"^operand pairs must be \(a, b\) pairs, got "):
+            run([(1, 1), entry])
+        assert h.state.quiescent and h.state.trace == [] and h.state.clock == 0
+
+
+def renamed_p1(stage):
+    """``stage`` with product port P1 renamed P0, in its ports and its metadata."""
+    outs = tuple(dataclasses.replace(p, name="P0") if p.name == "P1" else p
+                 for p in stage.output_ports)
+    products = ["P0" if name == "P1" else name for name in stage.meta["products"]]
+    return _rebuilt(stage, output_ports=outs, meta={**stage.meta, "products": products})
+
+
+def test_a_port_name_two_ports_share_is_refused(mult2):
+    # a shared name would resolve product bits 0 and 1 to one port, so that
+    # run_cycle(3, 3) read product 8
+    with pytest.raises(InvalidNetlistError,
+                       match="^DUPLICATE_PORT_NAME: port name 'P0' is used by 2 ports$"):
+        Harness(renamed_p1(mult2))
+
+
+@pytest.mark.parametrize("name", [["a0"], None, 0], ids=["list", "None", "int"])
+@pytest.mark.parametrize("run", [Harness, check_stage_indication],
+                         ids=["Harness", "check_stage_indication"])
+def test_a_port_name_that_is_not_a_str_is_refused_as_a_stage_error(mult2, run, name):
+    ins = tuple(dataclasses.replace(p, name=name) if p.name == "a0" else p
+                for p in mult2.input_ports)
+    operands = {**mult2.meta["operands"], "a": [name, "a1"]}
+    bad = _rebuilt(mult2, input_ports=ins, meta={**mult2.meta, "operands": operands})
+    with pytest.raises(ValueError) as raised:  # never a bare TypeError from a name lookup
+        run(bad)
+    assert raised.type in (NotAStageError, InvalidNetlistError)
+
+
 def test_harness_requires_stage_metadata(mult2):
     for meta in ({}, {"operands": 5, "products": []},
                  {"operands": {"a": ["zz"], "b": []}, "products": []}):

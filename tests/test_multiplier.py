@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +50,13 @@ def test_spec_refuses_a_field_of_the_wrong_type(field, value):
     fields = {"n": 2, field: value}
     with pytest.raises(ValueError, match=f"{field}|width"):
         MultiplierSpec(**fields)
+
+
+@pytest.mark.parametrize("spec", [3, None, {"n": 2}], ids=["int", "None", "dict"])
+def test_generate_refuses_a_spec_that_is_not_a_multiplier_spec(spec):
+    refused = f"spec must be a MultiplierSpec, got {spec!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        generate(spec)
 
 
 def test_design_name_mentions_all_choices():

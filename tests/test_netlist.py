@@ -384,6 +384,30 @@ def test_validate_flags_a_net_field_of_the_wrong_type(field, change):
         reset(bad)
 
 
+@pytest.mark.parametrize("name", [["P0"], None, 0, b"P0"], ids=["list", "None", "int", "bytes"])
+def test_validate_flags_a_port_name_that_is_not_a_str(name):
+    # refused by validate, before a name lookup can fail on an unhashable name
+    stage = generate(MultiplierSpec(2))
+    bad = verify._mutated(stage, "bad-name", **_first_output(stage, name=name))
+    assert [(d.code.value, d.message) for d in validate(bad)] == [
+        ("BAD_NET_FIELD", f"ports[{len(stage.input_ports)}].name is {name!r}, expected a str")]
+    with pytest.raises(InvalidNetlistError, match="BAD_NET_FIELD"):
+        reset(bad)
+
+
+def test_validate_names_each_port_name_ports_share():
+    stage = generate(MultiplierSpec(2))
+    ins = [dataclasses.replace(p, name="a0") if p.name == "a1" else p for p in stage.input_ports]
+    outs = [dataclasses.replace(p, name="P0") if p.name in ("P1", "P3") else p
+            for p in stage.output_ports]
+    bad = verify._mutated(stage, "shared-names", input_ports=ins, output_ports=outs)
+    assert [(d.code.value, d.message) for d in validate(bad)] == [
+        ("DUPLICATE_PORT_NAME", "port name 'a0' is used by 2 ports"),
+        ("DUPLICATE_PORT_NAME", "port name 'P0' is used by 3 ports")]
+    with pytest.raises(InvalidNetlistError, match="DUPLICATE_PORT_NAME"):
+        reset(bad)
+
+
 def test_constant_nets_are_kept_as_given():
     nl = Netlist(Protocol.RTZ, [Gate(0, GateKind.NOT, (7,), 8, 1)], const_nets=[(7.9, True)])
     assert nl.const_nets == ((7.9, True),)

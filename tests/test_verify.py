@@ -18,7 +18,7 @@ from qdimul.cells import (
     make_register_bank,
 )
 from qdimul.cli import main
-from qdimul.harness import CycleReport, Harness, _Stage, stage_ports
+from qdimul.harness import CycleReport, Harness, _Stage
 from qdimul.multiplier import MultiplierSpec, generate
 from qdimul.netlist import (DualRailValue, Gate, GateKind, InvalidNetlistError, Netlist,
                             NetlistBuilder, Protocol, dualize, encode)
@@ -75,6 +75,12 @@ def test_default_pairs_sampled_when_wide():
     assert (0, 0) in pairs and (255, 255) in pairs
     assert all(0 <= a < 256 and 0 <= b < 256 for a, b in pairs)
     assert pairs == default_pairs(8, samples=40, seed=3)
+
+
+def test_a_negative_seed_samples_other_pairs_than_its_absolute_value():
+    # random.Random seeds an int with its absolute value; pair sampling must not
+    assert default_pairs(8, 5, seed=-1) != default_pairs(8, 5, seed=1)
+    assert sample_pairs(4, 8, seed=-3) != sample_pairs(4, 8, seed=3)
 
 
 @pytest.mark.parametrize("samples", [1, 2, 3, 4, 5, 9])
@@ -306,7 +312,8 @@ def test_stage_indication_every_adder_kind(kind):
 def _stage_indication_running_every_spacer_phase(netlist, extra_values=2, seed=0):
     """``check_stage_indication`` as it was when every scenario ran its spacer phase."""
     name = "stage_indication"
-    a_ports, b_ports, out_ports = stage_ports(netlist)
+    stage = _Stage.of(netlist)
+    a_ports, b_ports, out_ports = stage.a_ports, stage.b_ports, stage.out_ports
     ports = (*a_ports, *b_ports)
     n = len(a_ports)
     proto = netlist.protocol
@@ -580,6 +587,13 @@ def test_monotonicity_flags_majority_control_carry():
     assert "gate" in out.counterexample.observed
 
 
+@pytest.mark.parametrize("report", [1, (1, 1), None], ids=["int", "pair", "None"])
+def test_monotonicity_refuses_a_report_that_is_not_a_cycle_report(mult2, report):
+    refused = f"reports must hold CycleReports, got {report!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        check_monotonicity(mult2, [report])
+
+
 def _reference_monotonicity(netlist, reports):
     """The event-by-event loop ``check_monotonicity`` runs on every report
     before the set-pass screen; the screened check must agree with it."""
@@ -714,6 +728,15 @@ def test_delay_insensitivity_sweep(mult2):
     out = check_delay_insensitivity(mult2, seeds=4, samples=8)
     assert out, out.detail
     assert len(out.stats["cycle_times"]) > 1
+
+
+def test_delay_insensitivity_names_the_cycle_a_hazard_breaks():
+    # cycle 1 breaks, though the nested monotonicity check sees it as its cycle 0
+    nl = generate(MultiplierSpec(n=2, fa_kind=FullAdderKind.MAJORITY_CONTROL))
+    out = check_delay_insensitivity(nl, pairs=[(3, 3), (0, 0)], seeds=0)
+    assert not out and out.scenarios == 1 and "(net 54, t=23)" in out.detail
+    assert out.counterexample.check == "delay_insensitivity"
+    assert out.counterexample.stimulus == {"a": 0, "b": 0, "cycle": 1, "phase": 0}
 
 
 def test_duality(mult2):
