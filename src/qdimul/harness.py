@@ -206,12 +206,13 @@ class _Stage:
     so entry i drives bit i of ``a | b << n``; the spacer phase's events
     (each port's entries of :func:`_input_events`, the one table every
     environment drives ports from); and the tables of the end-of-cycle
-    checks and the port rule.  Three users share it: the
+    checks and the port rule.  Four users share it: the
     :class:`Harness`'s cycles, ``verify.check_stage_indication``'s serial
-    loop, which withholds one operand port's events at a time, and its
+    loop, which withholds one operand port's events at a time, its
     settled-state lanes (``verify._first_failing_lane``), which build every
-    scenario's lane words from the same events.  Nothing here is mutated
-    after construction.
+    scenario's lane words from the same events, and the timed lanes
+    (``settle.run_cycles``), which build every pair's.  Nothing here is
+    mutated after construction.
     """
 
     @classmethod
@@ -274,6 +275,18 @@ class _Stage:
                 and len(set(map(port_of.__getitem__, moved))) == self.port_count)
 
 
+def _require_operands(n: int, pairs: Iterable[tuple[int, int]]) -> None:
+    """Raise ``ValueError`` unless every entry is an ``(a, b)`` tuple or list
+    and every operand an int (not a bool) of ``n`` bits."""
+    limit = 1 << n
+    for pair in pairs:
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise ValueError(f"operand pairs must be (a, b) pairs, got {pair!r}")
+        for x in pair:
+            if x.__class__ is not int or not 0 <= x < limit:
+                raise ValueError(f"operands must be ints in [0, {limit}), got {x!r}")
+
+
 class Harness:
     """Drives a generated multiplier stage through handshake cycles."""
 
@@ -288,17 +301,6 @@ class Harness:
         #: the cycle record (module docstring): model -> (a, b) -> report
         self._records: dict[DelayModel, dict[tuple[int, int], CycleReport]] = (
             netlist._derived("harness.cycles", lambda _nl: {}))
-
-    def _require_operands(self, pairs: Iterable[tuple[int, int]]) -> None:
-        """Raise ``ValueError`` unless every entry is an ``(a, b)`` tuple or list
-        and every operand an int (not a bool) of n bits."""
-        limit = 1 << self.n
-        for pair in pairs:
-            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-                raise ValueError(f"operand pairs must be (a, b) pairs, got {pair!r}")
-            for x in pair:
-                if x.__class__ is not int or not 0 <= x < limit:
-                    raise ValueError(f"operands must be ints in [0, {limit}), got {x!r}")
 
     # -- phase primitives ----------------------------------------------------
 
@@ -388,7 +390,7 @@ class Harness:
         raises ``ValueError`` before anything is scheduled.  A pair the cycle
         record holds runs without the engine (module docstring).
         """
-        self._require_operands(((a, b),))
+        _require_operands(self.n, ((a, b),))
         st = self.state
         if not st.quiescent:
             raise StuckPhaseError("cycle started with events still pending")
@@ -448,7 +450,7 @@ class Harness:
         Every pair is checked as in :meth:`run_cycle` before the first cycle runs.
         """
         pairs = list(pairs)
-        self._require_operands(pairs)
+        _require_operands(self.n, pairs)
         return [self.run_cycle(a, b, want_trace=want_traces) for a, b in pairs]
 
     def run_burst(self, pairs: Sequence[tuple[int, int]], gap: int = 1) -> BurstResult:
@@ -470,7 +472,7 @@ class Harness:
         scheduled.
         """
         pairs = list(pairs)
-        self._require_operands(pairs)
+        _require_operands(self.n, pairs)
         if gap.__class__ is not int or gap < 0:
             raise ValueError(f"gap must be an int of at least 0, got {gap!r}")
         st = self.state

@@ -13,11 +13,16 @@ A check given no stimulus (an empty ``pairs`` or ``reports``) raises
 from one generator per seed (:func:`_pair_rng`), so ``seed`` and ``-seed``
 sample different pairs.
 
-Every check simulates its scenarios on the event engine except
-:func:`check_stage_indication`, which first decides all of its scenarios at
-once from settled states (:mod:`qdimul.settle`, one lane per scenario) and
-runs the engine only from the lowest failing scenario on, for the
-counterexample, or from the first when the lanes cannot decide.
+Every check simulates its scenarios on the event engine except two, which
+first decide all of their scenarios at once from settled states
+(:mod:`qdimul.settle`, one lane per scenario).
+:func:`check_stage_indication` runs the engine only from the lowest
+failing scenario on, for the counterexample, or from the first when the
+lanes cannot decide.  :func:`check_delay_insensitivity` takes every pair's
+cycle under every delay model from the timed lanes
+(:func:`~qdimul.settle.run_cycles`) and passes without simulating; when
+they refuse, its serial loop runs every scenario from the first on the
+engine, so failures, counts and counterexamples stay the engine's.
 
 The module also ships three netlist mutators used as negative controls:
 :func:`swap_port_rails` (corrupts function), :func:`narrow_completion`
@@ -42,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -69,7 +75,7 @@ from .netlist import (
     _require_count,
     dualize,
 )
-from .settle import NotSettleableError, lane_plan
+from .settle import NotSettleableError, lane_plan, run_cycles
 from .sim import DelayModel, reset
 
 TRACE_TAIL = 24
@@ -252,6 +258,10 @@ def _cell_io(netlist: Netlist) -> tuple[tuple[DualRailPort, ...], tuple[DualRail
     return ins, outs
 
 
+#: Most input ports whose 2^k * k! scenarios a cell indication check enumerates.
+_MAX_ARRIVAL_PORTS = 5
+
+
 def _arrival_orders(
     netlist: Netlist,
     name: str,
@@ -275,10 +285,19 @@ def _arrival_orders(
     would mirror) gets the four-phase environment's acknowledge: ``ack_in``
     leaves its reset level once the outputs complete and returns to it after
     the last withdrawal.
+
+    A cell of k input ports has 2^k * k! scenarios, so a valid cell of more
+    than :data:`_MAX_ARRIVAL_PORTS` ports raises ``ValueError`` before the first.
     """
     ins, outs = _cell_io(netlist)
     k = len(ins)
     netlist.require_valid()  # before any table of the netlist is read
+    if k > _MAX_ARRIVAL_PORTS:
+        limit = _MAX_ARRIVAL_PORTS
+        raise ValueError(
+            f"a cell with {k} input ports has 2^{k} * {k}! = {2 ** k * math.factorial(k):,} "
+            f"codeword/arrival-order scenarios; cell indication takes at most {limit} "
+            f"ports ({2 ** limit * math.factorial(limit):,} scenarios)")
     reset_levels, table = netlist.reset_levels(), _input_events(netlist)
     ack = netlist.ack_in if netlist.ack_out is None else None
     # each step's "early" text, formatted once per check rather than per step
@@ -678,6 +697,11 @@ def check_delay_insensitivity(
     random delays in [1, 20] for each of ``seeds``.  Every run must produce the oracle
     products, keep every port on the data/spacer alternation, and stay
     monotonic per phase.  Cycle times may and do differ; that is the point.
+
+    The timed lanes (:func:`~qdimul.settle.run_cycles`) decide every pair
+    and model at once: they return only cycles that keep all of these
+    rules, with the engine's cycle times.  When they refuse, the serial loop
+    below runs every model and pair on the traced engine from the start.
     """
     name = "delay_insensitivity"
     _require_counts(samples, seeds, seed)
@@ -687,6 +711,14 @@ def check_delay_insensitivity(
         seeds = range(seeds)
     models = [DelayModel.unit()]
     models += [DelayModel.random_per_gate(1, 20, s) for s in seeds]
+    try:
+        lanes = run_cycles(netlist, pairs, models)
+    except NotSettleableError:
+        lanes = None
+    if lanes is not None:
+        cycle_times = {r.cycle for reports in lanes for r in reports}
+        scenarios = len(models) * len(pairs)
+        return _di_passed(name, scenarios, len(models), cycle_times)
     cycle_times = set()
     scenarios = 0
     for dm in models:
@@ -713,10 +745,15 @@ def check_delay_insensitivity(
                     delay_model=dm.describe()))
             cycle_times.add(r.cycle)
             scenarios += 1
-    detail = (f"{scenarios} cycles over {len(models)} delay models agree with the oracle; "
+    return _di_passed(name, scenarios, len(models), cycle_times)
+
+
+def _di_passed(name: str, scenarios: int, models: int, cycle_times: set[int]) -> CheckOutcome:
+    """:func:`check_delay_insensitivity`'s passing outcome."""
+    detail = (f"{scenarios} cycles over {models} delay models agree with the oracle; "
               f"{len(cycle_times)} distinct cycle times observed")
     return CheckOutcome(name, True, detail, scenarios,
-                        stats={"models": len(models), "cycle_times": sorted(cycle_times)})
+                        stats={"models": models, "cycle_times": sorted(cycle_times)})
 
 
 # -- protocol duality ----------------------------------------------------------

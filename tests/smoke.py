@@ -13,8 +13,10 @@ negative controls, walked in the settled-state module's gate order), the
 metrics digest (``measure``, ``compare`` and ``area`` on the dims and weak
 4x4 and 8x8 stages under unit and random delays), the golden serialize
 digest and the reader's error for each corruption in the parse-error
-corpus, all from ``tests/golden.py``.  Prints one line per check and
-exits 1 if any differs.
+corpus, all from ``tests/golden.py``; and that the timed settled lanes
+(``settle.run_cycles``) give the engine's cycle reports on a 2x2 stage
+over every operand pair, under unit delays and one random model.  Prints
+one line per check and exits 1 if any differs.
 """
 
 from __future__ import annotations
@@ -23,6 +25,20 @@ import platform
 import sys
 
 import golden
+
+from qdimul.harness import Harness
+from qdimul.multiplier import MultiplierSpec, generate
+from qdimul.settle import run_cycles
+from qdimul.sim import DelayModel
+
+
+def lanes_match_engine() -> bool:
+    """``run_cycles`` equals ``Harness.run_sequence`` on every 2x2 pair, per model."""
+    stage = generate(MultiplierSpec(2))
+    pairs = [(a, b) for a in range(4) for b in range(4)]
+    models = [DelayModel.unit(), DelayModel.random_per_gate(1, 20, 7)]
+    return run_cycles(stage, pairs, models) == [
+        Harness(stage, m).run_sequence(pairs) for m in models]
 
 
 def main() -> int:
@@ -41,6 +57,7 @@ def main() -> int:
         ("metrics digest", golden.metrics_digest, golden.GOLDEN_METRICS_SHA256),
         ("serialize digest", golden.serialize_digest, golden.GOLDEN_SERIALIZE_SHA256),
         ("parse-error corpus", golden.parse_errors, golden.GOLDEN_PARSE_ERRORS),
+        ("timed lanes equal the engine", lanes_match_engine, True),
     )
     for name, compute, want in checks:
         got = compute()

@@ -24,6 +24,7 @@ from qdimul.netlist import (DualRailValue, Gate, GateKind, InvalidNetlistError, 
                             NetlistBuilder, Protocol, dualize, encode)
 from qdimul.settle import NotSettleableError, lane_plan
 from qdimul.sim import ENV, DelayModel, SimState, reset
+from qdimul import verify
 from qdimul.verify import (
     CheckOutcome,
     _acts_once,
@@ -108,7 +109,8 @@ def test_sample_pairs_spread_a_small_count_over_the_exhaustive_set(n, samples):
 
 
 def _recorded_pairs(monkeypatch):
-    """Operand pairs the harness runs, recorded through its three entry points."""
+    """Operand pairs the checkers run, recorded through the harness's three entry
+    points and the settled lanes' ``run_cycles``."""
     seen = set()
 
     def recorder(real, one_pair):
@@ -120,6 +122,8 @@ def _recorded_pairs(monkeypatch):
     monkeypatch.setattr(Harness, "run_cycle", recorder(Harness.run_cycle, True))
     for name in ("run_burst", "run_sequence"):
         monkeypatch.setattr(Harness, name, recorder(getattr(Harness, name), False))
+    # ``run_cycles(netlist, pairs, models)``: the netlist takes ``self``'s place
+    monkeypatch.setattr(verify, "run_cycles", recorder(verify.run_cycles, False))
     return seen
 
 
@@ -295,6 +299,20 @@ def test_cell_indication_refuses_an_invalid_cell(check):
                           nl.extra_inputs, nl.meta)
         with pytest.raises(InvalidNetlistError, match=code):
             check(invalid)
+
+
+@pytest.mark.parametrize("check", [check_strong_indication, check_weak_indication],
+                         ids=["strong", "weak"])
+@pytest.mark.parametrize("ports, scenarios", [(6, "46,080"), (8, "10,321,920")])
+def test_cell_indication_refuses_more_than_five_ports_before_its_first_scenario(
+        check, ports, scenarios, monkeypatch):
+    runs = _count_engine_runs(monkeypatch)
+    refused = (f"a cell with {ports} input ports has 2^{ports} * {ports}! = {scenarios} "
+               "codeword/arrival-order scenarios; cell indication takes at most 5 ports "
+               "(3,840 scenarios)")
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        check(make_register_bank(ports).netlist)
+    assert not runs
 
 
 def test_majority_adder_is_weakly_indicating():
